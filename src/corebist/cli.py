@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import access, bist, circuit, compactor, diagnosis, faultsim, tpg
 from .errors import CoreBistError, NetlistError, PlanError, ProtocolError, \
@@ -48,7 +49,6 @@ def _load_plan(args, netlist):
         raise PlanError("--plan is required for this command")
     plan = bist.BistPlan.load(args.plan)
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
         plan = replace(plan, alfsr_seed=args.seed, golden=None)
     return plan
 
@@ -266,6 +266,11 @@ def cmd_tap(args):
 def cmd_diagnose(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
+    if args.granularity == "signature" and args.patterns is not None:
+        if not args.patterns.isdigit():
+            raise SimulationError("--patterns FILE needs --granularity pattern: "
+                                  "signatures replay the plan's ALFSR stream")
+        plan = replace(plan, pattern_count=int(args.patterns), golden=None)
     patterns, count, source = _resolve_patterns(args, netlist, plan)
     universe = faultsim.collapse(
         faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
@@ -273,7 +278,7 @@ def cmd_diagnose(args):
                                     granularity=args.granularity, plan=plan,
                                     workers=args.workers)
     report = diagnosis.classify(matrix)
-    fault_blocks = faultsim._assign_blocks(netlist, universe.faults)
+    fault_blocks = faultsim.fault_blocks(netlist, universe.faults)
     per_block = diagnosis.classify_per_block(matrix, fault_blocks)
 
     payload = _header(netlist, plan)

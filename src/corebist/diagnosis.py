@@ -93,29 +93,21 @@ def build_matrix(netlist, universe, patterns, granularity="pattern",
                  plan=None, workers=1):
     """One syndrome row per fault, in universe order.
 
-    Pattern granularity replays every fault through the fault simulator
-    for its full per-pattern detection vector. Signature granularity runs
-    the BIST signature path per fault and needs a ``plan``.
+    Pattern granularity takes each fault's per-pattern detection plane from
+    :func:`faultsim.detection_planes`; its little-endian bytes equal
+    :meth:`Syndrome.canonical`. Signature granularity runs the BIST
+    signature path per fault over ``plan.pattern_count`` patterns and needs
+    a ``plan``.
     """
     if granularity not in GRANULARITIES:
         raise SimulationError(f"unknown granularity {granularity!r}")
     patterns = [tuple(p) for p in patterns]
     if granularity == "pattern":
-        obs = faultsim.observation_nets(netlist)
-        golden = faultsim._serial_outputs(netlist, patterns, obs)
-        rows = []
-        detected = []
-        for f in universe.faults:
-            if netlist.flops:
-                vec = faultsim._serial_detect(netlist, patterns, obs, golden,
-                                              f, early_exit=False)[1]
-            else:
-                vec = faultsim._sa_detection_vector(netlist, patterns, f)
-            s = Syndrome(f, tuple(vec), "pattern")
-            rows.append(s.canonical())
-            detected.append(any(vec))
+        planes = faultsim.detection_planes(netlist, universe.faults, patterns)
+        size = (len(patterns) + 7) // 8
         return DiagnosticMatrix("pattern", len(patterns), universe.faults,
-                                tuple(rows), tuple(detected))
+                                tuple(p.to_bytes(size, "little") for p in planes),
+                                tuple(p != 0 for p in planes))
     if plan is None:
         raise SimulationError("signature granularity needs a BIST plan")
     if plan.golden is None:

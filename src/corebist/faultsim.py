@@ -5,9 +5,15 @@ Two stuck-at simulation paths are kept deliberately separate:
 
 * :func:`serial_fault_sim` replays every fault one pattern at a time through
   the scalar evaluator in :mod:`corebist.circuit` - the oracle path.
-* :func:`parallel_fault_sim` packs 64 patterns per integer word and evaluates
-  bit-planes - the production path. Its report must be bit-identical to the
-  serial one; that equivalence is the main regression property.
+* :class:`FaultKernel` compiles a combinational netlist against a pattern
+  list once: each net becomes one integer plane over the whole pattern set
+  (bit t = pattern t) and the fault-free planes are computed once. Each
+  fault then re-evaluates only the gates of its fanout cone whose inputs
+  differ from the fault-free planes (parallel-pattern single-fault
+  propagation) and yields the plane of patterns that detect it.
+  :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
+  run on it; their results must be bit-identical to the serial oracle's,
+  and that equivalence is the main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -18,12 +24,10 @@ detected launch-on-capture over consecutive pattern pairs.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import circuit
 from .errors import SimulationError
-
-WORD_WIDTH = 64
 
 SA_KINDS = ("SA0", "SA1")
 TDF_KINDS = ("STR", "STF")
@@ -251,7 +255,8 @@ class CoverageReport:
         }
 
 
-def _assign_blocks(netlist, faults):
+def fault_blocks(netlist, faults):
+    """Block of each fault: the first block whose cone holds its net, or None."""
     cones = _block_cones(netlist)
     order = [b.name for b in netlist.blocks]
     out = []
@@ -328,24 +333,30 @@ def serial_fault_sim(netlist, universe, patterns, workers=1):
             raise SimulationError("serial_fault_sim handles stuck-at faults only")
     obs = observation_nets(netlist)
     golden = _serial_outputs(netlist, patterns, obs)
-    firsts = _map_faults(_serial_worker, netlist, faults, patterns, obs,
-                         golden, workers)
+    firsts = _map_faults(_serial_worker, faults, workers, netlist, patterns,
+                         obs, golden)
     return CoverageReport(len(patterns), faults, tuple(firsts),
-                          _assign_blocks(netlist, faults))
+                          fault_blocks(netlist, faults))
 
 
-def _serial_worker(netlist, faults, patterns, obs, golden):
+def _serial_worker(faults, netlist, patterns, obs, golden):
     return [_serial_detect(netlist, patterns, obs, golden, f)[0] for f in faults]
 
 
-def _map_faults(worker, netlist, faults, patterns, obs, golden, workers):
+def _serial_plane(netlist, patterns, obs, golden, fault):
+    """Serial detection vector of one fault as a plane (bit t = pattern t)."""
+    return _plane(_serial_detect(netlist, patterns, obs, golden, fault,
+                                 early_exit=False)[1])
+
+
+def _map_faults(worker, faults, workers, *args):
+    """``worker(faults, *args)``, over ``workers`` processes when it pays."""
     if workers <= 1 or len(faults) < 2 * workers:
-        return worker(netlist, faults, patterns, obs, golden)
+        return worker(faults, *args)
     chunks = _split(faults, workers)
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, netlist, c, patterns, obs, golden)
-                   for c in chunks]
+        futures = [pool.submit(worker, c, *args) for c in chunks]
         for fut in futures:   # submission order keeps the merge deterministic
             results.extend(fut.result())
     return results
@@ -356,117 +367,143 @@ def _split(items, n):
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-# -- bit-parallel production path --------------------------------------------
+# -- compiled combinational kernel -------------------------------------------
 
-class _Compiled:
-    """Netlist lowered to integer-indexed ops for bit-plane evaluation."""
+# byte value -> ASCII '0'/'1' of its low bit, for packing bit columns
+_BIT_CHARS = bytes(48 + (b & 1) for b in range(256))
 
-    def __init__(self, netlist):
+
+def _plane(bits):
+    """Sequence of bits -> int with bit t = item t."""
+    return int(bytes(bits)[::-1].translate(_BIT_CHARS), 2)
+
+
+def _lowest(plane):
+    """Index of the lowest set bit, or None for 0."""
+    return (plane & -plane).bit_length() - 1 if plane else None
+
+
+def _eval_gate(kind, planes, mask):
+    if kind == "AND" or kind == "NAND":
+        r = mask
+        for p in planes:
+            r &= p
+        return r ^ mask if kind == "NAND" else r
+    if kind == "OR" or kind == "NOR":
+        r = 0
+        for p in planes:
+            r |= p
+        return r ^ mask if kind == "NOR" else r
+    if kind == "XOR" or kind == "XNOR":
+        r = 0
+        for p in planes:
+            r ^= p
+        return r ^ mask if kind == "XNOR" else r
+    if kind == "NOT":
+        return planes[0] ^ mask
+    return planes[0]  # BUF
+
+
+class FaultKernel:
+    """A combinational netlist compiled against one pattern list.
+
+    Every net holds one integer plane over the whole pattern set (bit t =
+    pattern t); the fault-free planes are computed once, here. A stuck-at
+    fault is then simulated by parallel-pattern single-fault propagation:
+    only the gates of the fault site's fanout cone whose inputs differ from
+    the fault-free planes are re-evaluated, and every other net reads its
+    fault-free plane.
+    """
+
+    def __init__(self, netlist, patterns):
         if netlist.flops:
-            raise SimulationError("bit-parallel path requires a combinational netlist")
-        self.netlist = netlist
-        self.index = {n: i for i, n in enumerate(netlist.nets)}
-        self.n_nets = len(netlist.nets)
-        self.pi = [self.index[n] for n in netlist.primary_inputs]
-        self.ops = []
-        for g in netlist.topo_gates:
-            self.ops.append((g.kind, self.index[g.output],
-                             tuple(self.index[i] for i in g.inputs)))
-        self.obs = [self.index[n] for n in observation_nets(netlist)]
+            raise SimulationError("the fault kernel needs a combinational netlist")
+        patterns = [tuple(p) for p in patterns]
+        if not patterns:
+            raise SimulationError("no patterns")
+        width = len(netlist.primary_inputs)
+        if any(len(p) != width for p in patterns):
+            raise SimulationError("input vector width mismatch")
+        self.mask = mask = (1 << len(patterns)) - 1
+        self.index = index = {n: i for i, n in enumerate(netlist.nets)}
+        # gates in topological order, so a cone sorted by position is too
+        self._ops = ops = [(g.kind, index[g.output],
+                            tuple(index[i] for i in g.inputs))
+                           for g in netlist.topo_gates]
+        self._driver = {out: pos for pos, (_, out, _) in enumerate(ops)}
+        self._readers = [[] for _ in netlist.nets]
+        for pos, (_, _, ins) in enumerate(ops):
+            for i in set(ins):
+                self._readers[i].append(pos)
+        self._obs = frozenset(index[n] for n in observation_nets(netlist))
+        self._cones = {}
+        good = [0] * len(netlist.nets)
+        for net, column in zip(netlist.primary_inputs, zip(*patterns)):
+            good[index[net]] = _plane(column)
+        for kind, out, ins in ops:
+            good[out] = _eval_gate(kind, [good[i] for i in ins], mask)
+        self.good = good
 
-    def eval_planes(self, pi_planes, mask, fault=None):
-        """Evaluate one chunk; planes are ints, bit t = pattern t."""
-        v = [0] * self.n_nets
-        for idx, plane in zip(self.pi, pi_planes):
-            v[idx] = plane
-        f_net = f_gate = f_pin = None
-        f_val = 0
-        if fault is not None:
-            f_net = self.index[fault.net]
-            f_val = mask if fault.kind == "SA1" else 0
-            if fault.pin is not None:
-                f_gate = self.index[fault.gate]
-                f_pin = fault.pin
+    def _cone(self, net):
+        """Positions of the gates fed by ``net``, in topological order."""
+        cone = self._cones.get(net)
+        if cone is None:
+            seen = set()
+            stack = [net]
+            while stack:
+                for pos in self._readers[stack.pop()]:
+                    if pos not in seen:
+                        seen.add(pos)
+                        stack.append(self._ops[pos][1])
+            cone = self._cones[net] = sorted(seen)
+        return cone
+
+    def diff(self, fault):
+        """OR of faulty ^ fault-free over the observation nets: bit t is set
+        iff pattern t detects the stuck-at ``fault``."""
+        good = self.good
+        mask = self.mask
+        stuck = mask if fault.kind == "SA1" else 0
+        if fault.pin is None:
+            site, value = self.index[fault.net], stuck
+        else:
+            kind, site, ins = self._ops[self._driver[self.index[fault.gate]]]
+            planes = [good[i] for i in ins]
+            planes[fault.pin] = stuck
+            value = _eval_gate(kind, planes, mask)
+        if value == good[site]:
+            return 0
+        faulty = {site: value}
+        ops = self._ops
+        for pos in self._cone(site):
+            kind, out, ins = ops[pos]
+            for i in ins:
+                if i in faulty:
+                    break
             else:
-                # stem fault forces the net plane everywhere it is read;
-                # gate-output stems are re-forced after their driver evaluates
-                v[f_net] = f_val
-        for kind, out, ins in self.ops:
-            planes = [v[i] for i in ins]
-            if f_gate == out:
-                planes[f_pin] = f_val
-            if kind == "AND" or kind == "NAND":
-                r = mask
-                for p in planes:
-                    r &= p
-                if kind == "NAND":
-                    r ^= mask
-            elif kind == "OR" or kind == "NOR":
-                r = 0
-                for p in planes:
-                    r |= p
-                if kind == "NOR":
-                    r ^= mask
-            elif kind == "XOR" or kind == "XNOR":
-                r = 0
-                for p in planes:
-                    r ^= p
-                if kind == "XNOR":
-                    r ^= mask
-            elif kind == "NOT":
-                r = planes[0] ^ mask
-            else:  # BUF
-                r = planes[0]
-            if f_gate is None and f_net == out:
-                r = f_val
-            v[out] = r
-        return v
-
-
-def _pack_chunks(netlist, patterns):
-    """Pattern list -> list of (pi_planes, mask, base_index) chunks."""
-    chunks = []
-    for base in range(0, len(patterns), WORD_WIDTH):
-        part = patterns[base:base + WORD_WIDTH]
-        mask = (1 << len(part)) - 1
-        planes = []
-        for col in range(len(netlist.primary_inputs)):
-            plane = 0
-            for t, p in enumerate(part):
-                plane |= (p[col] & 1) << t
-            planes.append(plane)
-        chunks.append((planes, mask, base))
-    return chunks
-
-
-def _parallel_detect(comp, chunks, golden, fault, early_exit=True):
-    """First detection index (and per-chunk diff masks if not early_exit)."""
-    first = None
-    diffs = []
-    for (planes, mask, base), gold in zip(chunks, golden):
-        v = comp.eval_planes(planes, mask, fault)
+                continue
+            value = _eval_gate(kind, [faulty.get(i, good[i]) for i in ins], mask)
+            if value != good[out]:
+                faulty[out] = value
+        obs = self._obs
         diff = 0
-        for idx, g in zip(comp.obs, gold):
-            diff |= v[idx] ^ g
-        diffs.append(diff)
-        if diff and first is None:
-            first = base + (diff & -diff).bit_length() - 1
-            if early_exit:
-                return first, diffs
-    return first, diffs
+        for net, value in faulty.items():
+            if net in obs:
+                diff |= value ^ good[net]
+        return diff
 
 
-def _parallel_worker(netlist, faults, patterns, obs, golden_chunks):
-    comp = _Compiled(netlist)
-    chunks = _pack_chunks(netlist, patterns)
-    return [_parallel_detect(comp, chunks, golden_chunks, f)[0] for f in faults]
+def _kernel_worker(faults, netlist, patterns):
+    kernel = FaultKernel(netlist, patterns)
+    return [_lowest(kernel.diff(f)) for f in faults]
 
 
 def parallel_fault_sim(netlist, universe, patterns, workers=1):
-    """Bit-parallel stuck-at simulation, 64 patterns per word.
+    """Stuck-at simulation through :class:`FaultKernel`.
 
     Combinational circuits only; sequential netlists fall back to the serial
-    path. The report is bit-identical to :func:`serial_fault_sim`.
+    path. With ``workers`` > 1 each pool process builds its own kernel. The
+    report is bit-identical to :func:`serial_fault_sim`.
     """
     patterns = [tuple(p) for p in patterns]
     if not patterns:
@@ -476,62 +513,31 @@ def parallel_fault_sim(netlist, universe, patterns, workers=1):
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
     if netlist.flops:
         return serial_fault_sim(netlist, universe, patterns, workers=workers)
-    comp = _Compiled(netlist)
-    chunks = _pack_chunks(netlist, patterns)
-    golden = [[v[i] for i in comp.obs]
-              for v in (comp.eval_planes(p, m) for p, m, _ in chunks)]
-    firsts = _map_faults(_parallel_worker, netlist, universe.faults, patterns,
-                         None, golden, workers)
+    firsts = _map_faults(_kernel_worker, universe.faults, workers, netlist,
+                         patterns)
     return CoverageReport(len(patterns), universe.faults, tuple(firsts),
-                          _assign_blocks(netlist, universe.faults))
+                          fault_blocks(netlist, universe.faults))
+
+
+def detection_planes(netlist, faults, patterns):
+    """Per stuck-at fault, the plane whose bit t is set iff pattern t
+    detects it: the pattern-granularity syndrome.
+
+    Combinational netlists go through one :class:`FaultKernel`; sequential
+    ones replay each fault serially against one fault-free run.
+    """
+    patterns = [tuple(p) for p in patterns]
+    if not patterns:
+        raise SimulationError("no patterns")
+    if not netlist.flops:
+        kernel = FaultKernel(netlist, patterns)
+        return [kernel.diff(f) for f in faults]
+    obs = observation_nets(netlist)
+    golden = _serial_outputs(netlist, patterns, obs)
+    return [_serial_plane(netlist, patterns, obs, golden, f) for f in faults]
 
 
 # -- transition-delay faults --------------------------------------------------
-
-def _net_values_per_pattern(netlist, patterns):
-    """Fault-free value of every net at every pattern (list of dicts)."""
-    return [dict(st.values) for st in circuit.run_patterns(netlist, patterns)]
-
-
-def _sa_detection_vector(netlist, patterns, fault):
-    """Full per-pattern detection vector for a stem stuck-at fault."""
-    obs = observation_nets(netlist)
-    if not netlist.flops:
-        comp = _Compiled(netlist)
-        chunks = _pack_chunks(netlist, patterns)
-        golden = [[v[i] for i in comp.obs]
-                  for v in (comp.eval_planes(p, m) for p, m, _ in chunks)]
-        _, diffs = _parallel_detect(comp, chunks, golden, fault, early_exit=False)
-        vec = []
-        for (_, mask, base), d in zip(chunks, diffs):
-            width = mask.bit_length()
-            vec.extend(bool((d >> t) & 1) for t in range(width))
-        return vec
-    golden = _serial_outputs(netlist, patterns, obs)
-    _, vec = _serial_detect(netlist, patterns, obs, golden, fault,
-                            early_exit=False)
-    return vec
-
-
-def _tdf_first_parallel(comp, chunks, golden, capmask, sa_fault):
-    """First capture index where the launch condition meets observability.
-
-    Faulty chunks are evaluated lazily: chunks with no capture bit are
-    skipped entirely.
-    """
-    for (planes, mask, base), gold in zip(chunks, golden):
-        caps = (capmask >> base) & mask
-        if not caps:
-            continue
-        v = comp.eval_planes(planes, mask, sa_fault)
-        diff = 0
-        for idx, g in zip(comp.obs, gold):
-            diff |= v[idx] ^ g
-        hit = diff & caps
-        if hit:
-            return base + (hit & -hit).bit_length() - 1
-    return None
-
 
 def tdf_sim(netlist, universe, patterns, workers=1):
     """Launch-on-capture transition-delay fault simulation.
@@ -548,28 +554,21 @@ def tdf_sim(netlist, universe, patterns, workers=1):
     for f in faults:
         if f.kind not in TDF_KINDS:
             raise SimulationError("tdf_sim handles transition faults only")
-    total = len(patterns)
-    full = (1 << total) - 1
-    if not netlist.flops:
-        comp = _Compiled(netlist)
-        chunks = _pack_chunks(netlist, patterns)
-        clean = [comp.eval_planes(p, m) for p, m, _ in chunks]
-        golden = [[v[i] for i in comp.obs] for v in clean]
-        # fault-free value of every net across all patterns, one int per net
-        value = {}
-        for net in netlist.nets:
-            idx = comp.index[net]
-            plane = 0
-            for v, (_, _, base) in zip(clean, chunks):
-                plane |= v[idx] << base
-            value[net] = plane
+    full = (1 << len(patterns)) - 1
+    if netlist.flops:
+        # one fault-free run gives every net's plane and the golden outputs
+        states = list(circuit.run_patterns(netlist, patterns))
+        value = {net: _plane([st[net] for st in states]) for net in netlist.nets}
+        obs = observation_nets(netlist)
+        golden = [tuple(st[n] for n in obs) for st in states]
+
+        def detect(sa):
+            return _serial_plane(netlist, patterns, obs, golden, sa)
     else:
-        chunks = comp = clean = golden = None
-        per_pattern = _net_values_per_pattern(netlist, patterns)
-        value = {net: sum(per_pattern[t][net] << t for t in range(total))
-                 for net in netlist.nets}
+        kernel = FaultKernel(netlist, patterns)
+        value = dict(zip(netlist.nets, kernel.good))
+        detect = kernel.diff
     firsts = []
-    obsvec_cache = {}
     for f in faults:
         v = value[f.net]
         if f.kind == "STR":
@@ -578,20 +577,6 @@ def tdf_sim(netlist, universe, patterns, workers=1):
         else:
             capmask = (v << 1) & ~v & full & ~1
             sa = FaultDescriptor(f.net, "SA1")
-        if not capmask:
-            firsts.append(None)
-            continue
-        if comp is not None:
-            firsts.append(_tdf_first_parallel(comp, chunks, golden, capmask, sa))
-        else:
-            if sa not in obsvec_cache:
-                obsvec_cache[sa] = _sa_detection_vector(netlist, patterns, sa)
-            obsvec = obsvec_cache[sa]
-            first = None
-            for cap in range(1, total):
-                if (capmask >> cap) & 1 and obsvec[cap]:
-                    first = cap
-                    break
-            firsts.append(first)
+        firsts.append(_lowest(detect(sa) & capmask) if capmask else None)
     return CoverageReport(len(patterns), faults, tuple(firsts),
-                          _assign_blocks(netlist, faults))
+                          fault_blocks(netlist, faults))

@@ -1,13 +1,17 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from corebist import bist, circuit, diagnosis, faultsim, fixture_path, tpg
+from corebist import bist, circuit, cli, diagnosis, faultsim, fixture_path, tpg
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import exhaustive_patterns, random_patterns
+from conftest import exhaustive_patterns, random_combinational, random_patterns
+
+MINI = str(fixture_path("mini10.bench"))
+MINI_PLAN = str(fixture_path("mini10.plan.json"))
 
 
 def _alfsr_patterns(netlist, count, degree=8, seed=0x33):
@@ -50,6 +54,24 @@ def test_matrix_rows_match_replay_oracle(seventeen):
         s = diagnosis.Syndrome(f, tuple(brute[f]), "pattern")
         assert row == s.canonical(), f.key
         assert det == any(brute[f])
+
+
+def test_matrix_rows_match_oracle_on_random_netlists():
+    rng = random.Random(0xD1A6)
+    for trial in range(2):
+        n = random_combinational(rng, n_in=rng.randint(3, 7),
+                                 n_gates=rng.randint(8, 30),
+                                 name=f"diag{trial}")
+        for count in (1, 63, 64, 65, 200):
+            pats = random_patterns(rng, n, count)
+            u = faultsim.enumerate_faults(n)
+            m = diagnosis.build_matrix(n, u, pats)
+            brute = oracle.brute_force_detection(
+                n, u.faults, pats, observe=faultsim.observation_nets(n))
+            for f, row, det in zip(m.faults, m.rows, m.detected):
+                s = diagnosis.Syndrome(f, tuple(brute[f]), "pattern")
+                assert row == s.canonical(), (n.name, count, f.key)
+                assert det == any(brute[f])
 
 
 def test_matrix_sequential_circuit(seqmini):
@@ -190,6 +212,30 @@ def test_signature_classes_no_finer_than_output_response(mini10):
     assert any(len(v) > 1 for v in by_response.values())
     for members in by_response.values():
         assert len({m_sig.rows[i] for i in members}) == 1
+
+
+def test_signature_cli_honours_pattern_count(tmp_path, mini10):
+    assert cli.main(["diagnose", MINI, "--plan", MINI_PLAN, "--granularity",
+                     "signature", "--patterns", "16",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "diagnosis_report.json").read_text())
+    assert report["pattern_count"] == 16
+    assert report["overall"]["pattern_count"] == 16
+    plan = replace(bist.BistPlan.load(MINI_PLAN), pattern_count=16, golden=None)
+    u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
+    expected = diagnosis.classify(diagnosis.build_matrix(
+        mini10, u, [], granularity="signature", plan=plan))
+    assert report["overall"] == expected.to_dict()
+
+
+def test_signature_cli_rejects_pattern_file(tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("0101\n1010\n")
+    assert cli.main(["diagnose", MINI, "--plan", MINI_PLAN, "--granularity",
+                     "signature", "--patterns", str(vectors),
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "diagnosis_report.json").exists()
 
 
 def test_per_block_partition(seventeen):

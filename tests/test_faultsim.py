@@ -161,9 +161,9 @@ def test_parallel_rejects_empty_patterns(seventeen):
 
 
 def test_parallel_handles_word_tail(mini10):
-    # 67 = 64 + 3 patterns: the last chunk is a partial word
+    # 67 = 64 + 3 patterns: one past a 64-bit machine word
     rng = random.Random(13)
-    pats = random_patterns(rng, mini10, faultsim.WORD_WIDTH + 3)
+    pats = random_patterns(rng, mini10, 67)
     u = faultsim.enumerate_faults(mini10)
     r_s = faultsim.serial_fault_sim(mini10, u, pats)
     r_p = faultsim.parallel_fault_sim(mini10, u, pats)
@@ -199,6 +199,63 @@ def test_workers_do_not_change_results(mini10):
     r1 = faultsim.parallel_fault_sim(mini10, u, pats, workers=1)
     r2 = faultsim.parallel_fault_sim(mini10, u, pats, workers=2)
     assert r1.first_detect == r2.first_detect
+
+
+# -- compiled kernel against the oracle ------------------------------------------
+
+# around the 64-bit machine word, plus a single pattern and a long run
+KERNEL_COUNTS = (1, 63, 64, 65, 200)
+
+
+def _kernel_cases(seed, netlists=3):
+    rng = random.Random(seed)
+    for trial in range(netlists):
+        n = random_combinational(rng, n_in=rng.randint(2, 7),
+                                 n_gates=rng.randint(6, 30),
+                                 name=f"kernel{trial}")
+        for count in KERNEL_COUNTS:
+            yield n, random_patterns(rng, n, count)
+
+
+def _plane(vec):
+    return sum(1 << t for t, hit in enumerate(vec) if hit)
+
+
+def test_kernel_matches_serial_and_brute_force():
+    branches = 0
+    for n, pats in _kernel_cases(0x5EED):
+        u = faultsim.enumerate_faults(n)   # stems and branches, uncollapsed
+        branches += sum(1 for f in u.faults if f.pin is not None)
+        r_p = faultsim.parallel_fault_sim(n, u, pats)
+        r_s = faultsim.serial_fault_sim(n, u, pats)
+        assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
+        planes = faultsim.detection_planes(n, u.faults, pats)
+        brute = oracle.brute_force_detection(
+            n, u.faults, pats, observe=faultsim.observation_nets(n))
+        for f, first, plane in zip(u.faults, r_p.first_detect, planes):
+            vec = brute[f]
+            assert plane == _plane(vec), (n.name, len(pats), f.key)
+            assert first == (vec.index(True) if True in vec else None)
+    assert branches > 0
+
+
+def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
+    with pytest.raises(SimulationError, match="combinational"):
+        faultsim.FaultKernel(seqmini, [(0, 0)])
+    with pytest.raises(SimulationError, match="no patterns"):
+        faultsim.FaultKernel(mini10, [])
+    with pytest.raises(SimulationError, match="width"):
+        faultsim.FaultKernel(mini10, [(0, 1)])
+
+
+def test_detection_planes_sequential_match_brute_force(seqmini):
+    rng = random.Random(8)
+    pats = random_patterns(rng, seqmini, 30)
+    u = faultsim.enumerate_faults(seqmini)
+    planes = faultsim.detection_planes(seqmini, u.faults, pats)
+    brute = oracle.brute_force_detection(
+        seqmini, u.faults, pats, observe=faultsim.observation_nets(seqmini))
+    assert planes == [_plane(brute[f]) for f in u.faults]
 
 
 # -- transition-delay faults ----------------------------------------------------------
@@ -269,10 +326,43 @@ def test_tdf_detection_implies_sa_observable(mini10):
         if first is None:
             continue
         sa = "SA0" if f.kind == "STR" else "SA1"
-        vec = faultsim._sa_detection_vector(
-            mini10, [tuple(p) for p in pats],
-            faultsim.FaultDescriptor(f.net, sa))
-        assert vec[first]
+        [plane] = faultsim.detection_planes(
+            mini10, [faultsim.FaultDescriptor(f.net, sa)], pats)
+        assert (plane >> first) & 1
+
+
+def test_tdf_kernel_matches_pairwise_brute_force():
+    for n, pats in _kernel_cases(0x7DF, netlists=3):
+        if len(pats) < 2:
+            continue
+        u = faultsim.enumerate_faults(n, ("STR", "STF"))
+        r = faultsim.tdf_sim(n, u, pats)
+        brute = _tdf_brute(n, u.faults, pats)
+        assert r.first_detect == tuple(brute[f] for f in u.faults), \
+            (n.name, len(pats))
+
+
+def test_sequential_tdf_matches_brute_force(seqmini):
+    rng = random.Random(21)
+    pats = random_patterns(rng, seqmini, 40)
+    u = faultsim.enumerate_faults(seqmini, ("STR", "STF"))
+    r = faultsim.tdf_sim(seqmini, u, pats)
+    # every net's fault-free value per pattern (flop Q pre-edge)
+    values = oracle.run_sequence(seqmini, pats, observe=seqmini.nets)
+    column = {n: [v[i] for v in values] for i, n in enumerate(seqmini.nets)}
+    sa = {f: faultsim.FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
+          for f in u.faults}
+    brute = oracle.brute_force_detection(
+        seqmini, list(sa.values()), pats,
+        observe=faultsim.observation_nets(seqmini))
+    for f, first in zip(r.faults, r.first_detect):
+        launch = [0, 1] if f.kind == "STR" else [1, 0]
+        col = column[f.net]
+        expected = next((t for t in range(1, len(pats))
+                         if col[t - 1:t + 1] == launch and brute[sa[f]][t]),
+                        None)
+        assert first == expected, f.key
+    assert any(d is not None for d in r.first_detect)
 
 
 # -- coverage ---------------------------------------------------------------------
