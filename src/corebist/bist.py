@@ -5,6 +5,16 @@ Per-cycle timing, used identically by golden and faulty runs: the pattern for
 cycle c is assembled from the current ALFSR register, the DUT settles, each
 block's output word is folded and absorbed by its MISR in that same cycle,
 then the ALFSR steps. Flops (if any) clock at the end of the cycle.
+
+Two paths produce signatures. :class:`BistSession` (with
+:func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
+scalar evaluation at a time; it is the oracle, it serves sequential cores
+and TAP replay, and it never touches the fault-sim kernel. For a
+combinational core, :class:`SignatureEngine` simulates the plan's whole
+pattern stream once in a :class:`faultsim.FaultKernel` and, since the
+compactor is linear over GF(2), gets each faulty signature as the
+fault-free one XOR the signature of the folded error planes.
+:func:`selftest_results` picks the path and is what the reports use.
 """
 
 from __future__ import annotations
@@ -301,8 +311,103 @@ def run_selftest(netlist, plan, injected=None, require_golden=True):
     return BistResult(sigs, passed, session.control.pattern_counter)
 
 
+class SignatureEngine:
+    """Self-test signatures of a combinational netlist from one
+    :class:`faultsim.FaultKernel` over the plan's pattern stream.
+
+    Each MISR's cascade folds its block's output-port planes (port bit i
+    into word bit i mod out) and one register pass over the folded planes
+    gives the fault-free signature. Under a stuck-at fault only the nets in
+    the fault's cone change; their error planes (faulty ^ fault-free) fold
+    the same way, and by linearity the faulty signature is the fault-free
+    one XOR :func:`compactor.signature_image` of the folded error planes.
+    """
+
+    def __init__(self, netlist, plan, patterns=None):
+        _check_plan(netlist, plan)
+        if netlist.flops:
+            raise SimulationError("the signature engine needs a combinational "
+                                  "netlist; sequential cores run BistSession")
+        if patterns is None:
+            patterns = plan_patterns(netlist, plan)
+        if len(patterns) != plan.pattern_count:
+            raise SimulationError(f"{len(patterns)} patterns for a plan of "
+                                  f"{plan.pattern_count}")
+        self.plan = plan
+        self.kernel = kernel = faultsim.FaultKernel(netlist, patterns)
+        self._rows = {}          # polynomial -> compactor.image_rows
+        blocks = {b.name: b for b in netlist.blocks}
+        # net index -> (MISR position, folded word bit) of every port bit it feeds
+        self._taps = {}
+        for k, (binding, misr) in enumerate(zip(plan.bindings, plan.misrs)):
+            out = misr.cascade.out_width
+            for i, net in enumerate(blocks[binding.block].output_port):
+                self._taps.setdefault(kernel.index[net], []).append((k, i % out))
+        good = kernel.good
+        self.golden = tuple(
+            compactor.signature_of_planes(m.polynomial, words, plan.pattern_count)
+            for m, words in zip(plan.misrs,
+                                self._fold({i: good[i] for i in self._taps})))
+
+    def _fold(self, planes):
+        """Folded word planes per MISR from ``{net index: plane}``."""
+        words = [[0] * m.cascade.out_width for m in self.plan.misrs]
+        for net, plane in planes.items():
+            for k, j in self._taps[net]:
+                words[k][j] ^= plane
+        return words
+
+    def signatures(self, fault=None):
+        """Signature values, one per MISR in plan order, under ``fault``."""
+        if fault is None:
+            return self.golden
+        good = self.kernel.good
+        errors = self._fold({net: plane ^ good[net] for net, plane
+                             in self.kernel.faulty(fault).items()
+                             if net in self._taps})
+        return tuple(g ^ self._image(m.polynomial, words) if any(words) else g
+                     for g, m, words in zip(self.golden, self.plan.misrs, errors))
+
+    def _image(self, poly, words):
+        """Signature of an error stream; the row masks of ``poly`` are built
+        on the first non-zero stream and kept."""
+        n = self.plan.pattern_count
+        rows = self._rows.get(poly)
+        if rows is None:
+            rows = self._rows[poly] = compactor.image_rows(poly, n)
+        return compactor.signature_image(rows, words, n)
+
+
+def selftest_results(netlist, plan, faults, patterns=None):
+    """One :class:`BistResult` per entry of ``faults`` (None: fault-free),
+    each what ``run_selftest(netlist, plan, injected=f)`` returns.
+
+    Pass/fail is judged against the plan's stored golden signatures, or the
+    fault-free ones when none are stored. Combinational netlists go through
+    :class:`SignatureEngine` (``patterns``, if given, must be the plan's
+    stream); sequential ones replay :class:`BistSession` per fault.
+    """
+    n = plan.pattern_count
+    if netlist.flops:
+        if plan.golden is None:
+            plan = compute_golden(netlist, plan)
+        values = [tuple(s.value for s in run_selftest(netlist, plan,
+                                                      injected=f).signatures)
+                  for f in faults]
+        reference = tuple(s.value for s in plan.golden)
+    else:
+        engine = SignatureEngine(netlist, plan, patterns)
+        values = [engine.signatures(f) for f in faults]
+        reference = engine.golden if plan.golden is None else \
+            tuple(s.value for s in plan.golden)
+    return [BistResult(tuple(compactor.Signature(m.block, m.polynomial, v, n)
+                             for m, v in zip(plan.misrs, sig)),
+                       tuple(v == r for v, r in zip(sig, reference)), n)
+            for sig in values]
+
+
 def misr_detection_rate(netlist, plan, universe, workers=1):
-    """Compaction loss: rerun every pre-MISR-detected fault through the
+    """Compaction loss: put every pre-MISR-detected fault through the
     signature path and list the ones the MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
@@ -313,10 +418,7 @@ def misr_detection_rate(netlist, plan, universe, workers=1):
     if not detected:
         raise SimulationError("empty fault universe" if not universe.faults
                               else "no detected faults to compact")
-    aliased = []
-    for f in detected:
-        result = run_selftest(netlist, plan, injected=f)
-        if result.all_pass:
-            aliased.append(f)
+    results = selftest_results(netlist, plan, detected, patterns)
+    aliased = tuple(f for f, r in zip(detected, results) if r.all_pass)
     rate = (len(detected) - len(aliased)) / len(detected)
-    return rate, tuple(aliased)
+    return rate, aliased

@@ -228,40 +228,74 @@ def evaluate(netlist, state, inputs, fault=None):
     all nets settled. ``fault`` optionally injects a stuck-at fault (see
     faultsim); this single scalar path is shared by golden and faulty runs.
     """
-    if not isinstance(inputs, dict):
-        if len(inputs) != len(netlist.primary_inputs):
+    pis = netlist.primary_inputs
+    if isinstance(inputs, dict):
+        vals = {}
+        for n in pis:
+            if n not in inputs:
+                raise SimulationError(f"unassigned primary input {n!r}")
+            vals[n] = inputs[n] & 1
+    else:
+        if len(inputs) != len(pis):
             raise SimulationError("input vector width mismatch")
-        inputs = dict(zip(netlist.primary_inputs, inputs))
-    vals = {}
-    for n in netlist.primary_inputs:
-        if n not in inputs:
-            raise SimulationError(f"unassigned primary input {n!r}")
-        vals[n] = inputs[n] & 1
+        vals = {n: b & 1 for n, b in zip(pis, inputs)}
     for f in netlist.flops:
         q = state[f.q]
         if q is None:
             raise SimulationError(f"uninitialized flop {f.q!r}")
         vals[f.q] = q
 
-    forced = None
-    if fault is not None and fault.pin is None:
-        forced = (fault.net, 1 if fault.kind == "SA1" else 0)
-        if forced[0] in vals:
-            vals[forced[0]] = forced[1]
+    # the faulted gate (stem driver or branch reader), decoded once
+    faulted = pin = None
+    if fault is not None:
+        stuck = 1 if fault.kind == "SA1" else 0
+        if fault.pin is None:
+            if fault.net in vals:
+                vals[fault.net] = stuck
+            faulted = netlist.driver.get(fault.net)
+        else:
+            faulted = netlist.driver.get(fault.gate)
+            pin = fault.pin
 
     for g in netlist.topo_gates:
-        ins = [vals[i] for i in g.inputs]
-        if fault is not None and fault.pin is not None and fault.gate == g.output:
-            ins[fault.pin] = 1 if fault.kind == "SA1" else 0
-        v = _EVAL[g.kind](ins)
-        if forced is not None and g.output == forced[0]:
-            v = forced[1]
+        if g is faulted:
+            if pin is None:
+                vals[g.output] = stuck
+                continue
+            ins = [vals[i] for i in g.inputs]
+            ins[pin] = stuck
+            vals[g.output] = _EVAL[g.kind](ins)
+            continue
+        kind = g.kind
+        if kind == "AND" or kind == "NAND":
+            v = 1
+            for i in g.inputs:
+                v &= vals[i]
+            if kind == "NAND":
+                v ^= 1
+        elif kind == "OR" or kind == "NOR":
+            v = 0
+            for i in g.inputs:
+                v |= vals[i]
+            if kind == "NOR":
+                v ^= 1
+        elif kind == "XOR" or kind == "XNOR":
+            v = 0
+            for i in g.inputs:
+                v ^= vals[i]
+            if kind == "XNOR":
+                v ^= 1
+        elif kind == "NOT":
+            v = vals[g.inputs[0]] ^ 1
+        else:  # BUF
+            v = vals[g.inputs[0]]
         vals[g.output] = v
 
-    out = LogicState(vals)
     # combinational nets keep settled values; flop Q reflects the new edge
-    for f in netlist.flops:
-        out.values[f.q] = vals[f.d]
+    edge = [(f.q, vals[f.d]) for f in netlist.flops]
+    out = LogicState()
+    out.values = vals
+    vals.update(edge)
     return out
 
 

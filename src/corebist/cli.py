@@ -24,7 +24,7 @@ WORKERS_ENV = "COREBIST_WORKERS"
 
 def _default_workers():
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        return int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
         return 1
 
@@ -85,11 +85,15 @@ def parse_pattern_file(path, netlist, plan):
     return patterns
 
 
-def _resolve_patterns(args, netlist, plan):
-    """--patterns N (count) or --patterns FILE (external vectors)."""
+def _resolve_patterns(args, netlist, plan, stream=None):
+    """--patterns N (count) or --patterns FILE (external vectors); without
+    the option, ``stream`` (the plan's own stream, assembled here if not
+    given)."""
     spec = getattr(args, "patterns", None)
     if spec is None:
-        return bist.plan_patterns(netlist, plan), plan.pattern_count, "alfsr"
+        if stream is None:
+            stream = bist.plan_patterns(netlist, plan)
+        return stream, plan.pattern_count, "alfsr"
     if spec.isdigit():
         count = int(spec)
         return bist.plan_patterns(netlist, plan, count=count), count, "alfsr"
@@ -121,8 +125,7 @@ def _coverage_tables(netlist, patterns, workers, kinds=("saf", "tdf")):
         out["SAF"] = report
     if "tdf" in kinds:
         universe = faultsim.enumerate_faults(netlist, ("STR", "STF"))
-        out["TDF"] = faultsim.tdf_sim(netlist, universe, patterns,
-                                      workers=workers)
+        out["TDF"] = faultsim.tdf_sim(netlist, universe, patterns)
     return out
 
 
@@ -141,10 +144,9 @@ def _coverage_json(tables):
 def cmd_bist(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
-    if plan.golden is None:
-        plan = bist.compute_golden(netlist, plan)
-    result = bist.run_selftest(netlist, plan)
-    patterns, count, source = _resolve_patterns(args, netlist, plan)
+    stream = bist.plan_patterns(netlist, plan)
+    (result,) = bist.selftest_results(netlist, plan, (None,), stream)
+    patterns, count, source = _resolve_patterns(args, netlist, plan, stream)
     tables = _coverage_tables(netlist, patterns, args.workers)
 
     payload = _header(netlist, plan)
@@ -271,12 +273,15 @@ def cmd_diagnose(args):
             raise SimulationError("--patterns FILE needs --granularity pattern: "
                                   "signatures replay the plan's ALFSR stream")
         plan = replace(plan, pattern_count=int(args.patterns), golden=None)
-    patterns, count, source = _resolve_patterns(args, netlist, plan)
+    if args.granularity == "signature":
+        # the signature path assembles the plan's stream itself
+        patterns, count, source = (), plan.pattern_count, "alfsr"
+    else:
+        patterns, count, source = _resolve_patterns(args, netlist, plan)
     universe = faultsim.collapse(
         faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
     matrix = diagnosis.build_matrix(netlist, universe, patterns,
-                                    granularity=args.granularity, plan=plan,
-                                    workers=args.workers)
+                                    granularity=args.granularity, plan=plan)
     report = diagnosis.classify(matrix)
     fault_blocks = faultsim.fault_blocks(netlist, universe.faults)
     per_block = diagnosis.classify_per_block(matrix, fault_blocks)
@@ -374,6 +379,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise SimulationError(f"--workers must be at least 1, got "
+                                  f"{args.workers} (flag or {WORKERS_ENV})")
         return args.func(args)
     except (NetlistError, PlanError, SimulationError, ProtocolError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,6 +7,17 @@ incoming word XORed into the register after the shift:
 
 so an all-zero register absorbing an all-zero stream stays zero, and the
 whole compactor is linear over GF(2).
+
+Signatures can be computed two ways. :func:`misr_absorb` steps the register
+one word at a time; the scalar self-test session in :mod:`corebist.bist`
+does this for every cycle, and it is the path for sequential cores and TAP
+replay. For a combinational core the whole response is known up front as
+bit planes (one integer per folded output bit, bit t = cycle t):
+:func:`signature_of_planes` makes one register pass over those planes, and
+:func:`signature_image` maps an error stream straight to its signature
+difference through the row masks of :func:`image_rows` (a faulty signature
+is the fault-free one XOR the signature of the error stream; Bardell,
+McAnney & Savir, 1987).
 """
 
 from __future__ import annotations
@@ -102,6 +113,55 @@ def signature_of_stream(poly, words, init=0):
     for w in words:
         s = misr_absorb_int(s, w)
     return s.register
+
+
+def signature_of_planes(poly, planes, n):
+    """Signature of the ``n``-word stream whose word t has bit j = bit t of
+    ``planes[j]``, by one register pass from zero."""
+    if len(planes) != poly.degree:
+        raise SimulationError(f"MISR word width {len(planes)} != degree {poly.degree}")
+    # column strings, word bit degree-1 first, so each zipped row reads as
+    # one word in binary
+    columns = [format(p, f"0{n}b")[::-1] for p in reversed(planes)]
+    return signature_of_stream(poly, (int("".join(bits), 2)
+                                      for bits in zip(*columns)))
+
+
+def image_rows(poly, n):
+    """Row masks of the linear map from an ``n``-word stream to its signature.
+
+    The stream is given as ``degree`` planes concatenated (plane j at bit
+    offset j * n, bit t of plane j = bit j of word t). Signature bit r is the
+    parity of that concatenation AND ``rows[r]``: after n absorbs from zero
+    the register is XOR over t of A^(n-1-t) word_t, with A one shift.
+    """
+    degree = poly.degree
+    width = f"0{degree}b"
+    rows = [0] * degree
+    for j in range(degree):
+        column = []        # A^k e_j for k = 0 .. n-1
+        v = 1 << j
+        for _ in range(n):
+            column.append(format(v, width))
+            v = lfsr_next(poly, v)
+        # zip row c holds register bit degree-1-c of every A^k e_j, k
+        # ascending, so as a binary number bit t = bit of A^(n-1-t) e_j
+        for c, bits in enumerate(zip(*column)):
+            rows[degree - 1 - c] |= int("".join(bits), 2) << (j * n)
+    return tuple(rows)
+
+
+def signature_image(rows, planes, n):
+    """Signature of the ``n``-word stream given as ``planes`` (see
+    :func:`signature_of_planes`), by linearity through ``rows`` from
+    :func:`image_rows`."""
+    stream = 0
+    for j, p in enumerate(planes):
+        stream |= p << (j * n)
+    sig = 0
+    for r, row in enumerate(rows):
+        sig |= ((stream & row).bit_count() & 1) << r
+    return sig
 
 
 def aliasing_estimate(width, trials, stream_len=4, rng=None,

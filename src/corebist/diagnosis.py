@@ -90,19 +90,20 @@ class ClassReport:
 
 
 def build_matrix(netlist, universe, patterns, granularity="pattern",
-                 plan=None, workers=1):
+                 plan=None):
     """One syndrome row per fault, in universe order.
 
     Pattern granularity takes each fault's per-pattern detection plane from
     :func:`faultsim.detection_planes`; its little-endian bytes equal
-    :meth:`Syndrome.canonical`. Signature granularity runs the BIST
-    signature path per fault over ``plan.pattern_count`` patterns and needs
-    a ``plan``.
+    :meth:`Syndrome.canonical`. Signature granularity needs a ``plan``,
+    ignores ``patterns`` and takes each fault's signatures over the plan's
+    own ``pattern_count`` patterns from :func:`bist.selftest_results`; a
+    fault is detected when they differ from the plan's golden signatures.
     """
     if granularity not in GRANULARITIES:
         raise SimulationError(f"unknown granularity {granularity!r}")
-    patterns = [tuple(p) for p in patterns]
     if granularity == "pattern":
+        patterns = [tuple(p) for p in patterns]
         planes = faultsim.detection_planes(netlist, universe.faults, patterns)
         size = (len(patterns) + 7) // 8
         return DiagnosticMatrix("pattern", len(patterns), universe.faults,
@@ -110,18 +111,11 @@ def build_matrix(netlist, universe, patterns, granularity="pattern",
                                 tuple(p != 0 for p in planes))
     if plan is None:
         raise SimulationError("signature granularity needs a BIST plan")
-    if plan.golden is None:
-        plan = bist_mod.compute_golden(netlist, plan)
-    golden_sigs = tuple(s.value for s in plan.golden)
-    rows = []
-    detected = []
-    for f in universe.faults:
-        result = bist_mod.run_selftest(netlist, plan, injected=f)
-        sigs = tuple(s.value for s in result.signatures)
-        rows.append(b"".join(v.to_bytes(8, "little") for v in sigs))
-        detected.append(sigs != golden_sigs)
+    results = bist_mod.selftest_results(netlist, plan, universe.faults)
+    rows = tuple(b"".join(s.value.to_bytes(8, "little") for s in r.signatures)
+                 for r in results)
     return DiagnosticMatrix("signature", plan.pattern_count, universe.faults,
-                            tuple(rows), tuple(detected))
+                            rows, tuple(not all(r.passed) for r in results))
 
 
 def classify(matrix):
@@ -138,7 +132,7 @@ def classify(matrix):
                        tuple(classes), tuple(undetected), len(matrix.faults))
 
 
-def refine(matrix, netlist, universe, extra_patterns, workers=1):
+def refine(matrix, netlist, universe, extra_patterns):
     """Extend the observation set with more patterns; classes can only split.
 
     Returns (before report, after report, combined matrix).
@@ -146,8 +140,7 @@ def refine(matrix, netlist, universe, extra_patterns, workers=1):
     if matrix.granularity != "pattern":
         raise SimulationError("refine works on pattern-granularity matrices")
     before = classify(matrix)
-    extended = build_matrix(netlist, universe,
-                            list(extra_patterns), "pattern", workers=workers)
+    extended = build_matrix(netlist, universe, list(extra_patterns), "pattern")
     if extended.faults != matrix.faults:
         raise SimulationError("refine needs the same fault universe")
     rows = tuple(a + b for a, b in zip(matrix.rows, extended.rows))

@@ -10,10 +10,12 @@ Two stuck-at simulation paths are kept deliberately separate:
   (bit t = pattern t) and the fault-free planes are computed once. Each
   fault then re-evaluates only the gates of its fanout cone whose inputs
   differ from the fault-free planes (parallel-pattern single-fault
-  propagation) and yields the plane of patterns that detect it.
+  propagation): :meth:`FaultKernel.faulty` gives the planes that change and
+  :meth:`FaultKernel.diff` the plane of patterns that detect the fault.
   :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-  run on it; their results must be bit-identical to the serial oracle's,
-  and that equivalence is the main regression property.
+  run on it, and so do the combinational self-test signatures in
+  :mod:`corebist.bist`; their results must be bit-identical to the serial
+  oracle's, and that equivalence is the main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -23,7 +25,6 @@ detected launch-on-capture over consecutive pattern pairs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import circuit
@@ -353,6 +354,7 @@ def _map_faults(worker, faults, workers, *args):
     """``worker(faults, *args)``, over ``workers`` processes when it pays."""
     if workers <= 1 or len(faults) < 2 * workers:
         return worker(faults, *args)
+    from concurrent.futures import ProcessPoolExecutor
     chunks = _split(faults, workers)
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -458,9 +460,9 @@ class FaultKernel:
             cone = self._cones[net] = sorted(seen)
         return cone
 
-    def diff(self, fault):
-        """OR of faulty ^ fault-free over the observation nets: bit t is set
-        iff pattern t detects the stuck-at ``fault``."""
+    def faulty(self, fault):
+        """Net index -> faulty plane under the stuck-at ``fault``, for the
+        nets whose plane differs from the fault-free one."""
         good = self.good
         mask = self.mask
         stuck = mask if fault.kind == "SA1" else 0
@@ -472,7 +474,7 @@ class FaultKernel:
             planes[fault.pin] = stuck
             value = _eval_gate(kind, planes, mask)
         if value == good[site]:
-            return 0
+            return {}
         faulty = {site: value}
         ops = self._ops
         for pos in self._cone(site):
@@ -485,9 +487,15 @@ class FaultKernel:
             value = _eval_gate(kind, [faulty.get(i, good[i]) for i in ins], mask)
             if value != good[out]:
                 faulty[out] = value
+        return faulty
+
+    def diff(self, fault):
+        """OR of faulty ^ fault-free over the observation nets: bit t is set
+        iff pattern t detects the stuck-at ``fault``."""
+        good = self.good
         obs = self._obs
         diff = 0
-        for net, value in faulty.items():
+        for net, value in self.faulty(fault).items():
             if net in obs:
                 diff |= value ^ good[net]
         return diff
@@ -539,7 +547,7 @@ def detection_planes(netlist, faults, patterns):
 
 # -- transition-delay faults --------------------------------------------------
 
-def tdf_sim(netlist, universe, patterns, workers=1):
+def tdf_sim(netlist, universe, patterns):
     """Launch-on-capture transition-delay fault simulation.
 
     A slow-to-rise fault at net n is detected by the consecutive pair

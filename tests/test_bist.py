@@ -1,11 +1,13 @@
 import dataclasses
+import random
 
 import pytest
 
 from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
-from corebist.errors import PlanError
+from corebist.errors import PlanError, SimulationError
 
 import oracle
+from conftest import random_combinational
 
 
 @pytest.fixture
@@ -222,3 +224,167 @@ def test_case_study_injected_fault_fails(core, core_plan):
     changed = [s.block for s in result.signatures
                if s.value != golden_val[s.block]]
     assert changed   # stuck output net shows up in at least one signature
+
+
+# -- linear signatures against the scalar session ----------------------------------
+
+def _scalar(netlist, plan, faults):
+    return [bist.run_selftest(netlist, plan, injected=f, require_golden=False)
+            for f in faults]
+
+
+def _assert_same_results(netlist, plan, faults, label=""):
+    for f, got, want in zip(faults, bist.selftest_results(netlist, plan, faults),
+                            _scalar(netlist, plan, faults)):
+        key = f.key if f is not None else "fault-free"
+        assert got.signatures == want.signatures, (label, key)
+        if plan.golden is not None:
+            assert got.passed == want.passed, (label, key)
+        assert got.patterns_applied == want.patterns_applied
+
+
+def test_linear_signatures_match_session_mini10(mini10, mini_plan):
+    u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
+    _assert_same_results(mini10, mini_plan, (None,) + u.faults)
+
+
+def test_linear_signatures_match_session_core_sample(core, core_plan):
+    # the case study at its full 4096 patterns, a seeded handful of faults
+    u = faultsim.collapse(faultsim.enumerate_faults(core), core)
+    faults = tuple(random.Random(0xC0DE).sample(u.faults, 3))
+    results = bist.selftest_results(core, core_plan, (None,) + faults)
+    assert all(results[0].passed)
+    assert [s.value for s in results[0].signatures] == \
+        [s.value for s in core_plan.golden]
+    for f, got, want in zip(faults, results[1:],
+                            _scalar(core, core_plan, faults)):
+        assert got.signatures == want.signatures, f.key
+        assert got.passed == want.passed, f.key
+
+
+_MISR_POLYS = ("x^2+x+1", "x^3+x+1", "x^4+x+1", "x^5+x^2+1")
+
+
+def _random_plan_case(rng, count, name):
+    """Random combinational netlist cut into 1-4 blocks, with a random plan:
+    CG-driven input bits, cascades with in % out != 0, MISR widths 2-5."""
+    n_blocks = rng.randint(1, 4)
+    n_in = rng.randint(n_blocks, 9)
+    base = random_combinational(rng, n_in=n_in, n_gates=rng.randint(8, 30),
+                                name=name)
+    pis = list(base.primary_inputs)
+    cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
+    in_ports = [pis[a:b] for a, b in zip([0] + cuts, cuts + [n_in])]
+    polys = [tpg.Polynomial.parse(rng.choice(_MISR_POLYS))
+             for _ in range(n_blocks)]
+    out_ports = [rng.sample(base.nets, rng.randint(p.degree, min(
+        len(base.nets), 3 * p.degree + 1))) for p in polys]
+    pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
+               for k, (i, o) in enumerate(zip(in_ports, out_ports))]
+    netlist = circuit.parse_netlist(
+        "\n".join(pragmas) + "\n" + base.to_bench(), name=name)
+    alfsr = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8])
+    bindings, misrs = [], []
+    for k, (port, poly) in enumerate(zip(in_ports, polys)):
+        cg, cg_bits = None, ()
+        if rng.random() < 0.5:
+            cg_bits = tuple(rng.sample(range(len(port)),
+                                       rng.randint(1, len(port))))
+            width = len(cg_bits)
+            cg = tpg.ConstraintProgram(
+                width, tuple((rng.randrange(1 << width), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 4))),
+                rng.random() < 0.5)
+        bindings.append(tpg.modular_binding(f"B{k}", len(port), 8, cg, cg_bits))
+        misrs.append(bist.MisrAssignment(
+            f"B{k}", poly,
+            compactor.XorCascade(len(out_ports[k]), poly.degree)))
+    plan = bist.BistPlan(alfsr, rng.randrange(1, 256), tuple(bindings),
+                         tuple(misrs), pattern_count=count)
+    return netlist, bist.compute_golden(netlist, plan)
+
+
+def test_linear_signatures_match_session_random_plans():
+    rng = random.Random(0x51C)
+    misr_counts, uneven, cg = set(), 0, 0
+    for trial in range(4):
+        for count in (1, 15, 16, 17, 64):
+            netlist, plan = _random_plan_case(rng, count, f"sig{trial}")
+            misr_counts.add(len(plan.misrs))
+            uneven += sum(m.cascade.in_width % m.cascade.out_width != 0
+                          for m in plan.misrs)
+            cg += sum(b.cg is not None for b in plan.bindings)
+            u = faultsim.enumerate_faults(netlist)   # stems and branches
+            _assert_same_results(netlist, plan, (None,) + u.faults,
+                                 (trial, count))
+    assert len(misr_counts) > 2 and uneven and cg
+
+
+def test_misr_detection_rate_matches_session():
+    rng = random.Random(0xA11A5)
+    checked = 0
+    for trial in range(4):
+        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
+                                          f"rate{trial}")
+        u = faultsim.enumerate_faults(netlist)
+        try:
+            rate, aliased = bist.misr_detection_rate(netlist, plan, u)
+        except SimulationError:
+            continue                  # no fault reaches an observed net
+        patterns = bist.plan_patterns(netlist, plan)
+        report = faultsim.serial_fault_sim(netlist, u, patterns)
+        detected = report.detected_faults()
+        want = tuple(f for f, r in zip(detected, _scalar(netlist, plan, detected))
+                     if r.all_pass)
+        assert aliased == want
+        assert rate == (len(detected) - len(want)) / len(detected)
+        checked += 1
+    assert checked >= 3
+
+
+def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
+    # pass/fail and detection are judged against the stored values, even
+    # when they are not what the plan produces
+    stale = dataclasses.replace(mini_plan, golden=tuple(
+        dataclasses.replace(s, value=s.value ^ 1) for s in mini_plan.golden))
+    u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
+    _assert_same_results(mini10, stale, (None,) + u.faults)
+    (fault_free,) = bist.selftest_results(mini10, stale, (None,))
+    assert fault_free.passed == (False,)
+    from corebist import diagnosis
+    m = diagnosis.build_matrix(mini10, u, [], "signature", plan=stale)
+    stale_values = tuple(s.value for s in stale.golden)
+    assert m.detected == tuple(
+        tuple(s.value for s in r.signatures) != stale_values
+        for r in _scalar(mini10, stale, u.faults))
+
+
+def test_sequential_core_takes_the_scalar_session(seqmini, monkeypatch):
+    plan = bist.BistPlan(
+        tpg.Polynomial.parse("x^4+x+1"), 0x9,
+        (tpg.modular_binding("MAIN", 2, 4),),
+        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
+                             compactor.XorCascade(2, 2)),),
+        pattern_count=20)
+    with pytest.raises(SimulationError, match="combinational"):
+        bist.SignatureEngine(seqmini, plan)
+    faults = faultsim.enumerate_faults(seqmini).faults
+    want = _scalar(seqmini, plan, faults)
+    runs = []
+    run = bist.BistSession.run
+    monkeypatch.setattr(bist.BistSession, "run",
+                        lambda self, inject=None: (runs.append(inject),
+                                                   run(self, inject))[1])
+    got = bist.selftest_results(seqmini, plan, faults)
+    assert [r.signatures for r in got] == [r.signatures for r in want]
+    assert runs == [None] + list(faults)   # golden run, then one per fault
+
+
+def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar session used the fault kernel")
+    monkeypatch.setattr(faultsim, "FaultKernel", refuse)
+    bare = dataclasses.replace(mini_plan, golden=None)
+    assert bist.compute_golden(mini10, bare).golden == mini_plan.golden
+    f = faultsim.FaultDescriptor(mini10.primary_outputs[0], "SA1")
+    bist.run_selftest(mini10, mini_plan, injected=f)

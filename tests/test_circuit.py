@@ -109,6 +109,30 @@ def test_random_netlists_match_truth_tables():
             assert tuple(out[o] for o in n.primary_outputs) == expected
 
 
+def test_faulted_evaluation_matches_oracle(seqmini):
+    # stem and branch faults, flop Q stems included, against demand-driven
+    # recursion with the same forcing
+    from corebist import faultsim
+    rng = random.Random(17)
+    nets = [random_combinational(rng, n_in=rng.randint(2, 6),
+                                 n_gates=rng.randint(3, 25))
+            for _ in range(6)]
+    for n in nets + [seqmini]:
+        st = circuit.initial_state(n)
+        flop_q = {f.q: st[f.q] for f in n.flops}
+        for f in faultsim.enumerate_faults(n).faults:
+            for bits in random_patterns(rng, n, 4):
+                got = circuit.evaluate(n, st, bits, fault=f)
+                memo = oracle.eval_recursive(
+                    n, dict(zip(n.primary_inputs, bits)),
+                    fault=oracle.fault_tuple(f), flop_q=dict(flop_q))
+                for net in n.nets:
+                    if net not in flop_q:
+                        assert got[net] == memo[net], (f.key, net)
+                for fl in n.flops:
+                    assert got[fl.q] == memo[fl.d], (f.key, fl.q)
+
+
 def test_sequential_evaluation_updates_flops(seqmini):
     st = circuit.initial_state(seqmini)
     assert st["q1"] == 0

@@ -70,6 +70,20 @@ def test_bist_seed_override_changes_signature(tmp_path):
     assert report["pass"] == [True]   # golden recomputed for the new seed
 
 
+def test_bist_pattern_count_changes_only_coverage(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert run(["bist", MINI, "--plan", MINI_PLAN, "--out", str(a)]) == 0
+    assert run(["bist", MINI, "--plan", MINI_PLAN, "--patterns", "16",
+                "--out", str(b)]) == 0
+    full = json.loads((a / "bist_report.json").read_text())
+    short = json.loads((b / "bist_report.json").read_text())
+    assert short["signatures"] == full["signatures"]
+    assert short["pass"] == full["pass"] == [True]
+    assert short["patterns_applied"] == full["patterns_applied"] == 64
+    assert {e["clock_cycles"] for e in short["coverage"].values()} == {16}
+
+
 def test_bist_toggle_flag(tmp_path):
     assert run(["bist", MINI, "--plan", MINI_PLAN, "--toggle",
                 "--out", str(tmp_path)]) == 0
@@ -228,6 +242,17 @@ def test_report_renders_other_json(tmp_path, capsys):
     f.write_text('{"hello": 1}\n')
     assert run(["report", str(f)]) == 0
     assert '"hello": 1' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_workers_below_one_is_an_error(tmp_path, capsys, monkeypatch, value):
+    argv = ["faultsim", MINI, "--plan", MINI_PLAN, "--out", str(tmp_path)]
+    assert run(argv + ["--workers", value]) == 1
+    assert capsys.readouterr().err.startswith("error: --workers")
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    assert run(argv) == 1
+    assert cli.WORKERS_ENV in capsys.readouterr().err
+    assert not (tmp_path / "coverage_report.json").exists()
 
 
 def test_workers_env_default(monkeypatch):

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from corebist import bist, circuit, cli, diagnosis, faultsim, fixture_path, tpg
+from corebist import (bist, circuit, cli, compactor, diagnosis, faultsim,
+                      fixture_path, tpg)
 from corebist.errors import SimulationError
 
 import oracle
@@ -212,6 +213,29 @@ def test_signature_classes_no_finer_than_output_response(mini10):
     assert any(len(v) > 1 for v in by_response.values())
     for members in by_response.values():
         assert len({m_sig.rows[i] for i in members}) == 1
+
+
+def test_signature_rows_match_session_control_unit():
+    # every collapsed fault of the CU, through a 44 -> 16 cascade, against
+    # the scalar session
+    cu = circuit.load_netlist(fixture_path("ldpc_like_cu.bench"))
+    (block,) = cu.blocks
+    misr = tpg.Polynomial.parse("x^16+x^12+x^3+x+1")
+    plan = bist.BistPlan(
+        tpg.Polynomial.parse("x^20+x^3+1"), 0x5B0D7,
+        (tpg.modular_binding(block.name, len(block.input_port), 20),),
+        (bist.MisrAssignment(block.name, misr, compactor.XorCascade(
+            len(block.output_port), misr.degree)),),
+        pattern_count=64)
+    u = faultsim.collapse(faultsim.enumerate_faults(cu), cu)
+    m = diagnosis.build_matrix(cu, u, [], granularity="signature", plan=plan)
+    golden = bist.compute_golden(cu, plan).golden
+    for f, row, det in zip(u.faults, m.rows, m.detected):
+        sigs = bist.run_selftest(cu, plan, injected=f,
+                                 require_golden=False).signatures
+        assert row == b"".join(s.value.to_bytes(8, "little") for s in sigs)
+        assert det == (sigs != golden), f.key
+    assert 0 < sum(m.detected) < len(m.detected)
 
 
 def test_signature_cli_honours_pattern_count(tmp_path, mini10):

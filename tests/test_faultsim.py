@@ -239,6 +239,22 @@ def test_kernel_matches_serial_and_brute_force():
     assert branches > 0
 
 
+def test_kernel_faulty_planes_match_brute_force():
+    # every net's faulty plane, not just the observed ones
+    for n, pats in _kernel_cases(0xFA17, netlists=2):
+        kernel = faultsim.FaultKernel(n, pats)
+        for f in faultsim.enumerate_faults(n).faults:
+            faulty = kernel.faulty(f)
+            per_pattern = [oracle.eval_recursive(
+                n, dict(zip(n.primary_inputs, p)), fault=oracle.fault_tuple(f))
+                for p in pats]
+            for net in n.nets:
+                i = kernel.index[net]
+                plane = _plane([memo[net] for memo in per_pattern])
+                assert faulty.get(i, kernel.good[i]) == plane, (f.key, net)
+                assert i not in faulty or faulty[i] != kernel.good[i]
+
+
 def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
     with pytest.raises(SimulationError, match="combinational"):
         faultsim.FaultKernel(seqmini, [(0, 0)])
