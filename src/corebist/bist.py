@@ -9,7 +9,7 @@ then the ALFSR steps. Flops (if any) clock at the end of the cycle.
 Two paths produce signatures. :class:`BistSession` (with
 :func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
 scalar evaluation at a time; it is the oracle, it serves sequential cores
-and TAP replay, and it never touches the fault-sim kernel. For a
+and TAP replay, and it never touches a fault-sim kernel. For a
 combinational core, :class:`SignatureEngine` simulates the plan's whole
 pattern stream once in a :class:`faultsim.FaultKernel` and, since the
 compactor is linear over GF(2), gets each faulty signature as the
@@ -233,14 +233,12 @@ class BistSession:
         """One test cycle: apply pattern, settle, fold and absorb, advance."""
         cycle = self.control.pattern_counter
         inputs = self.assemble_inputs(cycle)
-        prev_q = {f.q: self.dut_state[f.q] for f in self.netlist.flops}
-        if inject is not None and inject.pin is None and inject.net in prev_q:
-            prev_q[inject.net] = 1 if inject.kind == "SA1" else 0
+        seen = circuit_mod.pre_edge_q(self.netlist, self.dut_state, inject)
         nxt = circuit_mod.evaluate(self.netlist, self.dut_state, inputs,
                                    fault=inject)
         for binding, misr in zip(self.plan.bindings, self.plan.misrs):
             port = self.blocks[binding.block].output_port
-            word = tuple(prev_q[n] if n in prev_q else nxt[n] for n in port)
+            word = tuple(seen[n] if n in seen else nxt[n] for n in port)
             folded = compactor.fold(misr.cascade, word)
             self.misrs[misr.block] = compactor.misr_absorb(
                 self.misrs[misr.block], folded)

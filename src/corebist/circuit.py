@@ -299,24 +299,28 @@ def evaluate(netlist, state, inputs, fault=None):
     return out
 
 
-def run_patterns(netlist, patterns, fault=None):
-    """Apply a pattern sequence from reset; yield the settled state per cycle.
+def pre_edge_q(netlist, state, fault=None):
+    """Flop Q net -> the value the combinational logic sees in the cycle
+    that starts from ``state``: the stored Q value, except that a stem
+    fault on a Q net holds it at the stuck value (a stuck Q net stays stuck
+    before the edge, whatever the last edge stored)."""
+    seen = {f.q: state[f.q] for f in netlist.flops}
+    if fault is not None and fault.pin is None and fault.net in seen:
+        seen[fault.net] = 1 if fault.kind == "SA1" else 0
+    return seen
 
-    Note flop Q values in each yielded state are post-edge; the combinational
-    nets are the pre-edge settled values for that pattern.
+
+def run_patterns(netlist, patterns, fault=None):
+    """Apply a pattern sequence from reset; yield the observed state per cycle:
+    combinational nets settled for the pattern, flop Q nets pre-edge
+    (:func:`pre_edge_q`).
     """
     state = initial_state(netlist)
-    forced = None
-    if fault is not None and fault.pin is None:
-        forced = (fault.net, 1 if fault.kind == "SA1" else 0)
     for p in patterns:
-        prev_q = {f.q: state[f.q] for f in netlist.flops}
-        if forced is not None and forced[0] in prev_q:
-            prev_q[forced[0]] = forced[1]  # a stuck Q net stays stuck pre-edge
+        seen = pre_edge_q(netlist, state, fault)
         nxt = evaluate(netlist, state, p, fault=fault)
         observed = nxt.copy()
-        for q, v in prev_q.items():
-            observed.values[q] = v  # what the combinational logic actually saw
+        observed.values.update(seen)
         yield observed
         state = nxt
 

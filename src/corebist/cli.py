@@ -23,10 +23,12 @@ WORKERS_ENV = "COREBIST_WORKERS"
 
 
 def _default_workers():
+    """``COREBIST_WORKERS`` as an int, or None when it is not one (which
+    :func:`main` rejects)."""
     try:
         return int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
-        return 1
+        return None
 
 
 def _write_json(path, payload):
@@ -379,6 +381,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) is None:
+            raise SimulationError(f"{WORKERS_ENV} must be an integer, got "
+                                  f"{os.environ.get(WORKERS_ENV)!r}")
         if getattr(args, "workers", 1) < 1:
             raise SimulationError(f"--workers must be at least 1, got "
                                   f"{args.workers} (flag or {WORKERS_ENV})")

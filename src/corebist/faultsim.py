@@ -1,10 +1,11 @@
 """Fault universe, structural collapsing, stuck-at and transition-delay
 fault simulation, and coverage computation.
 
-Two stuck-at simulation paths are kept deliberately separate:
+Stuck-at simulation paths are kept deliberately separate:
 
 * :func:`serial_fault_sim` replays every fault one pattern at a time through
-  the scalar evaluator in :mod:`corebist.circuit` - the oracle path.
+  the scalar evaluator in :mod:`corebist.circuit` - the oracle path. It
+  never calls either kernel.
 * :class:`FaultKernel` compiles a combinational netlist against a pattern
   list once: each net becomes one integer plane over the whole pattern set
   (bit t = pattern t) and the fault-free planes are computed once. Each
@@ -12,10 +13,17 @@ Two stuck-at simulation paths are kept deliberately separate:
   differ from the fault-free planes (parallel-pattern single-fault
   propagation): :meth:`FaultKernel.faulty` gives the planes that change and
   :meth:`FaultKernel.diff` the plane of patterns that detect the fault.
-  :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-  run on it, and so do the combinational self-test signatures in
-  :mod:`corebist.bist`; their results must be bit-identical to the serial
-  oracle's, and that equivalence is the main regression property.
+* :func:`sequential_sim` simulates a netlist with flops fault-parallel:
+  one word per net per cycle, bit 0 the fault-free machine and bit k+1
+  fault k, run once from reset for the whole fault set. Its detection
+  words are transposed into one plane per fault, the contract of
+  :meth:`FaultKernel.diff`.
+
+:func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
+run on whichever kernel fits the netlist, and the combinational self-test
+signatures in :mod:`corebist.bist` on :class:`FaultKernel`; their results
+must be bit-identical to the serial oracle's, and that equivalence is the
+main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -291,36 +299,16 @@ def coverage(report, per_kind=True):
 
 # -- serial (oracle) path ----------------------------------------------------
 
-def _serial_outputs(netlist, patterns, obs, fault=None):
-    """Observed output tuples per pattern, scalar replay from reset."""
-    outs = []
-    for st in circuit.run_patterns(netlist, patterns, fault=fault):
-        outs.append(tuple(st[n] for n in obs))
-    return outs
-
-
-def _serial_detect(netlist, patterns, obs, golden, fault, early_exit=True):
-    """First-detection index, or full detection vector if not early_exit."""
-    vector = []
-    first = None
+def _serial_detect(netlist, patterns, obs, golden, fault):
+    """First pattern index whose observed outputs differ from ``golden``."""
     state = circuit.initial_state(netlist)
-    forced = None
-    if fault.pin is None:
-        forced = (fault.net, 1 if fault.kind == "SA1" else 0)
     for i, p in enumerate(patterns):
-        prev_q = {f.q: state[f.q] for f in netlist.flops}
-        if forced is not None and forced[0] in prev_q:
-            prev_q[forced[0]] = forced[1]  # a stuck Q net stays stuck pre-edge
+        seen = circuit.pre_edge_q(netlist, state, fault)
         nxt = circuit.evaluate(netlist, state, p, fault=fault)
-        got = tuple(prev_q[n] if n in prev_q else nxt[n] for n in obs)
-        hit = got != golden[i]
-        vector.append(hit)
-        if hit and first is None:
-            first = i
-            if early_exit:
-                return first, vector
+        if tuple(seen[n] if n in seen else nxt[n] for n in obs) != golden[i]:
+            return i
         state = nxt
-    return first, vector
+    return None
 
 
 def serial_fault_sim(netlist, universe, patterns, workers=1):
@@ -333,7 +321,8 @@ def serial_fault_sim(netlist, universe, patterns, workers=1):
         if f.kind not in SA_KINDS:
             raise SimulationError("serial_fault_sim handles stuck-at faults only")
     obs = observation_nets(netlist)
-    golden = _serial_outputs(netlist, patterns, obs)
+    golden = [tuple(st[n] for n in obs)
+              for st in circuit.run_patterns(netlist, patterns)]
     firsts = _map_faults(_serial_worker, faults, workers, netlist, patterns,
                          obs, golden)
     return CoverageReport(len(patterns), faults, tuple(firsts),
@@ -341,13 +330,7 @@ def serial_fault_sim(netlist, universe, patterns, workers=1):
 
 
 def _serial_worker(faults, netlist, patterns, obs, golden):
-    return [_serial_detect(netlist, patterns, obs, golden, f)[0] for f in faults]
-
-
-def _serial_plane(netlist, patterns, obs, golden, fault):
-    """Serial detection vector of one fault as a plane (bit t = pattern t)."""
-    return _plane(_serial_detect(netlist, patterns, obs, golden, fault,
-                                 early_exit=False)[1])
+    return [_serial_detect(netlist, patterns, obs, golden, f) for f in faults]
 
 
 def _map_faults(worker, faults, workers, *args):
@@ -378,6 +361,22 @@ _BIT_CHARS = bytes(48 + (b & 1) for b in range(256))
 def _plane(bits):
     """Sequence of bits -> int with bit t = item t."""
     return int(bytes(bits)[::-1].translate(_BIT_CHARS), 2)
+
+
+def _columns(rows):
+    """Rows of bits (or of ASCII '0'/'1') -> one plane per column, bit t =
+    row t: a bit-matrix transpose."""
+    return [_plane(col) for col in zip(*rows)]
+
+
+def _pattern_list(netlist, patterns):
+    patterns = [tuple(p) for p in patterns]
+    if not patterns:
+        raise SimulationError("no patterns")
+    width = len(netlist.primary_inputs)
+    if any(len(p) != width for p in patterns):
+        raise SimulationError("input vector width mismatch")
+    return patterns
 
 
 def _lowest(plane):
@@ -420,12 +419,7 @@ class FaultKernel:
     def __init__(self, netlist, patterns):
         if netlist.flops:
             raise SimulationError("the fault kernel needs a combinational netlist")
-        patterns = [tuple(p) for p in patterns]
-        if not patterns:
-            raise SimulationError("no patterns")
-        width = len(netlist.primary_inputs)
-        if any(len(p) != width for p in patterns):
-            raise SimulationError("input vector width mismatch")
+        patterns = _pattern_list(netlist, patterns)
         self.mask = mask = (1 << len(patterns)) - 1
         self.index = index = {n: i for i, n in enumerate(netlist.nets)}
         # gates in topological order, so a cone sorted by position is too
@@ -501,17 +495,101 @@ class FaultKernel:
         return diff
 
 
+# -- fault-parallel sequential kernel -----------------------------------------
+
+def sequential_sim(netlist, patterns, faults):
+    """Fault-parallel simulation of a netlist with flops from reset, in the
+    style of PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992): the
+    fault-free machine and every stuck-at fault of ``faults`` in one pass
+    over the pattern sequence.
+
+    Every net holds one integer word per cycle: bit 0 is the fault-free
+    machine and bit k+1 the machine with fault k. A stuck-at fault is forced
+    by AND/OR masks, on the net's word for a stem fault and on the (gate,
+    pin) input for a branch fault. Flop Q nets take their D words at the
+    edge, and a Q net's stem masks apply again every cycle, so a stuck Q net
+    stays stuck before the edge.
+
+    Returns ``(good, diffs)``: ``good[i]`` is net i's fault-free plane (bit
+    t = its value in cycle t, flop Q nets pre-edge) and ``diffs[k]`` is
+    fault k's detection plane, bit t set iff cycle t's observed outputs
+    differ from the fault-free ones (the contract of :meth:`FaultKernel.diff`).
+    """
+    patterns = _pattern_list(netlist, patterns)
+    index = {n: i for i, n in enumerate(netlist.nets)}
+    gates = [(g.kind, index[g.output], tuple(index[i] for i in g.inputs))
+             for g in netlist.topo_gates]
+    driver = {out: pos for pos, (_, out, _) in enumerate(gates)}
+    pis = [index[n] for n in netlist.primary_inputs]
+    flops = [(index[f.q], index[f.d]) for f in netlist.flops]
+    obs = [index[n] for n in observation_nets(netlist)]
+
+    full = (2 << len(faults)) - 1
+    stems, pins = {}, {}
+    for k, f in enumerate(faults):
+        if f.pin is None:
+            table, key = stems, index[f.net]
+        else:
+            table, key = pins, (driver[index[f.gate]], f.pin)
+        keep, force = table.get(key, (full, 0))
+        if f.kind == "SA1":
+            force |= 2 << k
+        else:
+            keep &= ~(2 << k)
+        table[key] = (keep, force)
+    ops = []
+    for pos, (kind, out, ins) in enumerate(gates):
+        forced = tuple(pins.get((pos, pin)) for pin in range(len(ins)))
+        ops.append((kind, out, ins, forced if any(forced) else None,
+                    stems.pop(out, None)))
+    sources = list(stems.items())   # stem masks on inputs and Q nets
+
+    v = [0] * len(index)
+    state = [full if f.init else 0 for f in netlist.flops]
+    words, rows = [], []
+    for p in patterns:
+        for i, b in zip(pis, p):
+            v[i] = full if b else 0
+        for (q, _), w in zip(flops, state):
+            v[q] = w
+        for i, (keep, force) in sources:
+            v[i] = v[i] & keep | force
+        for kind, out, ins, forced, stuck in ops:
+            if forced is None:
+                w = _eval_gate(kind, [v[i] for i in ins], full)
+            else:
+                w = _eval_gate(kind, [v[i] if m is None else
+                                      v[i] & m[0] | m[1]
+                                      for i, m in zip(ins, forced)], full)
+            v[out] = w if stuck is None else w & stuck[0] | stuck[1]
+        diff = 0
+        for i in obs:
+            w = v[i]
+            diff |= w ^ full if w & 1 else w
+        words.append(diff)
+        rows.append(bytes(w & 1 for w in v))
+        state = [v[d] for _, d in flops]
+    width = len(faults) + 1
+    diffs = _columns(format(d, f"0{width}b")[::-1].encode() for d in words)
+    return _columns(rows), diffs[1:]
+
+
 def _kernel_worker(faults, netlist, patterns):
-    kernel = FaultKernel(netlist, patterns)
-    return [_lowest(kernel.diff(f)) for f in faults]
+    if netlist.flops:
+        _, planes = sequential_sim(netlist, patterns, faults)
+    else:
+        planes = map(FaultKernel(netlist, patterns).diff, faults)
+    return [_lowest(p) for p in planes]
 
 
 def parallel_fault_sim(netlist, universe, patterns, workers=1):
-    """Stuck-at simulation through :class:`FaultKernel`.
+    """Stuck-at simulation through :class:`FaultKernel`, or for a netlist
+    with flops :func:`sequential_sim`; first detect is each detection
+    plane's lowest set bit.
 
-    Combinational circuits only; sequential netlists fall back to the serial
-    path. With ``workers`` > 1 each pool process builds its own kernel. The
-    report is bit-identical to :func:`serial_fault_sim`.
+    With ``workers`` > 1 the faults are split over pool processes, each
+    building its own kernel. The report is bit-identical to
+    :func:`serial_fault_sim`.
     """
     patterns = [tuple(p) for p in patterns]
     if not patterns:
@@ -519,8 +597,6 @@ def parallel_fault_sim(netlist, universe, patterns, workers=1):
     for f in universe.faults:
         if f.kind not in SA_KINDS:
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
-    if netlist.flops:
-        return serial_fault_sim(netlist, universe, patterns, workers=workers)
     firsts = _map_faults(_kernel_worker, universe.faults, workers, netlist,
                          patterns)
     return CoverageReport(len(patterns), universe.faults, tuple(firsts),
@@ -531,18 +607,13 @@ def detection_planes(netlist, faults, patterns):
     """Per stuck-at fault, the plane whose bit t is set iff pattern t
     detects it: the pattern-granularity syndrome.
 
-    Combinational netlists go through one :class:`FaultKernel`; sequential
-    ones replay each fault serially against one fault-free run.
+    Combinational netlists go through one :class:`FaultKernel`, sequential
+    ones through one :func:`sequential_sim` pass over all the faults.
     """
-    patterns = [tuple(p) for p in patterns]
-    if not patterns:
-        raise SimulationError("no patterns")
-    if not netlist.flops:
-        kernel = FaultKernel(netlist, patterns)
-        return [kernel.diff(f) for f in faults]
-    obs = observation_nets(netlist)
-    golden = _serial_outputs(netlist, patterns, obs)
-    return [_serial_plane(netlist, patterns, obs, golden, f) for f in faults]
+    if netlist.flops:
+        return sequential_sim(netlist, patterns, faults)[1]
+    kernel = FaultKernel(netlist, patterns)
+    return [kernel.diff(f) for f in faults]
 
 
 # -- transition-delay faults --------------------------------------------------
@@ -563,28 +634,26 @@ def tdf_sim(netlist, universe, patterns):
         if f.kind not in TDF_KINDS:
             raise SimulationError("tdf_sim handles transition faults only")
     full = (1 << len(patterns)) - 1
+    # the stem stuck-at fault that holds the pre-transition value
+    sas = [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
+           for f in faults]
     if netlist.flops:
-        # one fault-free run gives every net's plane and the golden outputs
-        states = list(circuit.run_patterns(netlist, patterns))
-        value = {net: _plane([st[net] for st in states]) for net in netlist.nets}
-        obs = observation_nets(netlist)
-        golden = [tuple(st[n] for n in obs) for st in states]
-
-        def detect(sa):
-            return _serial_plane(netlist, patterns, obs, golden, sa)
+        # one fault-parallel pass gives every net's fault-free plane (bit 0)
+        # and every stem's detection plane
+        distinct = list(dict.fromkeys(sas))
+        good, planes = sequential_sim(netlist, patterns, distinct)
+        detect = dict(zip(distinct, planes)).__getitem__
     else:
         kernel = FaultKernel(netlist, patterns)
-        value = dict(zip(netlist.nets, kernel.good))
-        detect = kernel.diff
+        good, detect = kernel.good, kernel.diff
+    value = dict(zip(netlist.nets, good))
     firsts = []
-    for f in faults:
+    for f, sa in zip(faults, sas):
         v = value[f.net]
         if f.kind == "STR":
             capmask = (~v << 1) & v & full & ~1
-            sa = FaultDescriptor(f.net, "SA0")
         else:
             capmask = (v << 1) & ~v & full & ~1
-            sa = FaultDescriptor(f.net, "SA1")
         firsts.append(_lowest(detect(sa) & capmask) if capmask else None)
     return CoverageReport(len(patterns), faults, tuple(firsts),
                           fault_blocks(netlist, faults))

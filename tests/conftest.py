@@ -52,6 +52,43 @@ def random_combinational(rng, n_in=4, n_gates=10, name="rand"):
     return circuit.parse_netlist("\n".join(lines), name=name)
 
 
+def random_sequential(rng, n_in=3, n_flops=3, n_gates=12, name="rseq"):
+    """Random sequential netlist builder for fault-parallel property tests.
+
+    Flop Q nets feed the logic like inputs and at least one flop resets to 1
+    (``#@init``). The first flop's D net is a gate output other gates also
+    read; the other D nets are any net (an input, a Q net, a gate output).
+    The outputs read the first Q net directly, and one block ``SEQ`` spans
+    every input and every output, so a plan can drive it.
+    """
+    kinds2 = ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"]
+    ins = [f"i{k}" for k in range(n_in)]
+    qs = [f"q{k}" for k in range(n_flops)]
+    nets = ins + qs
+    gates, outs, read = [], [], set()
+    for k in range(n_gates):
+        out = f"g{k}"
+        if rng.random() < 0.15:
+            kind = rng.choice(["NOT", "BUF"])
+            fanin = [rng.choice(nets)]
+        else:
+            kind = rng.choice(kinds2)
+            fanin = rng.sample(nets, min(rng.choice([2, 2, 3]), len(nets)))
+        read.update(fanin)
+        gates.append(f"{out} = {kind}({', '.join(fanin)})")
+        outs.append(out)
+        nets.append(out)
+    read_outs = [g for g in outs if g in read] or outs
+    ds = [rng.choice(read_outs)] + [rng.choice(nets) for _ in qs[1:]]
+    ones = [q for q in qs if rng.random() < 0.5] or [qs[-1]]
+    pos = list(dict.fromkeys(outs[-max(1, n_gates // 4):] + [qs[0]]))
+    lines = [f"#@block SEQ in: {','.join(ins)} out: {','.join(pos)}"]
+    lines += [f"#@init {q} 1" for q in ones]
+    lines += [f"INPUT({n})" for n in ins] + [f"OUTPUT({n})" for n in pos]
+    lines += [f"{q} = DFF({d})" for q, d in zip(qs, ds)] + gates
+    return circuit.parse_netlist("\n".join(lines), name=name)
+
+
 def random_patterns(rng, netlist, count):
     return [tuple(rng.randint(0, 1) for _ in netlist.primary_inputs)
             for _ in range(count)]

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
-from corebist import cli, fixture_path
+from corebist import bist, cli, compactor, fixture_path, tpg
+
+from conftest import random_sequential
 
 
 MINI = str(fixture_path("mini10.bench"))
@@ -138,6 +141,30 @@ def test_workers_do_not_change_report(tmp_path):
         (b / "coverage_report.json").read_bytes()
 
 
+def test_workers_do_not_change_sequential_report(tmp_path):
+    netlist = random_sequential(random.Random(0x5EC), n_in=4, n_flops=4,
+                                n_gates=30, name="seqcli")
+    bench = tmp_path / "seqcli.bench"
+    bench.write_text(netlist.to_bench())
+    (block,) = netlist.blocks
+    plan = bist.BistPlan(
+        tpg.Polynomial.parse("x^4+x+1"), 0x9,
+        (tpg.modular_binding("SEQ", len(block.input_port), 4),),
+        (bist.MisrAssignment("SEQ", tpg.Polynomial.parse("x^2+x+1"),
+                             compactor.XorCascade(len(block.output_port), 2)),),
+        pattern_count=40)
+    plan.save(tmp_path / "seqcli.plan.json")
+    args = ["faultsim", str(bench), "--plan", str(tmp_path / "seqcli.plan.json")]
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        assert run(args + ["--workers", workers, "--out", str(out)]) == 0
+        reports.append((out / "coverage_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"SAF"' in reports[0] and b'"TDF"' in reports[0]
+
+
 # -- import -------------------------------------------------------------------------
 
 def test_import_valid_file(tmp_path, capsys):
@@ -255,11 +282,18 @@ def test_workers_below_one_is_an_error(tmp_path, capsys, monkeypatch, value):
     assert not (tmp_path / "coverage_report.json").exists()
 
 
-def test_workers_env_default(monkeypatch):
+def test_workers_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "3")
     parser = cli.build_parser()
     args = parser.parse_args(["faultsim", MINI])
     assert args.workers == 3
+    # text that is not an integer is an error, not a silent single worker
     monkeypatch.setenv(cli.WORKERS_ENV, "junk")
-    args = cli.build_parser().parse_args(["faultsim", MINI])
-    assert args.workers == 1
+    assert run(["faultsim", MINI, "--plan", MINI_PLAN,
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cli.WORKERS_ENV in err
+    assert not (tmp_path / "coverage_report.json").exists()
+    # the flag still overrides the environment
+    assert run(["faultsim", MINI, "--plan", MINI_PLAN, "--kinds", "saf",
+                "--workers", "1", "--out", str(tmp_path)]) == 0

@@ -6,7 +6,8 @@ from corebist import circuit, faultsim, tpg
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import exhaustive_patterns, random_combinational, random_patterns
+from conftest import (exhaustive_patterns, random_combinational,
+                      random_patterns, random_sequential)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -274,6 +275,90 @@ def test_detection_planes_sequential_match_brute_force(seqmini):
     assert planes == [_plane(brute[f]) for f in u.faults]
 
 
+# -- fault-parallel sequential kernel against the oracle ----------------------------
+
+# a single pattern, one launch/capture pair, and around the 64-bit machine word
+SEQUENTIAL_COUNTS = (1, 2, 63, 64, 65)
+
+
+def _sequential_cases(seed, netlists=3):
+    rng = random.Random(seed)
+    for trial in range(netlists):
+        n = random_sequential(rng, n_in=rng.randint(2, 5),
+                              n_flops=rng.randint(1, 4),
+                              n_gates=rng.randint(6, 24), name=f"seq{trial}")
+        for count in SEQUENTIAL_COUNTS:
+            yield n, random_patterns(rng, n, count)
+
+
+def _site(netlist, fault):
+    if fault.pin is not None:
+        return "branch"
+    if fault.net in netlist.primary_inputs:
+        return "input"
+    if any(fault.net == f.q for f in netlist.flops):
+        return "Q"
+    if any(fault.net == f.d for f in netlist.flops):
+        return "D"
+    return "gate"
+
+
+def test_sequential_kernel_matches_serial_and_brute_force():
+    sites = set()
+    for n, pats in _sequential_cases(0x5E0):
+        u = faultsim.enumerate_faults(n)   # stems and branches, uncollapsed
+        sites.update(_site(n, f) for f in u.faults)
+        r_p = faultsim.parallel_fault_sim(n, u, pats)
+        r_s = faultsim.serial_fault_sim(n, u, pats)
+        assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
+        planes = faultsim.detection_planes(n, u.faults, pats)
+        brute = oracle.brute_force_detection(
+            n, u.faults, pats, observe=faultsim.observation_nets(n))
+        for f, first, plane in zip(u.faults, r_p.first_detect, planes):
+            vec = brute[f]
+            assert plane == _plane(vec), (n.name, len(pats), f.key)
+            assert first == (vec.index(True) if True in vec else None)
+    assert {"branch", "input", "Q", "D"} <= sites
+
+
+def test_sequential_kernel_good_planes_match_oracle():
+    # bit 0 of every net's word is the fault-free machine, flop Q pre-edge
+    for n, pats in _sequential_cases(0x600D, netlists=2):
+        good, diffs = faultsim.sequential_sim(
+            n, pats, faultsim.enumerate_faults(n).faults[:5])
+        values = oracle.run_sequence(n, pats, observe=n.nets)
+        assert good == [_plane([v[i] for v in values])
+                        for i in range(len(n.nets))]
+        assert len(diffs) == min(5, len(faultsim.enumerate_faults(n)))
+
+
+def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
+    rng = random.Random(12)
+    n = random_sequential(rng, n_in=3, n_flops=3, n_gates=14)
+    cases = [(net, random_patterns(rng, net, 20)) for net in (seqmini, n)]
+    want = [faultsim.detection_planes(net, faultsim.enumerate_faults(net).faults,
+                                      pats) for net, pats in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the serial oracle used the sequential kernel")
+    monkeypatch.setattr(faultsim, "sequential_sim", refuse)
+    for (net, pats), planes in zip(cases, want):
+        u = faultsim.enumerate_faults(net)
+        r = faultsim.serial_fault_sim(net, u, pats)
+        assert r.first_detect == tuple(
+            (p & -p).bit_length() - 1 if p else None for p in planes)
+    with pytest.raises(AssertionError, match="sequential kernel"):
+        faultsim.parallel_fault_sim(seqmini, faultsim.enumerate_faults(seqmini),
+                                    cases[0][1])
+
+
+def test_sequential_kernel_rejects_empty_and_width(seqmini):
+    with pytest.raises(SimulationError, match="no patterns"):
+        faultsim.sequential_sim(seqmini, [], [])
+    with pytest.raises(SimulationError, match="width"):
+        faultsim.sequential_sim(seqmini, [(0, 1, 1)], [])
+
+
 # -- transition-delay faults ----------------------------------------------------------
 
 def test_buf_str_detected_by_rising_pair():
@@ -379,6 +464,38 @@ def test_sequential_tdf_matches_brute_force(seqmini):
                         None)
         assert first == expected, f.key
     assert any(d is not None for d in r.first_detect)
+
+
+def _sequential_tdf_brute(netlist, faults, pats):
+    """Launch-on-capture by definition: the fault-free run (flop Q pre-edge)
+    launches the transition, the stem stuck-at replay from reset detects it."""
+    values = oracle.run_sequence(netlist, pats, observe=netlist.nets)
+    column = {n: [v[i] for v in values] for i, n in enumerate(netlist.nets)}
+    obs = faultsim.observation_nets(netlist)
+    firsts = []
+    for f in faults:
+        launch, sa = ([0, 1], 0) if f.kind == "STR" else ([1, 0], 1)
+        detect = oracle.brute_force_detection(
+            netlist, [faultsim.FaultDescriptor(f.net, f"SA{sa}")], pats,
+            observe=obs)
+        vec = next(iter(detect.values()))
+        col = column[f.net]
+        firsts.append(next((t for t in range(1, len(pats))
+                            if col[t - 1:t + 1] == launch and vec[t]), None))
+    return tuple(firsts)
+
+
+def test_sequential_tdf_random_netlists_match_brute_force():
+    detected = 0
+    for n, pats in _sequential_cases(0x7D5):
+        if len(pats) < 2:
+            continue
+        u = faultsim.enumerate_faults(n, ("STR", "STF"))
+        r = faultsim.tdf_sim(n, u, pats)
+        assert r.first_detect == _sequential_tdf_brute(n, u.faults, pats), \
+            (n.name, len(pats))
+        detected += r.detected
+    assert detected > 0
 
 
 # -- coverage ---------------------------------------------------------------------
