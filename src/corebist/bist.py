@@ -8,13 +8,21 @@ then the ALFSR steps. Flops (if any) clock at the end of the cycle.
 
 Two paths produce signatures. :class:`BistSession` (with
 :func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
-scalar evaluation at a time; it is the oracle, it serves sequential cores
-and TAP replay, and it never touches a fault-sim kernel. For a
+scalar evaluation at a time; it is the oracle, it serves sequential cores,
+and it never touches a fault-sim kernel or the plane builder. For a
 combinational core, :class:`SignatureEngine` simulates the plan's whole
 pattern stream once in a :class:`faultsim.FaultKernel` and, since the
 compactor is linear over GF(2), gets each faulty signature as the
 fault-free one XOR the signature of the folded error planes.
 :func:`selftest_results` picks the path and is what the reports use.
+TAP replay on a combinational core runs :class:`EngineSession`, whose START
+reads its signatures from the engine; a sequential core's TAP replay steps
+the scalar session.
+
+The stimulus is built as whole-stream bit planes by :func:`plan_planes`
+(one integer per primary input, bit t = cycle t, straight from the ALFSR
+sequence); :func:`plan_patterns` is their transpose, and
+:meth:`BistSession.pattern_stream` the cycle-by-cycle oracle of both.
 """
 
 from __future__ import annotations
@@ -27,6 +35,40 @@ from . import compactor, faultsim, tpg
 from .errors import PlanError, SimulationError
 
 PLAN_SCHEMA_VERSION = 1
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", bool: "true or false", float: "a number",
+               type(None): "null"}
+_MISSING = object()
+
+
+def _expect(value, kind, path):
+    """``value`` if it is a ``kind`` (a bool is no integer), else a
+    :class:`PlanError` naming the field ``path``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise PlanError(f"{path}: expected {_JSON_TYPES[kind]}, got "
+                        f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _get(obj, key, kind, path="", default=_MISSING):
+    """Field ``key`` of the JSON object ``obj`` at ``path``, checked by
+    :func:`_expect`; ``default`` when it is absent, if one is given."""
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is _MISSING:
+            raise PlanError(f"{where}: missing")
+        return default
+    return _expect(obj[key], kind, where)
+
+
+def _at(path, build, *args):
+    """``build(*args)``, a ValueError or PlanError re-raised as a
+    :class:`PlanError` naming the field ``path``."""
+    try:
+        return build(*args)
+    except (ValueError, PlanError) as e:
+        raise PlanError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -49,6 +91,8 @@ class BistPlan:
     golden: tuple = None       # Signature list once computed
 
     def __post_init__(self):
+        if not 1 <= self.counter_width <= 32:
+            raise PlanError(f"counter_width {self.counter_width} outside 1..32")
         if not 1 <= self.pattern_count <= (1 << self.counter_width):
             raise PlanError(f"pattern_count {self.pattern_count} outside "
                             f"1..2^{self.counter_width}")
@@ -61,6 +105,8 @@ class BistPlan:
             raise PlanError("output selector is a 2-bit code (at most 4 MISRs)")
         if self.alfsr_seed == 0:
             raise PlanError("all-zero ALFSR seed")
+        if self.golden is not None and [s.block for s in self.golden] != blocks:
+            raise PlanError("golden signatures must list every MISR in plan order")
 
     # -- JSON ----------------------------------------------------------------
 
@@ -98,39 +144,71 @@ class BistPlan:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("schema_version") != PLAN_SCHEMA_VERSION:
-            raise PlanError(f"unsupported plan schema {d.get('schema_version')!r}")
-        poly = tpg.Polynomial.parse(d["alfsr"]["poly"])
-        seed_val = int(d["alfsr"]["seed"], 0)
+        """Plan from its JSON form; a missing field, a wrong type or a bad
+        value raises :class:`PlanError` naming the field's path."""
+        _expect(d, dict, "plan")
+        version = d.get("schema_version")
+        if type(version) is not int or version != PLAN_SCHEMA_VERSION:
+            raise PlanError(f"unsupported plan schema {version!r}")
+        alfsr = _get(d, "alfsr", dict)
+        poly = _at("alfsr.poly", tpg.Polynomial.parse, _get(alfsr, "poly", str, "alfsr"))
+        seed_val = _at("alfsr.seed", int, _get(alfsr, "seed", str, "alfsr"), 0)
         bindings = []
-        for e in d["bindings"]:
+        for i, e in enumerate(_get(d, "bindings", list)):
+            path = f"bindings[{i}]"
+            _expect(e, dict, path)
             cg = None
-            cg_bits = tuple(e.get("cg_bits", ()))
             if "cg" in e:
-                c = e["cg"]
-                cg = tpg.ConstraintProgram(
-                    c["port_width"],
-                    tuple((int(v, 2), h) for v, h in c["schedule"]),
-                    c.get("cyclic", True))
-            bindings.append(tpg.PortBinding(
-                e["block"], e["width"],
-                {int(k): v for k, v in e["alfsr_slice"].items()},
-                cg, cg_bits))
+                c = _get(e, "cg", dict, path)
+                cpath = f"{path}.cg"
+                schedule = []
+                for j, step in enumerate(_get(c, "schedule", list, cpath)):
+                    spath = f"{cpath}.schedule[{j}]"
+                    if not isinstance(step, list) or len(step) != 2:
+                        raise PlanError(f"{spath}: expected a [value, hold] pair")
+                    value = _expect(step[0], str, f"{spath}[0]")
+                    schedule.append((_at(f"{spath}[0]", int, value, 2),
+                                     _expect(step[1], int, f"{spath}[1]")))
+                cg = _at(cpath, tpg.ConstraintProgram,
+                         _get(c, "port_width", int, cpath), tuple(schedule),
+                         _get(c, "cyclic", bool, cpath, True))
+            cg_bits = tuple(_expect(b, int, f"{path}.cg_bits[{j}]")
+                            for j, b in enumerate(_get(e, "cg_bits", list, path, ())))
+            alfsr_slice = {}
+            for k, v in _get(e, "alfsr_slice", dict, path).items():
+                kpath = f"{path}.alfsr_slice.{k}"
+                alfsr_slice[_at(kpath, int, k)] = _expect(v, int, kpath)
+            bindings.append(_at(path, tpg.PortBinding, _get(e, "block", str, path),
+                                _get(e, "width", int, path), alfsr_slice, cg, cg_bits))
         misrs = []
-        for e in d["misrs"]:
+        for i, e in enumerate(_get(d, "misrs", list)):
+            path = f"misrs[{i}]"
+            _expect(e, dict, path)
+            cascade = _get(e, "cascade", dict, path)
+            cpath = f"{path}.cascade"
             misrs.append(MisrAssignment(
-                e["block"], tpg.Polynomial.parse(e["poly"]),
-                compactor.XorCascade(e["cascade"]["in"], e["cascade"]["out"])))
+                _get(e, "block", str, path),
+                _at(f"{path}.poly", tpg.Polynomial.parse, _get(e, "poly", str, path)),
+                _at(cpath, compactor.XorCascade, _get(cascade, "in", int, cpath),
+                    _get(cascade, "out", int, cpath))))
         golden = None
         if "golden" in d:
             by_block = {m.block: m for m in misrs}
-            golden = tuple(
-                compactor.Signature(g["block"], by_block[g["block"]].polynomial,
-                                    int(g["value"], 0), g["pattern_count"])
-                for g in d["golden"])
+            golden = []
+            for i, g in enumerate(_get(d, "golden", list)):
+                path = f"golden[{i}]"
+                _expect(g, dict, path)
+                block = _get(g, "block", str, path)
+                if block not in by_block:
+                    raise PlanError(f"{path}.block: no MISR for block {block!r}")
+                golden.append(compactor.Signature(
+                    block, by_block[block].polynomial,
+                    _at(f"{path}.value", int, _get(g, "value", str, path), 0),
+                    _get(g, "pattern_count", int, path)))
+            golden = tuple(golden)
         return cls(poly, seed_val, tuple(bindings), tuple(misrs),
-                   d.get("counter_width", 12), d.get("pattern_count", 4096),
-                   golden)
+                   _get(d, "counter_width", int, default=12),
+                   _get(d, "pattern_count", int, default=4096), golden)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -138,7 +216,11 @@ class BistPlan:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as e:          # JSON syntax or text encoding
+                raise PlanError(f"{path}: not a JSON plan ({e})") from None
+        return cls.from_dict(d)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -168,6 +250,7 @@ class BistResult:
 
 def _check_plan(netlist, plan):
     blocks = {b.name: b for b in netlist.blocks}
+    degree = plan.alfsr_poly.degree
     for binding, misr in zip(plan.bindings, plan.misrs):
         blk = blocks.get(binding.block)
         if blk is None:
@@ -175,6 +258,9 @@ def _check_plan(netlist, plan):
         if binding.width != len(blk.input_port):
             raise PlanError(f"binding width {binding.width} != block "
                             f"{binding.block!r} port width {len(blk.input_port)}")
+        for src in binding.alfsr_slice.values():
+            if not 0 <= src < degree:
+                raise PlanError(f"ALFSR bit {src} out of range for degree {degree}")
         if misr.cascade.in_width != len(blk.output_port):
             raise PlanError(f"cascade input width mismatch for {binding.block!r}")
         if misr.cascade.out_width != misr.polynomial.degree:
@@ -185,6 +271,11 @@ def _check_plan(netlist, plan):
     for n in netlist.primary_inputs:
         if n not in bound_inputs:
             raise PlanError(f"primary input {n!r} driven by no binding")
+
+
+def _check_count(plan, n):
+    if not 1 <= n <= (1 << plan.counter_width):
+        raise PlanError(f"pattern count {n} outside counter range")
 
 
 class BistSession:
@@ -209,8 +300,7 @@ class BistSession:
         self.control = ControlUnitState()
 
     def set_count(self, n):
-        if not 1 <= n <= (1 << self.plan.counter_width):
-            raise PlanError(f"pattern count {n} outside counter range")
+        _check_count(self.plan, n)
         self._pattern_count = n
         self.control.phase = "loading"
 
@@ -279,12 +369,83 @@ class BistSession:
         return patterns
 
 
+def _cg_planes(program, n):
+    """One plane per constraint-program bit over cycles 0..n-1: one period
+    from :func:`tpg.cg_step`, repeated by doubling when the program is
+    cyclic, its last value held when it is not."""
+    period = min(program.total_cycles, n)
+    values = [tpg.cg_step(program, t) for t in range(period)]
+    planes = []
+    for j in range(program.port_width):
+        plane = int("".join("1" if v >> j & 1 else "0" for v in reversed(values)), 2)
+        if program.cyclic:
+            span = period
+            while span < n:
+                plane |= plane << span
+                span *= 2
+        elif values[-1] >> j & 1:
+            plane |= -1 << period
+        planes.append(plane & ((1 << n) - 1))
+    return planes
+
+
+def plan_planes(netlist, plan, count=None):
+    """The plan's stimulus as one integer plane per primary input, in
+    ``netlist.primary_inputs`` order: bit t is the value driven in cycle t,
+    for the first ``count`` cycles (default: the plan's pattern count).
+
+    At every shift stage 0 of the Fibonacci ALFSR takes the feedback bit and
+    stage i takes what stage i-1 held (:func:`tpg.lfsr_next`). So stage i in
+    cycle t holds what stage 0 held in cycle t-i, and for t < i the seed's
+    bit i-t: every stage emits the same sequence, only delayed (Golomb,
+    *Shift Register Sequences*, 1967; Bardell, McAnney & Savir, 1987,
+    ch. 3). n register steps give stage 0's sequence; prefixed with the
+    seed's high bits it yields each stage's plane by one shift and one mask.
+    Replicated inputs read the same plane. Constraint-generator bits come
+    from :func:`_cg_planes`. :meth:`BistSession.pattern_stream` is the
+    cycle-by-cycle oracle of this function.
+    """
+    _check_plan(netlist, plan)
+    n = plan.pattern_count if count is None else count
+    _check_count(plan, n)
+    poly = plan.alfsr_poly
+    top = poly.degree - 1
+    register = tpg.seed_int(poly, plan.alfsr_seed).register
+    # bit k of `sequence` is stage 0 in cycle k - top: bits 0..top-1 are
+    # the seed's stages top down to 1, then one bit per register step
+    head = sum((register >> (top - k) & 1) << k for k in range(top))
+    steps = []
+    for _ in range(n):
+        steps.append("1" if register & 1 else "0")
+        register = tpg.lfsr_next(poly, register)
+    sequence = int("".join(reversed(steps)), 2) << top | head
+    mask = (1 << n) - 1
+    blocks = {b.name: b for b in netlist.blocks}
+    planes = {}
+    for binding in plan.bindings:
+        word = [None] * binding.width
+        for bit, src in binding.alfsr_slice.items():
+            word[bit] = sequence >> (top - src) & mask
+        if binding.cg is not None:
+            for bit, plane in zip(binding.cg_bits, _cg_planes(binding.cg, n)):
+                word[bit] = plane
+        planes.update(zip(blocks[binding.block].input_port, word))
+    return [planes[net] for net in netlist.primary_inputs]
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def plan_patterns(netlist, plan, count=None):
-    """Primary-input pattern list the plan would apply."""
-    session = BistSession(netlist, plan)
-    if count is not None:
-        session.set_count(count)
-    return session.pattern_stream()
+    """Primary-input pattern list the plan would apply: the transpose of
+    :func:`plan_planes`, one tuple per cycle."""
+    n = plan.pattern_count if count is None else count
+    planes = plan_planes(netlist, plan, count)
+    columns = {}         # replicated inputs share one column
+    for plane in planes:
+        if plane not in columns:
+            columns[plane] = format(plane, f"0{n}b")[::-1].encode().translate(_BITS)
+    return list(zip(*(columns[p] for p in planes))) if planes else [()] * n
 
 
 def compute_golden(netlist, plan):
@@ -374,6 +535,43 @@ class SignatureEngine:
         if rows is None:
             rows = self._rows[poly] = compactor.image_rows(poly, n)
         return compactor.signature_image(rows, words, n)
+
+
+class EngineSession(BistSession):
+    """A :class:`BistSession` whose :meth:`run` reads the signatures from
+    :class:`SignatureEngine`; TAP replay uses it on combinational cores.
+
+    The session's ALFSR always stands ``pattern_counter`` steps past the
+    seed and its MISRs at the signatures of that many cycles, and a
+    combinational core keeps no state between cycles. So the scalar loop,
+    continued up to the pattern count n, ends with the MISRs at the
+    signatures of the plan's first n patterns: one engine pass over them.
+    """
+
+    def __init__(self, netlist, plan):
+        if netlist.flops:
+            raise SimulationError("the engine session needs a combinational "
+                                  "netlist; sequential cores run BistSession")
+        super().__init__(netlist, plan)
+
+    def run(self):
+        self.control.test_enable = True
+        self.control.phase = "running"
+        n = self._pattern_count
+        start = self.control.pattern_counter
+        if start < n:
+            engine = SignatureEngine(self.netlist,
+                                     replace(self.plan, pattern_count=n, golden=None))
+            self.misrs = {m.block: compactor.MisrState(m.polynomial, value)
+                          for m, value in zip(self.plan.misrs, engine.golden)}
+            poly = self.alfsr.polynomial
+            register = self.alfsr.register
+            for _ in range(n - start):
+                register = tpg.lfsr_next(poly, register)
+            self.alfsr = tpg.AlfsrState(poly, register)
+            self.control.pattern_counter = n
+        self.control.test_enable = False
+        self.control.phase = "done"
 
 
 def selftest_results(netlist, plan, faults, patterns=None):

@@ -242,7 +242,9 @@ def cmd_tap(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     trace = access.SerialTrace.load(args.trace)
-    session = access.TapSession(bist.BistSession(netlist, plan))
+    # sequential cores replay the scalar session cycle by cycle
+    session_cls = bist.BistSession if netlist.flops else bist.EngineSession
+    session = access.TapSession(session_cls(netlist, plan))
     tdo = access.drive_trace(session, trace)
     rendered = access.SerialTrace(trace.samples).render(tdo=tdo)
     out = os.path.join(args.out, "tap_trace.out")
@@ -323,15 +325,17 @@ def build_parser():
                     "compaction, fault coverage, diagnosis, serial access.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plan=True):
+    def common(p, fans_out=True):
         p.add_argument("netlist", help="bench-format netlist file")
-        if plan:
-            p.add_argument("--plan", help="BIST plan JSON file")
-            p.add_argument("--seed", type=lambda s: int(s, 0),
-                           help="override the plan's ALFSR seed")
+        p.add_argument("--plan", help="BIST plan JSON file")
+        p.add_argument("--seed", type=lambda s: int(s, 0),
+                       help="override the plan's ALFSR seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"fault-sim worker processes (env {WORKERS_ENV})")
+                       help=f"fault-sim worker processes (env {WORKERS_ENV})"
+                       if fans_out else
+                       "this command runs in one process; the option is "
+                       "accepted only for a uniform command line")
 
     p = sub.add_parser("lint", help="parse and validate a netlist")
     p.add_argument("netlist")
@@ -354,17 +358,17 @@ def build_parser():
 
     p = sub.add_parser("import", help="validate an external pattern file")
     p.add_argument("file", help="pattern file (one binary vector per line)")
-    common(p)
+    common(p, fans_out=False)
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("tap", help="replay a serial TAP trace")
     p.add_argument("trace", help="trace file: 'TCK TMS TDI' per line")
-    common(p)
+    common(p, fans_out=False)
     p.add_argument("--expect", help="golden trace with TDO column to diff")
     p.set_defaults(func=cmd_tap)
 
     p = sub.add_parser("diagnose", help="diagnostic matrix and fault classes")
-    common(p)
+    common(p, fans_out=False)
     p.add_argument("--patterns", help="pattern count or external pattern file")
     p.add_argument("--granularity", choices=diagnosis.GRANULARITIES,
                    default="pattern")

@@ -79,12 +79,6 @@ def misr_absorb(state, word):
     return MisrState(state.polynomial, lfsr_next(state.polynomial, state.register) ^ w)
 
 
-def misr_absorb_int(state, word):
-    """Integer fast path of :func:`misr_absorb` (word already packed)."""
-    return MisrState(state.polynomial,
-                     lfsr_next(state.polynomial, state.register) ^ word)
-
-
 @dataclass(frozen=True)
 class Signature:
     """Final compacted response of one block."""
@@ -109,10 +103,10 @@ def select_output(signatures, sel):
 
 def signature_of_stream(poly, words, init=0):
     """Signature of a word stream (ints) from ``init``; linearity helper."""
-    s = MisrState(poly, init)
+    register = init
     for w in words:
-        s = misr_absorb_int(s, w)
-    return s.register
+        register = lfsr_next(poly, register) ^ w
+    return register
 
 
 def signature_of_planes(poly, planes, n):

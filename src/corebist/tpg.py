@@ -237,12 +237,10 @@ def modular_binding(block_name, width, degree, cg=None, cg_bits=()):
 
 
 def assemble_pattern(binding, alfsr, cycle):
-    """Block input word for this cycle (LSB-first bit tuple)."""
-    degree = alfsr.polynomial.degree
+    """Block input word for this cycle (LSB-first bit tuple); the plan
+    check keeps every ALFSR source below the register's degree."""
     out = [0] * binding.width
     for bit, src in binding.alfsr_slice.items():
-        if src >= degree:
-            raise PlanError(f"ALFSR bit {src} out of range for degree {degree}")
         out[bit] = alfsr.bit(src)
     if binding.cg is not None:
         value = cg_step(binding.cg, cycle)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
+from corebist import access, bist, circuit, compactor, faultsim, fixture_path, tpg
 from corebist.errors import PlanError, SimulationError
 
 import oracle
@@ -384,7 +384,191 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scalar session used the fault kernel")
     monkeypatch.setattr(faultsim, "FaultKernel", refuse)
+    # nor the engine or the plane builder
+    monkeypatch.setattr(bist, "SignatureEngine", refuse)
+    monkeypatch.setattr(bist, "plan_planes", refuse)
     bare = dataclasses.replace(mini_plan, golden=None)
     assert bist.compute_golden(mini10, bare).golden == mini_plan.golden
     f = faultsim.FaultDescriptor(mini10.primary_outputs[0], "SA1")
     bist.run_selftest(mini10, mini_plan, injected=f)
+    session = bist.BistSession(mini10, mini_plan)
+    patterns = session.pattern_stream()
+    session.run()
+    faultsim.serial_fault_sim(mini10, faultsim.enumerate_faults(mini10), patterns)
+
+
+# -- input planes against the scalar pattern stream ---------------------------------
+
+def _random_stimulus_case(rng, degree, count):
+    """Netlist of 1-3 blocks whose input ports may share nets, with a random
+    plan over a random degree-``degree`` ALFSR: replicated sources, cyclic
+    and non-cyclic constraint programs with holds of 1-7 cycles."""
+    n_in = rng.randint(2, 12)
+    pis = [f"i{k}" for k in range(n_in)]
+    n_blocks = rng.randint(1, min(3, n_in))
+    cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
+    ports = [pis[a:b] for a, b in zip([0] + cuts, cuts + [n_in])]
+    if n_blocks > 1 and rng.random() < 0.5:
+        ports[-1] = ports[-1] + [rng.choice(ports[0])]   # a later binding overrides
+    lines = [f"INPUT({n})" for n in pis]
+    for k, port in enumerate(ports):
+        lines += [f"o{k} = XOR({', '.join(port)})", f"OUTPUT(o{k})",
+                  f"#@block B{k} in: {','.join(port)} out: o{k},{port[0]}"]
+    netlist = circuit.parse_netlist("\n".join(lines), name=f"stim{degree}")
+    taps = {degree} | {t for t in range(1, degree) if rng.random() < 0.3}
+    poly = tpg.Polynomial(degree, frozenset(taps))
+    misr_poly = tpg.Polynomial.parse("x^2+x+1")
+    bindings, misrs = [], []
+    for k, port in enumerate(ports):
+        cg, cg_bits = None, ()
+        if rng.random() < 0.6:
+            cg_bits = tuple(rng.sample(range(len(port)), rng.randint(1, len(port))))
+            cg = tpg.ConstraintProgram(
+                len(cg_bits),
+                tuple((rng.randrange(1 << len(cg_bits)), rng.randint(1, 7))
+                      for _ in range(rng.randint(1, 4))),
+                rng.random() < 0.5)
+        slice_ = {bit: rng.randrange(degree)
+                  for bit in range(len(port)) if bit not in cg_bits}
+        bindings.append(tpg.PortBinding(f"B{k}", len(port), slice_, cg, cg_bits))
+        misrs.append(bist.MisrAssignment(f"B{k}", misr_poly,
+                                         compactor.XorCascade(2, 2)))
+    plan = bist.BistPlan(poly, rng.randrange(1, 1 << degree), tuple(bindings),
+                         tuple(misrs), pattern_count=count)
+    return netlist, plan
+
+
+def _transpose(patterns, width):
+    return [sum(p[i] << t for t, p in enumerate(patterns)) for i in range(width)]
+
+
+def test_plan_planes_match_pattern_stream_random_plans():
+    rng = random.Random(0x91A7E)
+    counts = (1, 2, 63, 64, 65, 4096)
+    seen = {"cyclic": 0, "held": 0, "replicated": 0}
+    for degree in range(2, 21):
+        for count in (counts[degree % 6], counts[(degree + 3) % 6]):
+            netlist, plan = _random_stimulus_case(rng, degree, count)
+            for b in plan.bindings:
+                if b.cg is not None:
+                    seen["cyclic" if b.cg.cyclic else "held"] += 1
+                values = list(b.alfsr_slice.values())
+                seen["replicated"] += len(set(values)) < len(values)
+            want = bist.BistSession(netlist, plan).pattern_stream()
+            width = len(netlist.primary_inputs)
+            assert bist.plan_planes(netlist, plan) == _transpose(want, width), \
+                (degree, count)
+            assert bist.plan_patterns(netlist, plan) == want, (degree, count)
+    assert all(seen.values()), seen
+
+
+def test_plan_planes_count_prefix_matches_set_count(core, core_plan):
+    for count in (1, 2, 63, 64, 65):
+        session = bist.BistSession(core, core_plan)
+        session.set_count(count)
+        want = session.pattern_stream()
+        assert bist.plan_patterns(core, core_plan, count=count) == want
+        assert bist.plan_planes(core, core_plan, count=count) == \
+            _transpose(want, len(core.primary_inputs))
+    with pytest.raises(PlanError, match="counter range"):
+        bist.plan_planes(core, core_plan, count=0)
+
+
+def test_plan_patterns_on_core_match_pattern_stream(core, core_plan):
+    assert bist.plan_patterns(core, core_plan) == \
+        bist.BistSession(core, core_plan).pattern_stream()
+
+
+@pytest.mark.parametrize("src", [8, 9, -1])
+def test_alfsr_source_out_of_range_rejected_on_both_paths(mini10, mini_plan, src):
+    binding = dataclasses.replace(mini_plan.bindings[0],
+                                  alfsr_slice={0: 0, 1: 1, 2: 2, 3: src})
+    bad = dataclasses.replace(mini_plan, bindings=(binding,), golden=None)
+    for build in (bist.BistSession, bist.plan_planes, bist.plan_patterns):
+        with pytest.raises(PlanError, match=f"ALFSR bit {src} out of range"):
+            build(mini10, bad)
+
+
+# -- TAP START through the signature engine -----------------------------------------
+
+def _tap_script(rng, plan):
+    """WCDR commands (command, operand) covering RESET, SET_COUNT with operand
+    0 (the full counter range), START twice, a smaller count after START, a
+    larger count then START without RESET, SELECT and READ_STATUS."""
+    full = 1 << plan.counter_width
+    small = rng.randint(1, 40)
+    script = [(access.CMD_RESET, 0), (access.CMD_SET_COUNT, small),
+              (access.CMD_START, 0), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, rng.randint(1, small)), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, small + rng.randint(1, 60)),
+              (access.CMD_START, 0), (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, 0), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0)]
+    commands = [access.CMD_RESET, access.CMD_SET_COUNT, access.CMD_START,
+                access.CMD_SELECT, access.CMD_READ_STATUS]
+    for _ in range(12):
+        command = rng.choice(commands)
+        operand = 0
+        if command == access.CMD_SET_COUNT:
+            operand = rng.choice((0, rng.randint(1, 200), rng.randrange(full)))
+        elif command == access.CMD_SELECT:
+            operand = rng.randrange(len(plan.misrs))
+        script.insert(rng.randrange(len(script) + 1), (command, operand))
+    return script
+
+
+def _session_state(session, wrapper):
+    return (session.signatures(), session.alfsr.register,
+            session.control.pattern_counter, session.control.phase,
+            session.control.test_enable, session.control.output_select,
+            wrapper.status, wrapper.wdr)
+
+
+def _assert_engine_session_matches(netlist, plan, script, label):
+    scalar = access.TapSession(bist.BistSession(netlist, plan))
+    engine = access.TapSession(bist.EngineSession(netlist, plan))
+    for tap in (scalar, engine):
+        tap.tap_reset()
+    for i, (command, operand) in enumerate(script):
+        rec = access.TraceRecorder(scalar)
+        rec.write_wcdr(command, operand)
+        if command == access.CMD_READ_STATUS:
+            rec.read_wdr()
+        got = access.drive_trace(engine, access.SerialTrace(tuple(rec.samples)))
+        where = (label, i, command, operand)
+        assert got == rec.tdo, where
+        assert _session_state(engine.bist, engine.wrapper) == \
+            _session_state(scalar.bist, scalar.wrapper), where
+
+
+def test_engine_session_matches_scalar_session_mini10(mini10, mini_plan):
+    rng = random.Random(0x7A9)
+    for trial in range(3):
+        _assert_engine_session_matches(mini10, mini_plan,
+                                       _tap_script(rng, mini_plan),
+                                       trial)
+
+
+def test_engine_session_matches_scalar_session_random_plans():
+    rng = random.Random(0x5E55)
+    misr_counts = set()
+    for trial in range(4):
+        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
+                                          f"tap{trial}")
+        misr_counts.add(len(plan.misrs))
+        _assert_engine_session_matches(netlist, plan,
+                                       _tap_script(rng, plan), trial)
+    assert len(misr_counts) > 1
+
+
+def test_engine_session_refuses_a_sequential_core(seqmini):
+    plan = bist.BistPlan(
+        tpg.Polynomial.parse("x^4+x+1"), 0x9,
+        (tpg.modular_binding("MAIN", 2, 4),),
+        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
+                             compactor.XorCascade(2, 2)),),
+        pattern_count=20)
+    with pytest.raises(SimulationError, match="combinational"):
+        bist.EngineSession(seqmini, plan)

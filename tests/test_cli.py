@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from corebist import bist, cli, compactor, fixture_path, tpg
+from corebist import access, bist, circuit, cli, compactor, fixture_path, tpg
+from corebist.errors import PlanError
 
 from conftest import random_sequential
 
@@ -224,6 +225,52 @@ def test_tap_bad_trace_file(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
 
 
+def test_tap_on_a_combinational_core_takes_the_engine(tmp_path, capsys,
+                                                     monkeypatch):
+    def refuse(self, inject=None):
+        raise AssertionError("TAP START stepped the scalar session")
+    monkeypatch.setattr(bist.BistSession, "run", refuse)
+    assert run(["tap", TRACE, CORE, "--plan", CORE_PLAN,
+                "--expect", TRACE, "--out", str(tmp_path)]) == 0
+    assert "TDO matches golden trace" in capsys.readouterr().out
+
+
+def test_tap_on_a_sequential_core_takes_the_scalar_session(tmp_path, capsys,
+                                                           monkeypatch):
+    netlist = circuit.load_netlist(fixture_path("seqmini.bench"))
+    plan = bist.BistPlan(
+        tpg.Polynomial.parse("x^4+x+1"), 0x9,
+        (tpg.modular_binding("MAIN", 2, 4),),
+        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
+                             compactor.XorCascade(2, 2)),),
+        pattern_count=20)
+    plan.save(tmp_path / "seq.plan.json")
+    rec = access.TraceRecorder(access.TapSession(bist.BistSession(netlist, plan)))
+    rec.tap_reset()
+    rec.write_wcdr(access.CMD_RESET)
+    rec.write_wcdr(access.CMD_SET_COUNT, 20)
+    rec.write_wcdr(access.CMD_START)
+    rec.write_wcdr(access.CMD_READ_STATUS)
+    status, _ = rec.read_wdr()
+    assert status == access.STATUS_DONE
+    trace, tdo = rec.trace()
+    (tmp_path / "seq.trace").write_text(trace.render(tdo=tdo))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("TAP on a sequential core used the engine")
+    monkeypatch.setattr(bist, "SignatureEngine", refuse)
+    runs = []
+    scalar_run = bist.BistSession.run
+    monkeypatch.setattr(bist.BistSession, "run",
+                        lambda self, inject=None: (runs.append(inject),
+                                                   scalar_run(self, inject))[1])
+    assert run(["tap", str(tmp_path / "seq.trace"), str(fixture_path("seqmini.bench")),
+                "--plan", str(tmp_path / "seq.plan.json"),
+                "--expect", str(tmp_path / "seq.trace"), "--out", str(tmp_path)]) == 0
+    assert "TDO matches golden trace" in capsys.readouterr().out
+    assert runs == [None]
+
+
 # -- diagnose -----------------------------------------------------------------------
 
 def test_diagnose_pattern_granularity(tmp_path, capsys):
@@ -297,3 +344,115 @@ def test_workers_env_default(tmp_path, capsys, monkeypatch):
     # the flag still overrides the environment
     assert run(["faultsim", MINI, "--plan", MINI_PLAN, "--kinds", "saf",
                 "--workers", "1", "--out", str(tmp_path)]) == 0
+
+
+# -- malformed plan files -----------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema_version": 1}', "error: alfsr: missing"),
+    ("{not json", "not a JSON plan"),
+    ('{"schema_version": true}', "unsupported plan schema True"),
+    ("[1, 2]", "error: plan: expected an object, got a list"),
+])
+def test_malformed_plan_is_a_clean_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.plan.json"
+    path.write_text(text)
+    assert run(["bist", MINI, "--plan", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_plan_field_of_wrong_type_is_named(tmp_path, capsys):
+    plan = json.loads(open(MINI_PLAN).read())
+    plan["bindings"][0]["width"] = "4"
+    path = tmp_path / "bad.plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(["bist", MINI, "--plan", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: bindings[0].width: expected an integer, got a string\n"
+
+
+# fields a plan may leave out (list indices as None); the core's CG
+# schedules have several steps, so one may go
+_OPTIONAL_PLAN_FIELDS = {("counter_width",), ("pattern_count",), ("golden",),
+                         ("bindings", None, "cg", "cyclic"),
+                         ("bindings", None, "cg", "schedule", None)}
+_JSON_VALUES = ("text", 7, 1.5, True, None, [], {})
+
+
+def _json_paths(node, prefix=()):
+    """Path (keys and list indices) of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _field_path(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _plan_mutations(rng, text, per_kind):
+    """Seeded (kind, path, plan text, loads) mutations of a plan file:
+    dropped fields, fields of another JSON type, truncated text."""
+    paths = list(_json_paths(json.loads(text)))
+    for kind in ("drop", "retype"):
+        for _ in range(per_kind):
+            path = rng.choice(paths)
+            plan = json.loads(text)
+            parent = plan
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "drop":
+                del parent[path[-1]]
+                loads = tuple(None if isinstance(k, int) else k
+                              for k in path) in _OPTIONAL_PLAN_FIELDS
+            else:
+                old = type(parent[path[-1]])
+                parent[path[-1]] = rng.choice([v for v in _JSON_VALUES
+                                               if type(v) is not old])
+                loads = False
+            yield kind, path, json.dumps(plan), loads
+    for _ in range(per_kind):
+        cut = rng.randrange(len(text.rstrip()))
+        yield "truncate", cut, text[:cut], False
+
+
+def test_plan_loader_fuzz_never_escapes(tmp_path, capsys):
+    text = open(MINI_PLAN).read()
+    rng = random.Random(0xF022)
+    codes = {}
+    for i, (kind, path, mutated, loads) in enumerate(_plan_mutations(rng, text, 40)):
+        plan = tmp_path / f"m{i}.plan.json"
+        plan.write_text(mutated)
+        where = (kind, path)
+        code = run(["bist", MINI, "--plan", str(plan), "--out", str(tmp_path)])
+        assert code == (0 if loads else 1), where
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, where
+            if kind == "retype" and path != ("schema_version",):
+                assert err.startswith(f"error: {_field_path(path)}: "), (where, err)
+        codes.setdefault(kind, set()).add(code)
+    assert codes == {"drop": {0, 1}, "retype": {1}, "truncate": {1}}
+
+
+def test_plan_loader_fuzz_with_constraint_programs(tmp_path):
+    # the case-study plan has CG bindings; load it straight, no command run
+    text = open(CORE_PLAN).read()
+    rng = random.Random(0xC6F)
+    cg_paths = 0
+    for i, (kind, path, mutated, loads) in enumerate(_plan_mutations(rng, text, 60)):
+        plan = tmp_path / f"m{i}.plan.json"
+        plan.write_text(mutated)
+        cg_paths += kind != "truncate" and "cg" in path
+        if loads:
+            bist.BistPlan.load(plan)
+            continue
+        with pytest.raises(PlanError) as info:
+            bist.BistPlan.load(plan)
+        if kind == "retype" and path != ("schema_version",):
+            assert str(info.value).startswith(f"{_field_path(path)}: "), \
+                (path, str(info.value))
+    assert cg_paths
