@@ -322,7 +322,11 @@ class SerialTrace:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.parse(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise ProtocolError(f"{path}: not a text trace ({e})") from None
+        return cls.parse(text)
 
     def render(self, tdo=None):
         lines = ["# TCK TMS TDI" + (" TDO" if tdo is not None else "")]

@@ -9,19 +9,22 @@ then the ALFSR steps. Flops (if any) clock at the end of the cycle.
 Two paths produce signatures. :class:`BistSession` (with
 :func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
 scalar evaluation at a time; it is the oracle, it serves sequential cores,
-and it never touches a fault-sim kernel or the plane builder. For a
-combinational core, :class:`SignatureEngine` simulates the plan's whole
-pattern stream once in a :class:`faultsim.FaultKernel` and, since the
-compactor is linear over GF(2), gets each faulty signature as the
-fault-free one XOR the signature of the folded error planes.
-:func:`selftest_results` picks the path and is what the reports use.
-TAP replay on a combinational core runs :class:`EngineSession`, whose START
-reads its signatures from the engine; a sequential core's TAP replay steps
-the scalar session.
+and it never touches a fault-sim kernel, the plane builder or the
+closed-form MISR. For a combinational core, :class:`SignatureEngine`
+simulates the plan's whole pattern stream once in a
+:class:`faultsim.FaultKernel` and reduces each MISR's folded output planes
+with :func:`compactor.signature_of_planes`; since that map is linear over
+GF(2), a faulty signature is the fault-free one XOR the signature of the
+folded error planes. :func:`selftest_results` picks the path and is what
+the reports use. TAP replay on a combinational core runs
+:class:`EngineSession`, whose START reads its signatures from the engine; a
+sequential core's TAP replay steps the scalar session.
 
 The stimulus is built as whole-stream bit planes by :func:`plan_planes`
 (one integer per primary input, bit t = cycle t, straight from the ALFSR
-sequence); :func:`plan_patterns` is their transpose, and
+sequence), and :func:`plan_stimulus` compiles them into the one kernel a
+command shares between its signatures, SAF and TDF. :func:`plan_patterns`
+is their transpose, for the paths that replay patterns one at a time, and
 :meth:`BistSession.pattern_stream` the cycle-by-cycle oracle of both.
 """
 
@@ -470,31 +473,46 @@ def run_selftest(netlist, plan, injected=None, require_golden=True):
     return BistResult(sigs, passed, session.control.pattern_counter)
 
 
+def plan_stimulus(netlist, plan, count=None):
+    """The plan's first ``count`` patterns (default: its pattern count) as
+    the fault simulators take them: one :class:`faultsim.FaultKernel` over
+    :func:`plan_planes` for a combinational netlist, built once and shared
+    by every simulation over those patterns; the :func:`plan_patterns`
+    tuples for a netlist with flops, whose kernel runs cycle by cycle."""
+    if netlist.flops:
+        return plan_patterns(netlist, plan, count)
+    n = plan.pattern_count if count is None else count
+    return faultsim.FaultKernel(netlist, plan_planes(netlist, plan, n), n)
+
+
 class SignatureEngine:
     """Self-test signatures of a combinational netlist from one
     :class:`faultsim.FaultKernel` over the plan's pattern stream.
 
     Each MISR's cascade folds its block's output-port planes (port bit i
-    into word bit i mod out) and one register pass over the folded planes
-    gives the fault-free signature. Under a stuck-at fault only the nets in
-    the fault's cone change; their error planes (faulty ^ fault-free) fold
-    the same way, and by linearity the faulty signature is the fault-free
-    one XOR :func:`compactor.signature_image` of the folded error planes.
+    into word bit i mod out) and :func:`compactor.signature_of_planes`
+    reduces the folded planes to the fault-free signature in closed form.
+    Under a stuck-at fault only the nets in the fault's cone change; their
+    error planes (faulty ^ fault-free) fold the same way, and since the
+    closed form is linear the faulty signature is the fault-free one XOR
+    the signature of the folded error planes.
+
+    ``kernel``, when given, must be compiled over the plan's own stream
+    (:func:`plan_stimulus`); it is shared, not copied.
     """
 
-    def __init__(self, netlist, plan, patterns=None):
+    def __init__(self, netlist, plan, kernel=None):
         _check_plan(netlist, plan)
         if netlist.flops:
             raise SimulationError("the signature engine needs a combinational "
                                   "netlist; sequential cores run BistSession")
-        if patterns is None:
-            patterns = plan_patterns(netlist, plan)
-        if len(patterns) != plan.pattern_count:
-            raise SimulationError(f"{len(patterns)} patterns for a plan of "
+        if kernel is None:
+            kernel = plan_stimulus(netlist, plan)
+        if len(kernel) != plan.pattern_count:
+            raise SimulationError(f"{len(kernel)} patterns for a plan of "
                                   f"{plan.pattern_count}")
         self.plan = plan
-        self.kernel = kernel = faultsim.FaultKernel(netlist, patterns)
-        self._rows = {}          # polynomial -> compactor.image_rows
+        self.kernel = kernel
         blocks = {b.name: b for b in netlist.blocks}
         # net index -> (MISR position, folded word bit) of every port bit it feeds
         self._taps = {}
@@ -503,38 +521,27 @@ class SignatureEngine:
             for i, net in enumerate(blocks[binding.block].output_port):
                 self._taps.setdefault(kernel.index[net], []).append((k, i % out))
         good = kernel.good
-        self.golden = tuple(
-            compactor.signature_of_planes(m.polynomial, words, plan.pattern_count)
-            for m, words in zip(plan.misrs,
-                                self._fold({i: good[i] for i in self._taps})))
+        self.golden = self._signatures({i: good[i] for i in self._taps})
 
-    def _fold(self, planes):
-        """Folded word planes per MISR from ``{net index: plane}``."""
+    def _signatures(self, planes):
+        """One signature per MISR of the folded ``{net index: plane}``."""
         words = [[0] * m.cascade.out_width for m in self.plan.misrs]
         for net, plane in planes.items():
             for k, j in self._taps[net]:
                 words[k][j] ^= plane
-        return words
+        n = self.plan.pattern_count
+        return tuple(compactor.signature_of_planes(m.polynomial, w, n)
+                     if any(w) else 0 for m, w in zip(self.plan.misrs, words))
 
     def signatures(self, fault=None):
         """Signature values, one per MISR in plan order, under ``fault``."""
         if fault is None:
             return self.golden
         good = self.kernel.good
-        errors = self._fold({net: plane ^ good[net] for net, plane
-                             in self.kernel.faulty(fault).items()
-                             if net in self._taps})
-        return tuple(g ^ self._image(m.polynomial, words) if any(words) else g
-                     for g, m, words in zip(self.golden, self.plan.misrs, errors))
-
-    def _image(self, poly, words):
-        """Signature of an error stream; the row masks of ``poly`` are built
-        on the first non-zero stream and kept."""
-        n = self.plan.pattern_count
-        rows = self._rows.get(poly)
-        if rows is None:
-            rows = self._rows[poly] = compactor.image_rows(poly, n)
-        return compactor.signature_image(rows, words, n)
+        errors = self._signatures({net: plane ^ good[net] for net, plane
+                                   in self.kernel.faulty(fault).items()
+                                   if net in self._taps})
+        return tuple(g ^ e for g, e in zip(self.golden, errors))
 
 
 class EngineSession(BistSession):
@@ -574,14 +581,15 @@ class EngineSession(BistSession):
         self.control.phase = "done"
 
 
-def selftest_results(netlist, plan, faults, patterns=None):
+def selftest_results(netlist, plan, faults, kernel=None):
     """One :class:`BistResult` per entry of ``faults`` (None: fault-free),
     each what ``run_selftest(netlist, plan, injected=f)`` returns.
 
     Pass/fail is judged against the plan's stored golden signatures, or the
     fault-free ones when none are stored. Combinational netlists go through
-    :class:`SignatureEngine` (``patterns``, if given, must be the plan's
-    stream); sequential ones replay :class:`BistSession` per fault.
+    :class:`SignatureEngine` (on ``kernel``, if given, which must be
+    compiled over the plan's stream); sequential ones replay
+    :class:`BistSession` per fault.
     """
     n = plan.pattern_count
     if netlist.flops:
@@ -592,7 +600,7 @@ def selftest_results(netlist, plan, faults, patterns=None):
                   for f in faults]
         reference = tuple(s.value for s in plan.golden)
     else:
-        engine = SignatureEngine(netlist, plan, patterns)
+        engine = SignatureEngine(netlist, plan, kernel)
         values = [engine.signatures(f) for f in faults]
         reference = engine.golden if plan.golden is None else \
             tuple(s.value for s in plan.golden)
@@ -607,14 +615,15 @@ def misr_detection_rate(netlist, plan, universe, workers=1):
     signature path and list the ones the MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
-    patterns = plan_patterns(netlist, plan)
-    report = faultsim.parallel_fault_sim(netlist, universe, patterns,
+    stimulus = plan_stimulus(netlist, plan)
+    report = faultsim.parallel_fault_sim(netlist, universe, stimulus,
                                          workers=workers)
     detected = report.detected_faults()
     if not detected:
         raise SimulationError("empty fault universe" if not universe.faults
                               else "no detected faults to compact")
-    results = selftest_results(netlist, plan, detected, patterns)
+    results = selftest_results(netlist, plan, detected,
+                               None if netlist.flops else stimulus)
     aliased = tuple(f for f, r in zip(detected, results) if r.all_pass)
     rate = (len(detected) - len(aliased)) / len(detected)
     return rate, aliased

@@ -415,6 +415,9 @@ def parse_netlist(text, name="netlist"):
 
 def load_netlist(path):
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise NetlistError(f"{path}: not a text netlist ({e})") from None
     import os
     return parse_netlist(text, name=os.path.splitext(os.path.basename(path))[0])

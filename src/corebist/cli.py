@@ -63,25 +63,29 @@ def parse_pattern_file(path, netlist, plan):
     total = sum(len(p) for p in ports)
     patterns = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            if set(line) - {"0", "1"}:
-                raise SimulationError(f"{path}:{lineno}: non-binary vector")
-            if len(line) != total:
-                raise SimulationError(
-                    f"{path}:{lineno}: vector width {len(line)} != "
-                    f"expected {total} (sum of block input widths)")
-            assignment = {}
-            pos = 0
-            for port in ports:
-                chunk = line[pos:pos + len(port)]
-                pos += len(port)
-                # MSB-left text; port lists are LSB-first
-                for net, ch in zip(port, reversed(chunk)):
-                    assignment[net] = int(ch)
-            patterns.append(tuple(assignment[n] for n in netlist.primary_inputs))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SimulationError(f"{path}: not a text pattern file ({e})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        if set(line) - {"0", "1"}:
+            raise SimulationError(f"{path}:{lineno}: non-binary vector")
+        if len(line) != total:
+            raise SimulationError(
+                f"{path}:{lineno}: vector width {len(line)} != "
+                f"expected {total} (sum of block input widths)")
+        assignment = {}
+        pos = 0
+        for port in ports:
+            chunk = line[pos:pos + len(port)]
+            pos += len(port)
+            # MSB-left text; port lists are LSB-first
+            for net, ch in zip(port, reversed(chunk)):
+                assignment[net] = int(ch)
+        patterns.append(tuple(assignment[n] for n in netlist.primary_inputs))
     if not patterns:
         raise SimulationError(f"{path}: no patterns")
     return patterns
@@ -89,17 +93,18 @@ def parse_pattern_file(path, netlist, plan):
 
 def _resolve_patterns(args, netlist, plan, stream=None):
     """--patterns N (count) or --patterns FILE (external vectors); without
-    the option, ``stream`` (the plan's own stream, assembled here if not
-    given)."""
+    the option, ``stream`` (the plan's own stream, built here if not
+    given). Patterns come as :func:`faultsim.stimulus` gives them: one
+    fault kernel to share for a combinational netlist, tuples otherwise."""
     spec = getattr(args, "patterns", None)
     if spec is None:
         if stream is None:
-            stream = bist.plan_patterns(netlist, plan)
+            stream = bist.plan_stimulus(netlist, plan)
         return stream, plan.pattern_count, "alfsr"
     if spec.isdigit():
         count = int(spec)
-        return bist.plan_patterns(netlist, plan, count=count), count, "alfsr"
-    patterns = parse_pattern_file(spec, netlist, plan)
+        return bist.plan_stimulus(netlist, plan, count), count, "alfsr"
+    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan))
     return patterns, len(patterns), os.path.basename(spec)
 
 
@@ -146,8 +151,11 @@ def _coverage_json(tables):
 def cmd_bist(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
-    stream = bist.plan_patterns(netlist, plan)
-    (result,) = bist.selftest_results(netlist, plan, (None,), stream)
+    # one kernel over the plan's stream serves the signatures and, unless
+    # --patterns asks for other patterns, SAF and TDF too
+    stream = bist.plan_stimulus(netlist, plan)
+    (result,) = bist.selftest_results(netlist, plan, (None,),
+                                      None if netlist.flops else stream)
     patterns, count, source = _resolve_patterns(args, netlist, plan, stream)
     tables = _coverage_tables(netlist, patterns, args.workers)
 
@@ -161,7 +169,8 @@ def cmd_bist(args):
     payload["pass"] = list(result.passed)
     payload["coverage"] = _coverage_json(tables)
     if args.toggle:
-        frac, _counts = circuit.toggle_activity(netlist, patterns)
+        frac, _counts = circuit.toggle_activity(netlist, _toggle_patterns(
+            args, netlist, plan, count))
         payload["toggle_activity"] = round(frac, 4)
 
     out = os.path.join(args.out, "bist_report.json")
@@ -169,6 +178,15 @@ def cmd_bist(args):
     print(_render_bist(payload))
     print(f"report written to {out}")
     return 0
+
+
+def _toggle_patterns(args, netlist, plan, count):
+    """The pattern tuples --toggle replays through the scalar evaluator:
+    the file given to --patterns, else the plan's first ``count``."""
+    spec = getattr(args, "patterns", None)
+    if spec is not None and not spec.isdigit():
+        return parse_pattern_file(spec, netlist, plan)
+    return bist.plan_patterns(netlist, plan, count)
 
 
 def _render_bist(p):
@@ -203,7 +221,8 @@ def cmd_faultsim(args):
     payload["coverage"] = _coverage_json(tables)
     payload["summary"] = {k: faultsim.coverage(r) for k, r in tables.items()}
     if args.compare:
-        ext = parse_pattern_file(args.compare, netlist, plan)
+        ext = faultsim.stimulus(netlist,
+                                parse_pattern_file(args.compare, netlist, plan))
         ext_tables = _coverage_tables(netlist, ext, args.workers, kinds)
         payload["comparison"] = {
             "external_file": os.path.basename(args.compare),

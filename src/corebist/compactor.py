@@ -10,14 +10,13 @@ whole compactor is linear over GF(2).
 
 Signatures can be computed two ways. :func:`misr_absorb` steps the register
 one word at a time; the scalar self-test session in :mod:`corebist.bist`
-does this for every cycle, and it is the path for sequential cores and TAP
-replay. For a combinational core the whole response is known up front as
-bit planes (one integer per folded output bit, bit t = cycle t):
-:func:`signature_of_planes` makes one register pass over those planes, and
-:func:`signature_image` maps an error stream straight to its signature
-difference through the row masks of :func:`image_rows` (a faulty signature
-is the fault-free one XOR the signature of the error stream; Bardell,
-McAnney & Savir, 1987).
+does this for every cycle, and it is the path for sequential cores.
+For a combinational core the whole response is known up front as bit
+planes (one integer per folded output bit, bit t = cycle t), and
+:func:`signature_of_planes` reduces them in closed form over GF(2), with a
+few shift-XORs per tap instead of one register step per word. Being linear,
+it also gives a faulty signature as the fault-free one XOR the signature of
+the error planes (Bardell, McAnney & Savir, 1987).
 """
 
 from __future__ import annotations
@@ -111,51 +110,57 @@ def signature_of_stream(poly, words, init=0):
 
 def signature_of_planes(poly, planes, n):
     """Signature of the ``n``-word stream whose word t has bit j = bit t of
-    ``planes[j]``, by one register pass from zero."""
-    if len(planes) != poly.degree:
-        raise SimulationError(f"MISR word width {len(planes)} != degree {poly.degree}")
-    # column strings, word bit degree-1 first, so each zipped row reads as
-    # one word in binary
-    columns = [format(p, f"0{n}b")[::-1] for p in reversed(planes)]
-    return signature_of_stream(poly, (int("".join(bits), 2)
-                                      for bits in zip(*columns)))
+    ``planes[j]``, absorbed from the all-zero register, in closed form.
 
+    Write a plane as a polynomial over GF(2), bit t the coefficient of x^t,
+    so ``W_j`` is word bit j's plane; let B be the plane of register stage 0
+    after each absorb (bit t: after word t) and Q = sum of x^tau over the
+    taps tau. Each absorb moves stage i-1 into stage i and XORs in word bit
+    i, so stage i after word t holds B[t-i] XOR sum_{j=1..i} W_j[t-i+j]
+    (terms before cycle 0 are 0). Stage 0 takes the feedback, the XOR of
+    stages tau-1 over the taps, XOR W_0; substituting the line above::
 
-def image_rows(poly, n):
-    """Row masks of the linear map from an ``n``-word stream to its signature.
+        (1 + Q) * B = U  mod x^n,  U = W_0 + sum_tau sum_{j=1..tau-1} W_j * x^(tau-j)
 
-    The stream is given as ``degree`` planes concatenated (plane j at bit
-    offset j * n, bit t of plane j = bit j of word t). Signature bit r is the
-    parity of that concatenation AND ``rows[r]``: after n absorbs from zero
-    the register is XOR over t of A^(n-1-t) word_t, with A one shift.
+    Over GF(2), squaring is additive, so Q^(2^m) = Q(x^(2^m)) and
+    (1 + Q) * prod_{m<M} (1 + Q(x^(2^m))) = 1 + Q(x^(2^M)), which is 1 mod
+    x^n once 2^M * min(tau) >= n. Hence B = U * prod_m (1 + Q(x^(2^m))) mod
+    x^n: ceil(log2 n) rounds of one shift-XOR per tap. The signature is the
+    register after word n-1, so its bit i is B[n-1-i] XOR sum_{j=1..i}
+    W_j[n-1-i+j]: bit n+d-2-i of (B << (d-1)) XOR sum_{j>=1} W_j << (d-1-j),
+    d the degree, read from the d-bit window at bit n-1 bit-reversed (the
+    W_j terms with j > i fall above bit n-1 of W_j, which is 0). Both sums
+    over j come from one prefix XOR, so the cost is O(d + |taps| log n)
+    operations on n-bit integers instead of n register steps (Bardell,
+    McAnney & Savir, *Built-In Test for VLSI*, 1987, on MISRs as polynomial
+    division). :func:`signature_of_stream` is the word-by-word reference.
     """
-    degree = poly.degree
-    width = f"0{degree}b"
-    rows = [0] * degree
-    for j in range(degree):
-        column = []        # A^k e_j for k = 0 .. n-1
-        v = 1 << j
-        for _ in range(n):
-            column.append(format(v, width))
-            v = lfsr_next(poly, v)
-        # zip row c holds register bit degree-1-c of every A^k e_j, k
-        # ascending, so as a binary number bit t = bit of A^(n-1-t) e_j
-        for c, bits in enumerate(zip(*column)):
-            rows[degree - 1 - c] |= int("".join(bits), 2) << (j * n)
-    return tuple(rows)
-
-
-def signature_image(rows, planes, n):
-    """Signature of the ``n``-word stream given as ``planes`` (see
-    :func:`signature_of_planes`), by linearity through ``rows`` from
-    :func:`image_rows`."""
-    stream = 0
-    for j, p in enumerate(planes):
-        stream |= p << (j * n)
-    sig = 0
-    for r, row in enumerate(rows):
-        sig |= ((stream & row).bit_count() & 1) << r
-    return sig
+    d = poly.degree
+    if len(planes) != d:
+        raise SimulationError(f"MISR word width {len(planes)} != degree {d}")
+    if n < 1:
+        return 0
+    mask = (1 << n) - 1
+    # prefix[k] = XOR over j = 1..k of W_j << (d - j)
+    prefix = [0]
+    for j in range(1, d):
+        prefix.append(prefix[-1] ^ (planes[j] & mask) << (d - j))
+    taps = sorted(poly.taps)
+    u = planes[0]
+    for tau in taps:
+        u ^= prefix[tau - 1] >> (d - tau)
+    b = u & mask
+    step = 1                            # 2^m
+    while taps[0] * step < n:
+        acc = b
+        for tau in taps:
+            if tau * step >= n:
+                break
+            acc ^= b << (tau * step)
+        b = acc & mask
+        step <<= 1
+    window = ((b << (d - 1)) ^ (prefix[-1] >> 1)) >> (n - 1) & ((1 << d) - 1)
+    return int(format(window, f"0{d}b")[::-1], 2)
 
 
 def aliasing_estimate(width, trials, stream_len=4, rng=None,

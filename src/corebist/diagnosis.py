@@ -94,16 +94,18 @@ def build_matrix(netlist, universe, patterns, granularity="pattern",
     """One syndrome row per fault, in universe order.
 
     Pattern granularity takes each fault's per-pattern detection plane from
-    :func:`faultsim.detection_planes`; its little-endian bytes equal
-    :meth:`Syndrome.canonical`. Signature granularity needs a ``plan``,
-    ignores ``patterns`` and takes each fault's signatures over the plan's
-    own ``pattern_count`` patterns from :func:`bist.selftest_results`; a
-    fault is detected when they differ from the plan's golden signatures.
+    :func:`faultsim.detection_planes` (``patterns``: a pattern list or, for
+    a combinational netlist, a :class:`faultsim.FaultKernel`); its
+    little-endian bytes equal :meth:`Syndrome.canonical`. Signature
+    granularity needs a ``plan``, ignores ``patterns`` and takes each
+    fault's signatures over the plan's own ``pattern_count`` patterns from
+    :func:`bist.selftest_results`; a fault is detected when they differ
+    from the plan's golden signatures.
     """
     if granularity not in GRANULARITIES:
         raise SimulationError(f"unknown granularity {granularity!r}")
     if granularity == "pattern":
-        patterns = [tuple(p) for p in patterns]
+        patterns = faultsim.stimulus(netlist, patterns)
         planes = faultsim.detection_planes(netlist, universe.faults, patterns)
         size = (len(patterns) + 7) // 8
         return DiagnosticMatrix("pattern", len(patterns), universe.faults,

@@ -6,13 +6,15 @@ Stuck-at simulation paths are kept deliberately separate:
 * :func:`serial_fault_sim` replays every fault one pattern at a time through
   the scalar evaluator in :mod:`corebist.circuit` - the oracle path. It
   never calls either kernel.
-* :class:`FaultKernel` compiles a combinational netlist against a pattern
-  list once: each net becomes one integer plane over the whole pattern set
-  (bit t = pattern t) and the fault-free planes are computed once. Each
-  fault then re-evaluates only the gates of its fanout cone whose inputs
-  differ from the fault-free planes (parallel-pattern single-fault
-  propagation): :meth:`FaultKernel.faulty` gives the planes that change and
-  :meth:`FaultKernel.diff` the plane of patterns that detect the fault.
+* :class:`FaultKernel` compiles a combinational netlist against one input
+  plane per primary input (bit t = pattern t), as the BIST plan builds
+  them; :func:`stimulus` transposes a pattern list once. Each net becomes
+  one integer plane over the whole pattern set and the fault-free planes
+  are computed once. Each fault then re-evaluates only the gates of its
+  fanout cone whose inputs differ from the fault-free planes
+  (parallel-pattern single-fault propagation): :meth:`FaultKernel.faulty`
+  gives the planes that change and :meth:`FaultKernel.diff` the plane of
+  patterns that detect the fault.
 * :func:`sequential_sim` simulates a netlist with flops fault-parallel:
   one word per net per cycle, bit 0 the fault-free machine and bit k+1
   fault k, run once from reset for the whole fault set. Its detection
@@ -21,7 +23,9 @@ Stuck-at simulation paths are kept deliberately separate:
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
 run on whichever kernel fits the netlist, and the combinational self-test
-signatures in :mod:`corebist.bist` on :class:`FaultKernel`; their results
+signatures in :mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern
+list they build their own kernel; given a kernel they share it, so one
+command simulates the fault-free planes once for all of them. Their results
 must be bit-identical to the serial oracle's, and that equivalence is the
 main regression property.
 
@@ -406,22 +410,37 @@ def _eval_gate(kind, planes, mask):
 
 
 class FaultKernel:
-    """A combinational netlist compiled against one pattern list.
+    """A combinational netlist compiled against one set of ``n`` patterns,
+    given as one input plane per primary input (bit t = pattern t), as
+    :func:`bist.plan_planes` builds them or :func:`stimulus` transposes
+    them from a pattern list.
 
-    Every net holds one integer plane over the whole pattern set (bit t =
-    pattern t); the fault-free planes are computed once, here. A stuck-at
-    fault is then simulated by parallel-pattern single-fault propagation:
-    only the gates of the fault site's fanout cone whose inputs differ from
-    the fault-free planes are re-evaluated, and every other net reads its
-    fault-free plane.
+    Every net holds one integer plane over the whole pattern set; the
+    fault-free planes are computed once, here. A stuck-at fault is then
+    simulated by parallel-pattern single-fault propagation: only the gates
+    of the fault site's fanout cone whose inputs differ from the fault-free
+    planes are re-evaluated, and every other net reads its fault-free plane.
+    One kernel serves every simulation over the same patterns: detection
+    planes are kept once computed, so transition-delay simulation reads the
+    stem planes stuck-at simulation already found. ``len(kernel)`` is the
+    pattern count, so a kernel stands wherever a pattern list does in
+    :func:`parallel_fault_sim`, :func:`tdf_sim` and
+    :func:`detection_planes`; a pickled kernel (for a pool worker) is
+    rebuilt from its input planes.
     """
 
-    def __init__(self, netlist, patterns):
+    def __init__(self, netlist, inputs, n):
         if netlist.flops:
             raise SimulationError("the fault kernel needs a combinational netlist")
-        patterns = _pattern_list(netlist, patterns)
-        self.mask = mask = (1 << len(patterns)) - 1
-        self.index = index = {n: i for i, n in enumerate(netlist.nets)}
+        if n < 1:
+            raise SimulationError("no patterns")
+        if len(inputs) != len(netlist.primary_inputs):
+            raise SimulationError(f"{len(inputs)} input planes for "
+                                  f"{len(netlist.primary_inputs)} primary inputs")
+        self.netlist = netlist
+        self.n = n
+        self.mask = mask = (1 << n) - 1
+        self.index = index = {net: i for i, net in enumerate(netlist.nets)}
         # gates in topological order, so a cone sorted by position is too
         self._ops = ops = [(g.kind, index[g.output],
                             tuple(index[i] for i in g.inputs))
@@ -431,14 +450,24 @@ class FaultKernel:
         for pos, (_, _, ins) in enumerate(ops):
             for i in set(ins):
                 self._readers[i].append(pos)
-        self._obs = frozenset(index[n] for n in observation_nets(netlist))
+        self._obs = frozenset(index[net] for net in observation_nets(netlist))
         self._cones = {}
+        self._diffs = {}
         good = [0] * len(netlist.nets)
-        for net, column in zip(netlist.primary_inputs, zip(*patterns)):
-            good[index[net]] = _plane(column)
+        for net, plane in zip(netlist.primary_inputs, inputs):
+            good[index[net]] = plane & mask
         for kind, out, ins in ops:
             good[out] = _eval_gate(kind, [good[i] for i in ins], mask)
         self.good = good
+
+    def __len__(self):
+        return self.n
+
+    def __reduce__(self):
+        index = self.index
+        return (FaultKernel, (self.netlist, [self.good[index[net]] for net
+                                             in self.netlist.primary_inputs],
+                              self.n))
 
     def _cone(self, net):
         """Positions of the gates fed by ``net``, in topological order."""
@@ -485,14 +514,30 @@ class FaultKernel:
 
     def diff(self, fault):
         """OR of faulty ^ fault-free over the observation nets: bit t is set
-        iff pattern t detects the stuck-at ``fault``."""
-        good = self.good
-        obs = self._obs
-        diff = 0
-        for net, value in self.faulty(fault).items():
-            if net in obs:
-                diff |= value ^ good[net]
+        iff pattern t detects the stuck-at ``fault``. Kept once computed."""
+        diff = self._diffs.get(fault)
+        if diff is None:
+            good = self.good
+            obs = self._obs
+            diff = 0
+            for net, value in self.faulty(fault).items():
+                if net in obs:
+                    diff |= value ^ good[net]
+            self._diffs[fault] = diff
         return diff
+
+
+def stimulus(netlist, patterns):
+    """``patterns`` as the netlist's kernel takes them: a checked pattern
+    list for a netlist with flops, else a :class:`FaultKernel` (``patterns``
+    itself when it is one). Compile a pattern list once with this before
+    handing it to more than one simulation."""
+    if netlist.flops:
+        return _pattern_list(netlist, patterns)
+    if isinstance(patterns, FaultKernel):
+        return patterns
+    patterns = _pattern_list(netlist, patterns)
+    return FaultKernel(netlist, _columns(patterns), len(patterns))
 
 
 # -- fault-parallel sequential kernel -----------------------------------------
@@ -574,31 +619,33 @@ def sequential_sim(netlist, patterns, faults):
     return _columns(rows), diffs[1:]
 
 
-def _kernel_worker(faults, netlist, patterns):
-    if netlist.flops:
-        _, planes = sequential_sim(netlist, patterns, faults)
-    else:
-        planes = map(FaultKernel(netlist, patterns).diff, faults)
-    return [_lowest(p) for p in planes]
+def _kernel_worker(faults, kernel):
+    return [_lowest(kernel.diff(f)) for f in faults]
+
+
+def _sequential_worker(faults, netlist, patterns):
+    return [_lowest(p) for p in sequential_sim(netlist, patterns, faults)[1]]
 
 
 def parallel_fault_sim(netlist, universe, patterns, workers=1):
     """Stuck-at simulation through :class:`FaultKernel`, or for a netlist
     with flops :func:`sequential_sim`; first detect is each detection
-    plane's lowest set bit.
+    plane's lowest set bit. ``patterns`` is a pattern list or, for a
+    combinational netlist, a :class:`FaultKernel` to share.
 
-    With ``workers`` > 1 the faults are split over pool processes, each
-    building its own kernel. The report is bit-identical to
-    :func:`serial_fault_sim`.
+    With ``workers`` > 1 the faults are split over pool processes; each
+    rebuilds the kernel from its input planes, or runs its own sequential
+    pass. The report is bit-identical to :func:`serial_fault_sim`.
     """
-    patterns = [tuple(p) for p in patterns]
-    if not patterns:
-        raise SimulationError("no patterns")
     for f in universe.faults:
         if f.kind not in SA_KINDS:
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
-    firsts = _map_faults(_kernel_worker, universe.faults, workers, netlist,
-                         patterns)
+    patterns = stimulus(netlist, patterns)
+    if netlist.flops:
+        firsts = _map_faults(_sequential_worker, universe.faults, workers,
+                             netlist, patterns)
+    else:
+        firsts = _map_faults(_kernel_worker, universe.faults, workers, patterns)
     return CoverageReport(len(patterns), universe.faults, tuple(firsts),
                           fault_blocks(netlist, universe.faults))
 
@@ -607,13 +654,14 @@ def detection_planes(netlist, faults, patterns):
     """Per stuck-at fault, the plane whose bit t is set iff pattern t
     detects it: the pattern-granularity syndrome.
 
-    Combinational netlists go through one :class:`FaultKernel`, sequential
-    ones through one :func:`sequential_sim` pass over all the faults.
+    Combinational netlists go through one :class:`FaultKernel` (``patterns``
+    may be one), sequential ones through one :func:`sequential_sim` pass
+    over all the faults.
     """
+    patterns = stimulus(netlist, patterns)
     if netlist.flops:
         return sequential_sim(netlist, patterns, faults)[1]
-    kernel = FaultKernel(netlist, patterns)
-    return [kernel.diff(f) for f in faults]
+    return [patterns.diff(f) for f in faults]
 
 
 # -- transition-delay faults --------------------------------------------------
@@ -626,13 +674,13 @@ def tdf_sim(netlist, universe, patterns):
     n stuck-at-0 is observable at an output under p_i+1 (dual for
     slow-to-fall). First detection is recorded at the capture pattern.
     """
-    patterns = [tuple(p) for p in patterns]
-    if len(patterns) < 2:
-        raise SimulationError("transition fault simulation needs >= 2 patterns")
     faults = universe.faults
     for f in faults:
         if f.kind not in TDF_KINDS:
             raise SimulationError("tdf_sim handles transition faults only")
+    patterns = stimulus(netlist, patterns)
+    if len(patterns) < 2:
+        raise SimulationError("transition fault simulation needs >= 2 patterns")
     full = (1 << len(patterns)) - 1
     # the stem stuck-at fault that holds the pre-transition value
     sas = [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
@@ -644,8 +692,8 @@ def tdf_sim(netlist, universe, patterns):
         good, planes = sequential_sim(netlist, patterns, distinct)
         detect = dict(zip(distinct, planes)).__getitem__
     else:
-        kernel = FaultKernel(netlist, patterns)
-        good, detect = kernel.good, kernel.diff
+        # the kernel keeps the stem planes a stuck-at run on it computed
+        good, detect = patterns.good, patterns.diff
     value = dict(zip(netlist.nets, good))
     firsts = []
     for f, sa in zip(faults, sas):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import PlanError, SimulationError
 
@@ -76,12 +77,12 @@ class Polynomial:
         parts.append("1")
         return "+".join(parts)
 
-    @property
+    @cached_property
     def tap_mask(self):
-        m = 0
-        for t in self.taps:
-            m |= 1 << (t - 1)
-        return m
+        """Register bits the feedback XORs (bit t-1 for tap t), computed on
+        first use and kept; not a field, so equality, hashing and the
+        pickled fields stay ``degree`` and ``taps``."""
+        return sum(1 << (t - 1) for t in self.taps)
 
 
 def lfsr_next(poly, register):
@@ -216,12 +217,28 @@ class PortBinding:
             raise PlanError(f"CG port width mismatch for {self.block!r}")
         if cg_set & set(self.alfsr_slice):
             raise PlanError(f"bit driven by both CG and ALFSR in {self.block!r}")
+        # count the bits instead of building range(width): a plan file can
+        # give any width, and the message names only the first few bits
         covered = cg_set | set(self.alfsr_slice)
-        if covered != set(range(self.width)):
-            missing = sorted(set(range(self.width)) - covered)
-            extra = sorted(covered - set(range(self.width)))
+        extra = sorted(b for b in covered if not 0 <= b < self.width)
+        missing = max(0, self.width - (len(covered) - len(extra)))
+        if missing or extra:
+            absent = [b for b in range(min(self.width, len(covered) + _SHOWN))
+                      if b not in covered]
             raise PlanError(f"binding for {self.block!r} must drive every input bit "
-                            f"exactly once (missing {missing}, extra {extra})")
+                            f"exactly once (missing {_first(absent, missing)}, "
+                            f"extra {_first(extra, len(extra))})")
+
+
+_SHOWN = 8   # bits a binding error lists before it only counts them
+
+
+def _first(bits, count):
+    """``count`` bits named by the first few of ``bits``."""
+    shown = ", ".join(map(str, bits[:_SHOWN]))
+    if count > _SHOWN:
+        shown += f", ... ({count} bits)"
+    return f"[{shown}]"
 
 
 def modular_binding(block_name, width, degree, cg=None, cg_bits=()):

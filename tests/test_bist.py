@@ -387,6 +387,7 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
     # nor the engine or the plane builder
     monkeypatch.setattr(bist, "SignatureEngine", refuse)
     monkeypatch.setattr(bist, "plan_planes", refuse)
+    monkeypatch.setattr(compactor, "signature_of_planes", refuse)
     bare = dataclasses.replace(mini_plan, golden=None)
     assert bist.compute_golden(mini10, bare).golden == mini_plan.golden
     f = faultsim.FaultDescriptor(mini10.primary_outputs[0], "SA1")
@@ -395,6 +396,64 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
     patterns = session.pattern_stream()
     session.run()
     faultsim.serial_fault_sim(mini10, faultsim.enumerate_faults(mini10), patterns)
+
+
+# -- one kernel from the plan's planes ------------------------------------------------
+
+def _transposed_kernel(netlist, planes, n):
+    """The kernel of the same patterns handed over as tuples."""
+    rows = [tuple(p >> t & 1 for p in planes) for t in range(n)]
+    return faultsim.stimulus(netlist, rows)
+
+
+def _assert_same_kernel(netlist, a, b, label):
+    assert len(a) == len(b) and a.good == b.good, label
+    u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+    for f in u.faults:
+        assert a.faulty(f) == b.faulty(f), (label, f.key)
+        assert a.diff(f) == b.diff(f), (label, f.key)
+
+
+def test_kernel_from_plan_planes_matches_kernel_from_tuples(mini10, seventeen,
+                                                            core, core_plan,
+                                                            mini_plan):
+    for netlist, plan in ((mini10, mini_plan), (core, core_plan)):
+        n = plan.pattern_count
+        kernel = bist.plan_stimulus(netlist, plan)
+        _assert_same_kernel(netlist, kernel, _transposed_kernel(
+            netlist, bist.plan_planes(netlist, plan), n), netlist.name)
+    rng = random.Random(0x17)
+    for n in (1, 2, 64, 65, 300):
+        planes = [rng.getrandbits(n) for _ in seventeen.primary_inputs]
+        _assert_same_kernel(seventeen, faultsim.FaultKernel(seventeen, planes, n),
+                            _transposed_kernel(seventeen, planes, n), n)
+
+
+def test_pickled_kernel_is_rebuilt_from_its_input_planes(core, core_plan):
+    import pickle
+    kernel = bist.plan_stimulus(core, core_plan)
+    f = faultsim.FaultDescriptor(core.primary_outputs[0], "SA0")
+    kernel.diff(f)
+    copy = pickle.loads(pickle.dumps(kernel))
+    assert len(copy) == len(kernel) and copy.good == kernel.good
+    assert copy._diffs == {} and copy.diff(f) == kernel.diff(f)
+
+
+def test_tdf_on_a_shared_kernel_matches_tdf_from_patterns(mini10, mini_plan,
+                                                          core, core_plan):
+    for netlist, plan in ((mini10, mini_plan), (core, core_plan)):
+        kernel = bist.plan_stimulus(netlist, plan)
+        # stuck-at first, as the commands run it, so TDF reads kept planes
+        saf = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+        faultsim.parallel_fault_sim(netlist, saf, kernel)
+        tdf = faultsim.enumerate_faults(netlist, ("STR", "STF"))
+        stems = {faultsim.FaultDescriptor(f.net, "SA0" if f.kind == "STR"
+                                          else "SA1") for f in tdf.faults}
+        assert stems & set(saf.faults) and stems - set(saf.faults)
+        shared = faultsim.tdf_sim(netlist, tdf, kernel)
+        want = faultsim.tdf_sim(netlist, tdf, bist.plan_patterns(netlist, plan))
+        assert shared == want, netlist.name
+        assert any(d is not None for d in shared.first_detect)
 
 
 # -- input planes against the scalar pattern stream ---------------------------------

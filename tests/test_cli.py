@@ -1,9 +1,11 @@
 import json
 import random
+import time
 
 import pytest
 
-from corebist import access, bist, circuit, cli, compactor, fixture_path, tpg
+from corebist import (access, bist, circuit, cli, compactor, faultsim,
+                      fixture_path, tpg)
 from corebist.errors import PlanError
 
 from conftest import random_sequential
@@ -164,6 +166,46 @@ def test_workers_do_not_change_sequential_report(tmp_path):
         reports.append((out / "coverage_report.json").read_bytes())
     assert reports[0] == reports[1]
     assert b'"SAF"' in reports[0] and b'"TDF"' in reports[0]
+
+
+def test_bist_reports_byte_identical_across_workers(tmp_path):
+    # the core's kernel goes to the pool workers, which rebuild it from its
+    # input planes; mini10 with an external pattern file and --toggle
+    ext = tmp_path / "ext.pat"
+    rng = random.Random(0xB15)
+    ext.write_text("".join(f"{rng.getrandbits(4):04b}\n" for _ in range(40)))
+    for netlist, plan, extra in ((CORE, CORE_PLAN, []),
+                                 (MINI, MINI_PLAN, ["--patterns", str(ext),
+                                                    "--toggle"])):
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{len(extra)}w{workers}"
+            out.mkdir()
+            assert run(["bist", netlist, "--plan", plan, "--workers", workers,
+                        "--out", str(out)] + extra) == 0
+            reports.append((out / "bist_report.json").read_bytes())
+        assert reports[0] == reports[1], extra
+    report = json.loads(reports[0])
+    assert report["pattern_source"] == "ext.pat" and "toggle_activity" in report
+    assert {e["clock_cycles"] for e in report["coverage"].values()} == {40}
+
+
+def test_one_fault_kernel_per_command_on_the_core(tmp_path, capsys,
+                                                  monkeypatch):
+    built = []
+
+    class Counting(faultsim.FaultKernel):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+    monkeypatch.setattr(faultsim, "FaultKernel", Counting)
+    for argv in (["bist", CORE, "--plan", CORE_PLAN],
+                 ["faultsim", CORE, "--plan", CORE_PLAN],
+                 ["tap", TRACE, CORE, "--plan", CORE_PLAN, "--expect", TRACE]):
+        built.clear()
+        assert run(argv + ["--out", str(tmp_path)]) == 0, argv[0]
+        assert len(built) == 1, (argv[0], built)
+    assert "TDO matches golden trace" in capsys.readouterr().out
 
 
 # -- import -------------------------------------------------------------------------
@@ -456,3 +498,78 @@ def test_plan_loader_fuzz_with_constraint_programs(tmp_path):
             assert str(info.value).startswith(f"{_field_path(path)}: "), \
                 (path, str(info.value))
     assert cg_paths
+
+
+def test_huge_binding_width_is_refused_quickly(tmp_path, capsys):
+    plan = json.loads(open(MINI_PLAN).read())
+    plan["bindings"][0]["width"] = 2_000_000
+    path = tmp_path / "wide.plan.json"
+    path.write_text(json.dumps(plan))
+    start = time.perf_counter()
+    assert run(["bist", MINI, "--plan", str(path), "--out", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: bindings[0]: ") and err.count("\n") == 1
+    assert len(err) < 200 and "(1999996 bits)" in err
+
+
+# -- bench and trace parser fuzz ------------------------------------------------------
+
+_MUTATIONS = ("drop", "duplicate", "truncate", "stray", "binary")
+
+
+def _line_mutations(rng, data, count):
+    """Seeded (kind, mutated bytes) of a text file: a dropped, duplicated
+    or truncated line, a stray punctuation character, or binary bytes."""
+    lines = data.split(b"\n")
+    for i in range(count):
+        kind = _MUTATIONS[i % len(_MUTATIONS)]
+        out = list(lines)
+        k = rng.randrange(len(out))
+        cut = rng.randrange(len(out[k]) + 1)
+        if kind == "drop":
+            del out[k]
+        elif kind == "duplicate":
+            out.insert(k, out[k])
+        elif kind == "truncate":
+            out[k] = out[k][:cut]
+        elif kind == "stray":
+            out[k] = out[k][:cut] + bytes([rng.choice(b"()=,#:;x1 @^")]) + out[k][cut:]
+        else:
+            out[k] = out[k][:cut] + rng.randbytes(rng.randint(1, 4)) + out[k][cut:]
+        yield kind, b"\n".join(out)
+
+
+def _assert_clean_exit(code, text, prefix, where):
+    assert code in (0, 1), where
+    if code:
+        assert text.startswith(prefix) and text.count("\n") == 1, (where, text)
+
+
+def test_bench_parser_fuzz_never_escapes(tmp_path, capsys):
+    data = open(MINI, "rb").read()
+    bench = tmp_path / "m.bench"
+    codes = set()
+    for i, (kind, mutated) in enumerate(_line_mutations(random.Random(0xBE4C),
+                                                        data, 60)):
+        bench.write_bytes(mutated)
+        code = run(["lint", str(bench)])
+        _assert_clean_exit(code, capsys.readouterr().out, "FAIL: ", (i, kind))
+        code = run(["bist", str(bench), "--plan", MINI_PLAN, "--out", str(tmp_path)])
+        _assert_clean_exit(code, capsys.readouterr().err, "error: ", (i, kind))
+        codes.add(code)
+    assert codes == {0, 1}
+
+
+def test_trace_parser_fuzz_never_escapes(tmp_path, capsys):
+    data = open(TRACE, "rb").read()
+    trace = tmp_path / "m.trace"
+    codes = set()
+    for i, (kind, mutated) in enumerate(_line_mutations(random.Random(0x7ACE),
+                                                        data, 40)):
+        trace.write_bytes(mutated)
+        code = run(["tap", str(trace), CORE, "--plan", CORE_PLAN,
+                    "--out", str(tmp_path)])
+        _assert_clean_exit(code, capsys.readouterr().err, "error: ", (i, kind))
+        codes.add(code)
+    assert codes == {0, 1}

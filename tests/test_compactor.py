@@ -113,34 +113,38 @@ def test_signature_linearity():
 
 
 def test_plane_signatures_match_word_stream():
-    # one register pass over planes and the row-mask image both equal the
-    # word-by-word MISR, around the 16-cycle boundary and for one word
+    # the closed form equals the word-by-word MISR on seeded random
+    # polynomials of degree 2-24, around the degree and the 64-cycle
+    # boundary, for one word and at the case study's 4096 cycles
     rng = random.Random(12)
-    for text in ("x^2+x+1", "x^5+x^2+1", "x^8+x^4+x^3+x^2+1",
-                 "x^16+x^12+x^3+x+1"):
-        poly = _poly(text)
-        for n in (1, 15, 16, 17, 64, 100):
-            planes = [rng.getrandbits(n) for _ in range(poly.degree)]
+    for degree in range(2, 25):
+        taps = {degree} | {t for t in range(1, degree) if rng.random() < 0.3}
+        poly = tpg.Polynomial(degree, frozenset(taps))
+        for n in (1, 2, degree - 1, degree, degree + 1, 63, 64, 65, 4096):
+            planes = [rng.getrandbits(n) for _ in range(degree)]
             words = [sum(((p >> t) & 1) << j for j, p in enumerate(planes))
                      for t in range(n)]
             expected = compactor.signature_of_stream(poly, words)
-            assert compactor.signature_of_planes(poly, planes, n) == expected
-            rows = compactor.image_rows(poly, n)
-            assert compactor.signature_image(rows, planes, n) == expected
+            assert compactor.signature_of_planes(poly, planes, n) == expected, \
+                (str(poly), n)
+    # bits above the stream's n cycles are not part of it
+    poly = _poly("x^5+x^2+1")
+    assert compactor.signature_of_planes(poly, [0b1101] * 5, 3) == \
+        compactor.signature_of_planes(poly, [0b101] * 5, 3)
+    assert compactor.signature_of_planes(poly, [0] * 5, 0) == 0
 
 
 def test_image_rows_of_single_word_errors():
     # an error in word t alone yields A^(n-1-t) applied to the error word
     poly = _poly("x^4+x+1")
     n = 6
-    rows = compactor.image_rows(poly, n)
     for t in range(n):
         for j in range(4):
             planes = [(1 << t) if k == j else 0 for k in range(4)]
             reg = 1 << j
             for _ in range(n - 1 - t):
                 reg = tpg.lfsr_next(poly, reg)
-            assert compactor.signature_image(rows, planes, n) == reg
+            assert compactor.signature_of_planes(poly, planes, n) == reg
 
 
 def test_replay_determinism():

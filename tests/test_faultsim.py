@@ -243,7 +243,7 @@ def test_kernel_matches_serial_and_brute_force():
 def test_kernel_faulty_planes_match_brute_force():
     # every net's faulty plane, not just the observed ones
     for n, pats in _kernel_cases(0xFA17, netlists=2):
-        kernel = faultsim.FaultKernel(n, pats)
+        kernel = faultsim.stimulus(n, pats)
         for f in faultsim.enumerate_faults(n).faults:
             faulty = kernel.faulty(f)
             per_pattern = [oracle.eval_recursive(
@@ -258,11 +258,15 @@ def test_kernel_faulty_planes_match_brute_force():
 
 def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
     with pytest.raises(SimulationError, match="combinational"):
-        faultsim.FaultKernel(seqmini, [(0, 0)])
+        faultsim.FaultKernel(seqmini, [0, 0], 1)
     with pytest.raises(SimulationError, match="no patterns"):
-        faultsim.FaultKernel(mini10, [])
+        faultsim.FaultKernel(mini10, [0] * 4, 0)
+    with pytest.raises(SimulationError, match="no patterns"):
+        faultsim.stimulus(mini10, [])
     with pytest.raises(SimulationError, match="width"):
-        faultsim.FaultKernel(mini10, [(0, 1)])
+        faultsim.stimulus(mini10, [(0, 1)])
+    with pytest.raises(SimulationError, match="2 input planes for 4"):
+        faultsim.FaultKernel(mini10, [0, 1], 1)
 
 
 def test_detection_planes_sequential_match_brute_force(seqmini):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -164,6 +166,26 @@ def test_binding_rejects_double_drive():
 def test_binding_must_cover_every_bit():
     with pytest.raises(PlanError, match="every input bit"):
         tpg.PortBinding("X", 3, {0: 0, 1: 1})
+    with pytest.raises(PlanError, match=r"missing \[\], extra \[3\]"):
+        tpg.PortBinding("X", 3, {0: 0, 1: 1, 2: 0, 3: 1})
+    # a huge width is counted, not enumerated, and only the first bits named
+    with pytest.raises(PlanError) as info:
+        tpg.PortBinding("X", 2_000_000, {0: 0, 1: 1, 5: 0})
+    assert str(info.value).endswith("(missing [2, 3, 4, 6, 7, 8, 9, 10, ... "
+                                    "(1999997 bits)], extra [])")
+
+
+def test_tap_mask_is_kept_and_not_a_field():
+    p = tpg.Polynomial.parse("x^16+x^12+x^3+x+1")
+    q = tpg.Polynomial.parse("x^16+x^12+x^3+x+1")
+    assert p.tap_mask == 0x8805
+    assert vars(p)["tap_mask"] == 0x8805 and "tap_mask" not in vars(q)
+    # equality, hashing and the dataclass fields ignore it
+    assert p == q and hash(p) == hash(q)
+    assert [f.name for f in dataclasses.fields(p)] == ["degree", "taps"]
+    assert repr(p) == repr(q)
+    for r in (pickle.loads(pickle.dumps(p)), pickle.loads(pickle.dumps(q))):
+        assert r == p and hash(r) == hash(p) and r.tap_mask == 0x8805
 
 
 def test_pattern_sequence_replayable():
