@@ -477,10 +477,12 @@ def plan_stimulus(netlist, plan, count=None):
     """The plan's first ``count`` patterns (default: its pattern count) as
     the fault simulators take them: one :class:`faultsim.FaultKernel` over
     :func:`plan_planes` for a combinational netlist, built once and shared
-    by every simulation over those patterns; the :func:`plan_patterns`
-    tuples for a netlist with flops, whose kernel runs cycle by cycle."""
+    by every simulation over those patterns; for a netlist with flops, one
+    :class:`faultsim.SequentialStimulus` over the :func:`plan_patterns`
+    tuples, whose kernel runs cycle by cycle."""
     if netlist.flops:
-        return plan_patterns(netlist, plan, count)
+        return faultsim.SequentialStimulus(netlist,
+                                           plan_patterns(netlist, plan, count))
     n = plan.pattern_count if count is None else count
     return faultsim.FaultKernel(netlist, plan_planes(netlist, plan, n), n)
 

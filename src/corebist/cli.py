@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import access, bist, circuit, compactor, diagnosis, faultsim, tpg
 from .errors import CoreBistError, NetlistError, PlanError, ProtocolError, \
-    SimulationError
+    ReportError, SimulationError
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -95,7 +95,7 @@ def _resolve_patterns(args, netlist, plan, stream=None):
     """--patterns N (count) or --patterns FILE (external vectors); without
     the option, ``stream`` (the plan's own stream, built here if not
     given). Patterns come as :func:`faultsim.stimulus` gives them: one
-    fault kernel to share for a combinational netlist, tuples otherwise."""
+    kernel to share between every simulation over them."""
     spec = getattr(args, "patterns", None)
     if spec is None:
         if stream is None:
@@ -156,7 +156,7 @@ def cmd_bist(args):
     stream = bist.plan_stimulus(netlist, plan)
     (result,) = bist.selftest_results(netlist, plan, (None,),
                                       None if netlist.flops else stream)
-    patterns, count, source = _resolve_patterns(args, netlist, plan, stream)
+    patterns, _, source = _resolve_patterns(args, netlist, plan, stream)
     tables = _coverage_tables(netlist, patterns, args.workers)
 
     payload = _header(netlist, plan)
@@ -169,8 +169,8 @@ def cmd_bist(args):
     payload["pass"] = list(result.passed)
     payload["coverage"] = _coverage_json(tables)
     if args.toggle:
-        frac, _counts = circuit.toggle_activity(netlist, _toggle_patterns(
-            args, netlist, plan, count))
+        frac, _counts = (circuit.toggle_activity(netlist, patterns.patterns)
+                         if netlist.flops else patterns.toggle_activity())
         payload["toggle_activity"] = round(frac, 4)
 
     out = os.path.join(args.out, "bist_report.json")
@@ -178,15 +178,6 @@ def cmd_bist(args):
     print(_render_bist(payload))
     print(f"report written to {out}")
     return 0
-
-
-def _toggle_patterns(args, netlist, plan, count):
-    """The pattern tuples --toggle replays through the scalar evaluator:
-    the file given to --patterns, else the plan's first ``count``."""
-    spec = getattr(args, "patterns", None)
-    if spec is not None and not spec.isdigit():
-        return parse_pattern_file(spec, netlist, plan)
-    return bist.plan_patterns(netlist, plan, count)
 
 
 def _render_bist(p):
@@ -326,10 +317,23 @@ def cmd_diagnose(args):
 
 
 def cmd_report(args):
-    with open(args.file) as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.file) as fh:
+            payload = json.load(fh)
+    except OSError as e:
+        raise ReportError(f"{args.file}: {e.strerror}") from None
+    except ValueError as e:          # JSON syntax or text encoding
+        raise ReportError(f"{args.file}: not a JSON report ({e})") from None
+    if not isinstance(payload, dict):
+        raise ReportError(f"{args.file}: not a JSON report (top level is "
+                          f"{type(payload).__name__}, not an object)")
     if "signatures" in payload:
-        print(_render_bist(payload))
+        try:
+            text = _render_bist(payload)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ReportError(f"{args.file}: malformed bist report "
+                              f"({type(e).__name__}: {e})") from None
+        print(text)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -351,7 +355,12 @@ def build_parser():
                        help="override the plan's ALFSR seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"fault-sim worker processes (env {WORKERS_ENV})"
+                       help=f"up to N fault-sim worker processes (env "
+                       f"{WORKERS_ENV}); a job whose estimated work (gates x "
+                       f"cycles x faults on a sequential core, faults x "
+                       f"patterns on a combinational one) is below the "
+                       f"measured break-even of {faultsim.POOL_MIN_WORK:g} "
+                       f"runs in one process"
                        if fans_out else
                        "this command runs in one process; the option is "
                        "accepted only for a uniform command line")
@@ -411,7 +420,8 @@ def main(argv=None):
             raise SimulationError(f"--workers must be at least 1, got "
                                   f"{args.workers} (flag or {WORKERS_ENV})")
         return args.func(args)
-    except (NetlistError, PlanError, SimulationError, ProtocolError) as e:
+    except (NetlistError, PlanError, SimulationError, ProtocolError,
+            ReportError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except CoreBistError as e:

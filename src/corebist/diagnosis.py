@@ -94,8 +94,8 @@ def build_matrix(netlist, universe, patterns, granularity="pattern",
     """One syndrome row per fault, in universe order.
 
     Pattern granularity takes each fault's per-pattern detection plane from
-    :func:`faultsim.detection_planes` (``patterns``: a pattern list or, for
-    a combinational netlist, a :class:`faultsim.FaultKernel`); its
+    :func:`faultsim.detection_planes` (``patterns``: a pattern list or a
+    kernel from :func:`faultsim.stimulus`); its
     little-endian bytes equal :meth:`Syndrome.canonical`. Signature
     granularity needs a ``plan``, ignores ``patterns`` and takes each
     fault's signatures over the plan's own ``pattern_count`` patterns from

@@ -27,3 +27,7 @@ class PlanError(CoreBistError):
 
 class ProtocolError(CoreBistError):
     """Serial access misuse (shifting outside a shift state, bad trace)."""
+
+
+class ReportError(CoreBistError):
+    """A report file that cannot be read or rendered."""

@@ -19,15 +19,19 @@ Stuck-at simulation paths are kept deliberately separate:
   one word per net per cycle, bit 0 the fault-free machine and bit k+1
   fault k, run once from reset for the whole fault set. Its detection
   words are transposed into one plane per fault, the contract of
-  :meth:`FaultKernel.diff`.
+  :meth:`FaultKernel.diff`. :class:`SequentialStimulus` holds a checked
+  pattern list and keeps the planes of its one pass, which carries every
+  stem stuck-at fault as well.
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
 run on whichever kernel fits the netlist, and the combinational self-test
 signatures in :mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern
-list they build their own kernel; given a kernel they share it, so one
-command simulates the fault-free planes once for all of them. Their results
-must be bit-identical to the serial oracle's, and that equivalence is the
-main regression property.
+list they build their own kernel; given one from :func:`stimulus` they
+share it, so one command simulates the fault-free planes (and, with flops,
+runs its fault-parallel pass) once for all of them. Stuck-at simulation
+fans out to worker processes only when the kernel's work estimate reaches
+:data:`POOL_MIN_WORK`. Their results must be bit-identical to the serial
+oracle's, and that equivalence is the main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -315,8 +319,9 @@ def _serial_detect(netlist, patterns, obs, golden, fault):
     return None
 
 
-def serial_fault_sim(netlist, universe, patterns, workers=1):
-    """Oracle stuck-at fault simulation: one fault, one pattern at a time."""
+def serial_fault_sim(netlist, universe, patterns):
+    """Oracle stuck-at fault simulation: one fault, one pattern at a time,
+    in this process."""
     patterns = [tuple(p) for p in patterns]
     if not patterns:
         raise SimulationError("no patterns")
@@ -327,33 +332,38 @@ def serial_fault_sim(netlist, universe, patterns, workers=1):
     obs = observation_nets(netlist)
     golden = [tuple(st[n] for n in obs)
               for st in circuit.run_patterns(netlist, patterns)]
-    firsts = _map_faults(_serial_worker, faults, workers, netlist, patterns,
-                         obs, golden)
+    firsts = [_serial_detect(netlist, patterns, obs, golden, f) for f in faults]
     return CoverageReport(len(patterns), faults, tuple(firsts),
                           fault_blocks(netlist, faults))
 
 
-def _serial_worker(faults, netlist, patterns, obs, golden):
-    return [_serial_detect(netlist, patterns, obs, golden, f) for f in faults]
+# -- worker pool -----------------------------------------------------------------
+
+# The kernel work estimate (:meth:`FaultKernel.work`,
+# :meth:`SequentialStimulus.work`) below which ``--workers N`` still runs in
+# one process. Every worker of a sequential pass repeats its per-gate
+# interpreter work and only splits the fault bits, so the pool pays only on
+# wide passes: on a 2-vCPU host two workers were 41% slower than one
+# process at 3.0e8, within 6% of it from 6.1e8 to 1.2e9, and 17% faster at
+# 2.7e9 (CHANGES.md has the table).
+POOL_MIN_WORK = 1e9
 
 
-def _map_faults(worker, faults, workers, *args):
-    """``worker(faults, *args)``, over ``workers`` processes when it pays."""
-    if workers <= 1 or len(faults) < 2 * workers:
-        return worker(faults, *args)
+def _map_faults(fn, kernel, faults, workers):
+    """``fn(kernel, chunk)`` for ``faults`` split into up to ``workers``
+    chunks, each in a pool process, as a list in chunk order. None, and no
+    pool, when fewer than two processes would run or the kernel's work
+    estimate for ``faults`` is below :data:`POOL_MIN_WORK`."""
+    workers = min(workers, len(faults))
+    if workers <= 1 or kernel.work(faults) < POOL_MIN_WORK:
+        return None
     from concurrent.futures import ProcessPoolExecutor
-    chunks = _split(faults, workers)
-    results = []
+    size = (len(faults) + workers - 1) // workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, c, *args) for c in chunks]
-        for fut in futures:   # submission order keeps the merge deterministic
-            results.extend(fut.result())
-    return results
-
-
-def _split(items, n):
-    size = (len(items) + n - 1) // n
-    return [items[i:i + size] for i in range(0, len(items), size)]
+        futures = [pool.submit(fn, kernel, faults[i:i + size])
+                   for i in range(0, len(faults), size)]
+        # submission order keeps the merge deterministic
+        return [fut.result() for fut in futures]
 
 
 # -- compiled combinational kernel -------------------------------------------
@@ -512,6 +522,37 @@ class FaultKernel:
                 faulty[out] = value
         return faulty
 
+    def planes(self, faults, workers=1):
+        """:meth:`diff` of each of ``faults``, the ones not yet kept split
+        over up to ``workers`` pool processes when that pays
+        (:func:`_map_faults`)."""
+        if workers > 1:
+            todo = [f for f in dict.fromkeys(faults) if f not in self._diffs]
+            chunks = _map_faults(FaultKernel.planes, self, todo, workers)
+            if chunks is not None:
+                self._diffs.update(zip(todo, (p for c in chunks for p in c)))
+        return [self.diff(f) for f in faults]
+
+    def work(self, faults):
+        """Work estimate for simulating ``faults``: one ``n``-bit plane per
+        fault. The gates of each fault's cone (5-13 on average on the cores
+        measured) are left out on purpose: split over two pool workers,
+        each rebuilding the kernel and its cones, this kernel lost to one
+        process at every size measured, up to 33280 gates and 131408
+        faults at 4096 patterns."""
+        return self.n * len(faults)
+
+    def toggle_activity(self):
+        """:func:`circuit.toggle_activity` over the kernel's patterns, read
+        from the fault-free planes: a net changes between patterns t and
+        t+1 iff bit t of ``v ^ v >> 1`` is set, for t < n - 1."""
+        if self.n < 2:
+            raise SimulationError("toggle activity needs at least 2 patterns")
+        pairs = self.mask >> 1
+        counts = {net: ((v ^ v >> 1) & pairs).bit_count()
+                  for net, v in zip(self.netlist.nets, self.good)}
+        return sum(1 for c in counts.values() if c) / len(counts), counts
+
     def diff(self, fault):
         """OR of faulty ^ fault-free over the observation nets: bit t is set
         iff pattern t detects the stuck-at ``fault``. Kept once computed."""
@@ -528,14 +569,15 @@ class FaultKernel:
 
 
 def stimulus(netlist, patterns):
-    """``patterns`` as the netlist's kernel takes them: a checked pattern
-    list for a netlist with flops, else a :class:`FaultKernel` (``patterns``
-    itself when it is one). Compile a pattern list once with this before
-    handing it to more than one simulation."""
-    if netlist.flops:
-        return _pattern_list(netlist, patterns)
-    if isinstance(patterns, FaultKernel):
+    """``patterns`` as the netlist's kernel takes them: a
+    :class:`SequentialStimulus` for a netlist with flops, else a
+    :class:`FaultKernel` (``patterns`` itself when it is already either).
+    Compile a pattern list once with this before handing it to more than
+    one simulation."""
+    if isinstance(patterns, (FaultKernel, SequentialStimulus)):
         return patterns
+    if netlist.flops:
+        return SequentialStimulus(netlist, patterns)
     patterns = _pattern_list(netlist, patterns)
     return FaultKernel(netlist, _columns(patterns), len(patterns))
 
@@ -619,49 +661,91 @@ def sequential_sim(netlist, patterns, faults):
     return _columns(rows), diffs[1:]
 
 
-def _kernel_worker(faults, kernel):
-    return [_lowest(kernel.diff(f)) for f in faults]
+class SequentialStimulus:
+    """A checked pattern list for a netlist with flops, plus the planes of
+    the :func:`sequential_sim` pass over it, kept once computed: the
+    sequential counterpart of :class:`FaultKernel`.
 
+    A pass costs about the same whether it carries a few hundred faults or
+    a few hundred more (PROOFS runs every fault in one pass for this
+    reason), so the first :meth:`planes` call runs one pass over the faults
+    it asks for plus every stem stuck-at fault not among them. Its
+    fault-free planes (:attr:`good`) and stem planes then serve
+    transition-delay simulation without a second pass. A pickled stimulus
+    (for a pool worker) carries only the pattern list.
+    """
 
-def _sequential_worker(faults, netlist, patterns):
-    return [_lowest(p) for p in sequential_sim(netlist, patterns, faults)[1]]
+    def __init__(self, netlist, patterns):
+        self.netlist = netlist
+        self.patterns = _pattern_list(netlist, patterns)
+        self._good = None
+        self._diffs = {}
+
+    def __len__(self):
+        return len(self.patterns)
+
+    def __reduce__(self):
+        return (SequentialStimulus, (self.netlist, self.patterns))
+
+    @property
+    def good(self):
+        """Every net's fault-free plane, as :func:`sequential_sim` gives it."""
+        if self._good is None:
+            self.planes(())
+        return self._good
+
+    def planes(self, faults, workers=1):
+        """Detection plane of each stuck-at fault of ``faults``. A pass runs
+        unless all are kept; it is split over up to ``workers`` pool
+        processes when that pays (:func:`_map_faults`)."""
+        diffs = self._diffs
+        run = [f for f in dict.fromkeys(faults) if f not in diffs]
+        if run or self._good is None:
+            asked = set(run)
+            stems = (FaultDescriptor(net, k)
+                     for net in self.netlist.nets for k in SA_KINDS)
+            run += [s for s in stems if s not in diffs and s not in asked]
+            chunks = (_map_faults(SequentialStimulus._pass, self, run, workers)
+                      or [self._pass(run)])
+            self._good = chunks[0][0]
+            diffs.update(zip(run, (p for _, c in chunks for p in c)))
+        return [diffs[f] for f in faults]
+
+    def _pass(self, faults):
+        return sequential_sim(self.netlist, self.patterns, faults)
+
+    def work(self, faults):
+        """Work estimate for simulating ``faults``: gates x cycles x faults,
+        every fault's bit riding every gate evaluation of the pass."""
+        return len(self.netlist.gates) * len(self.patterns) * len(faults)
 
 
 def parallel_fault_sim(netlist, universe, patterns, workers=1):
     """Stuck-at simulation through :class:`FaultKernel`, or for a netlist
-    with flops :func:`sequential_sim`; first detect is each detection
-    plane's lowest set bit. ``patterns`` is a pattern list or, for a
-    combinational netlist, a :class:`FaultKernel` to share.
+    with flops :class:`SequentialStimulus`; first detect is each detection
+    plane's lowest set bit. ``patterns`` is a pattern list or a kernel
+    from :func:`stimulus` to share.
 
-    With ``workers`` > 1 the faults are split over pool processes; each
-    rebuilds the kernel from its input planes, or runs its own sequential
-    pass. The report is bit-identical to :func:`serial_fault_sim`.
+    With ``workers`` > 1 and enough work (:data:`POOL_MIN_WORK`) the faults
+    are split over pool processes; each rebuilds the kernel from its input
+    planes, or runs its own sequential pass, and sends its planes back to
+    be kept. The report is bit-identical to :func:`serial_fault_sim`.
     """
     for f in universe.faults:
         if f.kind not in SA_KINDS:
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
     patterns = stimulus(netlist, patterns)
-    if netlist.flops:
-        firsts = _map_faults(_sequential_worker, universe.faults, workers,
-                             netlist, patterns)
-    else:
-        firsts = _map_faults(_kernel_worker, universe.faults, workers, patterns)
-    return CoverageReport(len(patterns), universe.faults, tuple(firsts),
+    firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults, workers))
+    return CoverageReport(len(patterns), universe.faults, firsts,
                           fault_blocks(netlist, universe.faults))
 
 
 def detection_planes(netlist, faults, patterns):
     """Per stuck-at fault, the plane whose bit t is set iff pattern t
-    detects it: the pattern-granularity syndrome.
-
-    Combinational netlists go through one :class:`FaultKernel` (``patterns``
-    may be one), sequential ones through one :func:`sequential_sim` pass
-    over all the faults.
-    """
-    patterns = stimulus(netlist, patterns)
-    if netlist.flops:
-        return sequential_sim(netlist, patterns, faults)[1]
-    return [patterns.diff(f) for f in faults]
+    detects it: the pattern-granularity syndrome, from one
+    :class:`FaultKernel` or one :class:`SequentialStimulus` pass
+    (``patterns`` may be either)."""
+    return stimulus(netlist, patterns).planes(faults)
 
 
 # -- transition-delay faults --------------------------------------------------
@@ -673,6 +757,9 @@ def tdf_sim(netlist, universe, patterns):
     (p_i, p_i+1) iff the fault-free run drives n 0 -> 1 across the pair and
     n stuck-at-0 is observable at an output under p_i+1 (dual for
     slow-to-fall). First detection is recorded at the capture pattern.
+    The kernel keeps the planes a stuck-at run on it computed, so after one
+    the stem planes (and for a netlist with flops the fault-free planes,
+    from the same pass) are read, not simulated again.
     """
     faults = universe.faults
     for f in faults:
@@ -682,26 +769,20 @@ def tdf_sim(netlist, universe, patterns):
     if len(patterns) < 2:
         raise SimulationError("transition fault simulation needs >= 2 patterns")
     full = (1 << len(patterns)) - 1
+    value = dict(zip(netlist.nets, patterns.good))
+    capmasks = []
+    for f in faults:
+        v = value[f.net]
+        if f.kind == "STR":
+            capmasks.append((~v << 1) & v & full & ~1)
+        else:
+            capmasks.append((v << 1) & ~v & full & ~1)
     # the stem stuck-at fault that holds the pre-transition value
     sas = [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
            for f in faults]
-    if netlist.flops:
-        # one fault-parallel pass gives every net's fault-free plane (bit 0)
-        # and every stem's detection plane
-        distinct = list(dict.fromkeys(sas))
-        good, planes = sequential_sim(netlist, patterns, distinct)
-        detect = dict(zip(distinct, planes)).__getitem__
-    else:
-        # the kernel keeps the stem planes a stuck-at run on it computed
-        good, detect = patterns.good, patterns.diff
-    value = dict(zip(netlist.nets, good))
-    firsts = []
-    for f, sa in zip(faults, sas):
-        v = value[f.net]
-        if f.kind == "STR":
-            capmask = (~v << 1) & v & full & ~1
-        else:
-            capmask = (v << 1) & ~v & full & ~1
-        firsts.append(_lowest(detect(sa) & capmask) if capmask else None)
-    return CoverageReport(len(patterns), faults, tuple(firsts),
+    needed = [sa for sa, c in zip(sas, capmasks) if c]
+    detect = dict(zip(needed, patterns.planes(needed)))
+    firsts = tuple(_lowest(detect[sa] & c) if c else None
+                   for sa, c in zip(sas, capmasks))
+    return CoverageReport(len(patterns), faults, firsts,
                           fault_blocks(netlist, faults))

@@ -144,7 +144,8 @@ def test_workers_do_not_change_report(tmp_path):
         (b / "coverage_report.json").read_bytes()
 
 
-def test_workers_do_not_change_sequential_report(tmp_path):
+def _sequential_core(tmp_path):
+    """A random sequential core and a 40-pattern plan for it, as files."""
     netlist = random_sequential(random.Random(0x5EC), n_in=4, n_flops=4,
                                 n_gates=30, name="seqcli")
     bench = tmp_path / "seqcli.bench"
@@ -157,18 +158,58 @@ def test_workers_do_not_change_sequential_report(tmp_path):
                              compactor.XorCascade(len(block.output_port), 2)),),
         pattern_count=40)
     plan.save(tmp_path / "seqcli.plan.json")
-    args = ["faultsim", str(bench), "--plan", str(tmp_path / "seqcli.plan.json")]
+    return str(bench), str(tmp_path / "seqcli.plan.json")
+
+
+def test_workers_do_not_change_sequential_report(tmp_path, forced_pool):
+    bench, plan = _sequential_core(tmp_path)
+    args = ["faultsim", bench, "--plan", plan]
     reports = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
         out.mkdir()
         assert run(args + ["--workers", workers, "--out", str(out)]) == 0
         reports.append((out / "coverage_report.json").read_bytes())
+    assert forced_pool == [2]
     assert reports[0] == reports[1]
     assert b'"SAF"' in reports[0] and b'"TDF"' in reports[0]
 
 
-def test_bist_reports_byte_identical_across_workers(tmp_path):
+def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
+                                                no_pool):
+    # below the pool threshold --workers 2 stays in this process too
+    bench, plan = _sequential_core(tmp_path)
+    args = ["faultsim", bench, "--plan", plan, "--kinds", "saf,tdf"]
+    passes = []
+    real = faultsim.sequential_sim
+
+    def counting(*a):
+        passes.append(a)
+        return real(*a)
+    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+    reports = []
+    for workers in ("1", "2"):
+        passes.clear()
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        assert run(args + ["--workers", workers, "--out", str(out)]) == 0
+        assert len(passes) == 1, workers
+        reports.append((out / "coverage_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_sequential_bist_toggle_replays_the_scalar_evaluator(tmp_path):
+    bench, plan_path = _sequential_core(tmp_path)
+    assert run(["bist", bench, "--plan", plan_path, "--toggle",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "bist_report.json").read_text())
+    netlist = circuit.load_netlist(bench)
+    frac, _ = circuit.toggle_activity(netlist, bist.plan_patterns(
+        netlist, bist.BistPlan.load(plan_path)))
+    assert report["toggle_activity"] == round(frac, 4)
+
+
+def test_bist_reports_byte_identical_across_workers(tmp_path, forced_pool):
     # the core's kernel goes to the pool workers, which rebuild it from its
     # input planes; mini10 with an external pattern file and --toggle
     ext = tmp_path / "ext.pat"
@@ -181,8 +222,10 @@ def test_bist_reports_byte_identical_across_workers(tmp_path):
         for workers in ("1", "2"):
             out = tmp_path / f"{len(extra)}w{workers}"
             out.mkdir()
+            forced_pool.clear()
             assert run(["bist", netlist, "--plan", plan, "--workers", workers,
                         "--out", str(out)] + extra) == 0
+            assert forced_pool == ([2] if workers == "2" else []), extra
             reports.append((out / "bist_report.json").read_bytes())
         assert reports[0] == reports[1], extra
     report = json.loads(reports[0])
@@ -358,6 +401,22 @@ def test_report_renders_other_json(tmp_path, capsys):
     f.write_text('{"hello": 1}\n')
     assert run(["report", str(f)]) == 0
     assert '"hello": 1' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe{}",
+                                     "[1, 2]", '{"signatures": 7}'])
+def test_report_bad_file_is_an_error(tmp_path, capsys, content):
+    # a missing file, bad JSON, bad text, a non-object, a broken bist report
+    f = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    elif content is not None:
+        f.write_text(content)
+    assert run(["report", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {f}: "), err
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

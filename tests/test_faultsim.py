@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corebist import circuit, faultsim, tpg
+from corebist import circuit, faultsim, fixture_path, tpg
 from corebist.errors import SimulationError
 
 import oracle
@@ -193,13 +193,52 @@ def test_sequential_falls_back_to_serial(seqmini):
     assert r_p.first_detect == r_s.first_detect
 
 
-def test_workers_do_not_change_results(mini10):
+def test_workers_do_not_change_results(mini10, seqmini, forced_pool,
+                                       monkeypatch):
+    # with the threshold at 0 both kernels really go through a pool, and
+    # the parent simulates nothing itself: it keeps the planes the workers
+    # send back (their calls land in their own copy of `calls`)
+    calls = []
+    faulty, sequential_sim = faultsim.FaultKernel.faulty, faultsim.sequential_sim
+    monkeypatch.setattr(faultsim.FaultKernel, "faulty",
+                        lambda *a: calls.append(a) or faulty(*a))
+    monkeypatch.setattr(faultsim, "sequential_sim",
+                        lambda *a: calls.append(a) or sequential_sim(*a))
     rng = random.Random(31)
-    pats = random_patterns(rng, mini10, 48)
-    u = faultsim.enumerate_faults(mini10)
-    r1 = faultsim.parallel_fault_sim(mini10, u, pats, workers=1)
-    r2 = faultsim.parallel_fault_sim(mini10, u, pats, workers=2)
-    assert r1.first_detect == r2.first_detect
+    for netlist in (mini10, seqmini):
+        pats = random_patterns(rng, netlist, 48)
+        u = faultsim.enumerate_faults(netlist)
+        r1 = faultsim.parallel_fault_sim(netlist, u, pats, workers=1)
+        planes = faultsim.detection_planes(netlist, u.faults, pats)
+        assert forced_pool == []
+        stim = faultsim.stimulus(netlist, pats)
+        calls.clear()
+        r2 = faultsim.parallel_fault_sim(netlist, u, stim, workers=2)
+        assert forced_pool == [2], netlist.name
+        assert r1.first_detect == r2.first_detect, netlist.name
+        assert stim.planes(u.faults) == planes, netlist.name
+        assert calls == [], netlist.name
+        forced_pool.clear()
+
+
+def test_small_job_starts_no_pool(mini10, seqmini, no_pool):
+    rng = random.Random(32)
+    for netlist in (mini10, seqmini):
+        pats = random_patterns(rng, netlist, 48)
+        u = faultsim.enumerate_faults(netlist)
+        stim = faultsim.stimulus(netlist, pats)
+        assert 0 < stim.work(u.faults) < faultsim.POOL_MIN_WORK
+        r = faultsim.parallel_fault_sim(netlist, u, stim, workers=2)
+        assert r.first_detect == faultsim.serial_fault_sim(
+            netlist, u, pats).first_detect, netlist.name
+
+
+def test_work_estimates(mini10, seqmini):
+    rng = random.Random(33)
+    for netlist, per_fault in ((seqmini, len(seqmini.gates) * 20), (mini10, 20)):
+        faults = faultsim.enumerate_faults(netlist).faults
+        stim = faultsim.stimulus(netlist, random_patterns(rng, netlist, 20))
+        assert stim.work(faults) == per_fault * len(faults), netlist.name
 
 
 # -- compiled kernel against the oracle ------------------------------------------
@@ -254,6 +293,23 @@ def test_kernel_faulty_planes_match_brute_force():
                 plane = _plane([memo[net] for memo in per_pattern])
                 assert faulty.get(i, kernel.good[i]) == plane, (f.key, net)
                 assert i not in faulty or faulty[i] != kernel.good[i]
+
+
+def test_kernel_toggle_activity_matches_scalar(mini10, seventeen):
+    rng = random.Random(0x7066)
+    core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
+    netlists = [mini10, seventeen, core] + [
+        random_combinational(rng, n_in=rng.randint(2, 7),
+                             n_gates=rng.randint(6, 30), name=f"tog{k}")
+        for k in range(3)]
+    for n in netlists:
+        for count in (2, 63, 64, 65):
+            pats = random_patterns(rng, n, count)
+            frac, counts = faultsim.stimulus(n, pats).toggle_activity()
+            assert (frac, counts) == circuit.toggle_activity(n, pats), \
+                (n.name, count)
+    with pytest.raises(SimulationError, match="at least 2"):
+        faultsim.stimulus(mini10, [(0, 1, 0, 1)]).toggle_activity()
 
 
 def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
@@ -354,6 +410,47 @@ def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
     with pytest.raises(AssertionError, match="sequential kernel"):
         faultsim.parallel_fault_sim(seqmini, faultsim.enumerate_faults(seqmini),
                                     cases[0][1])
+
+
+def test_shared_sequential_stimulus_matches_separate_passes(seqmini,
+                                                           monkeypatch):
+    rng = random.Random(0x5A5)
+    cases = [(seqmini, random_patterns(rng, seqmini, c))
+             for c in SEQUENTIAL_COUNTS]
+    cases += list(_sequential_cases(0x5A6, netlists=2))
+    passes = []
+    real = faultsim.sequential_sim
+
+    def counting(netlist, patterns, faults):
+        passes.append(len(faults))
+        return real(netlist, patterns, faults)
+    for n, pats in cases:
+        saf = faultsim.collapse(faultsim.enumerate_faults(n), n)
+        tdf = faultsim.enumerate_faults(n, ("STR", "STF"))
+        # separate passes: each call builds its own stimulus
+        monkeypatch.setattr(faultsim, "sequential_sim", real)
+        r_saf = faultsim.parallel_fault_sim(n, saf, pats)
+        planes = faultsim.detection_planes(n, saf.faults, pats)
+        r_tdf = faultsim.tdf_sim(n, tdf, pats) if len(pats) > 1 else None
+        assert planes == real(n, pats, saf.faults)[1]
+        assert r_saf.first_detect == \
+            faultsim.serial_fault_sim(n, saf, pats).first_detect
+        if r_tdf is not None:
+            assert r_tdf.first_detect == _sequential_tdf_brute(
+                n, tdf.faults, pats), (n.name, len(pats))
+        # one shared stimulus: SAF, TDF and the planes off a single pass
+        monkeypatch.setattr(faultsim, "sequential_sim", counting)
+        passes.clear()
+        stim = faultsim.stimulus(n, pats)
+        assert faultsim.parallel_fault_sim(n, saf, stim).first_detect == \
+            r_saf.first_detect
+        if r_tdf is not None:
+            assert faultsim.tdf_sim(n, tdf, stim).first_detect == \
+                r_tdf.first_detect
+        assert faultsim.detection_planes(n, saf.faults, stim) == planes
+        stems = {faultsim.FaultDescriptor(net, k)
+                 for net in n.nets for k in faultsim.SA_KINDS}
+        assert passes == [len(set(saf.faults) | stems)], (n.name, len(pats))
 
 
 def test_sequential_kernel_rejects_empty_and_width(seqmini):
