@@ -124,15 +124,17 @@ def cmd_lint(args):
 
 def _coverage_tables(netlist, patterns, workers, kinds=("saf", "tdf")):
     out = {}
+    tdf = (faultsim.enumerate_faults(netlist, ("STR", "STF"))
+           if "tdf" in kinds else None)
     if "saf" in kinds:
         universe = faultsim.collapse(
             faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
-        report = faultsim.parallel_fault_sim(netlist, universe, patterns,
-                                             workers=workers)
-        out["SAF"] = report
-    if "tdf" in kinds:
-        universe = faultsim.enumerate_faults(netlist, ("STR", "STF"))
-        out["TDF"] = faultsim.tdf_sim(netlist, universe, patterns)
+        # a sequential pass also carries the stems TDF reads next
+        also = faultsim.tdf_stems(tdf.faults) if tdf and netlist.flops else ()
+        out["SAF"] = faultsim.parallel_fault_sim(netlist, universe, patterns,
+                                                 workers=workers, also=also)
+    if tdf:
+        out["TDF"] = faultsim.tdf_sim(netlist, tdf, patterns)
     return out
 
 
@@ -330,7 +332,7 @@ def cmd_report(args):
     if "signatures" in payload:
         try:
             text = _render_bist(payload)
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ReportError(f"{args.file}: malformed bist report "
                               f"({type(e).__name__}: {e})") from None
         print(text)
@@ -356,11 +358,12 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=_default_workers(),
                        help=f"up to N fault-sim worker processes (env "
-                       f"{WORKERS_ENV}); a job whose estimated work (gates x "
-                       f"cycles x faults on a sequential core, faults x "
-                       f"patterns on a combinational one) is below the "
-                       f"measured break-even of {faultsim.POOL_MIN_WORK:g} "
-                       f"runs in one process"
+                       f"{WORKERS_ENV}); only a sequential core's stuck-at "
+                       f"pass fans out, and only when its estimated work "
+                       f"(gates x cycles x faults) reaches "
+                       f"{faultsim.POOL_MIN_WORK:g}, where two processes "
+                       f"were measured faster than one; a combinational "
+                       f"core and smaller jobs run in one process"
                        if fans_out else
                        "this command runs in one process; the option is "
                        "accepted only for a uniform command line")

@@ -20,16 +20,16 @@ Stuck-at simulation paths are kept deliberately separate:
   fault k, run once from reset for the whole fault set. Its detection
   words are transposed into one plane per fault, the contract of
   :meth:`FaultKernel.diff`. :class:`SequentialStimulus` holds a checked
-  pattern list and keeps the planes of its one pass, which carries every
-  stem stuck-at fault as well.
+  pattern list and keeps the planes of its pass, which can carry the stem
+  faults a transition-delay run will read as well.
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
 run on whichever kernel fits the netlist, and the combinational self-test
 signatures in :mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern
 list they build their own kernel; given one from :func:`stimulus` they
 share it, so one command simulates the fault-free planes (and, with flops,
-runs its fault-parallel pass) once for all of them. Stuck-at simulation
-fans out to worker processes only when the kernel's work estimate reaches
+runs its fault-parallel pass) once for all of them. Only a sequential pass
+fans out to worker processes, and only when its work estimate reaches
 :data:`POOL_MIN_WORK`. Their results must be bit-identical to the serial
 oracle's, and that equivalence is the main regression property.
 
@@ -339,14 +339,14 @@ def serial_fault_sim(netlist, universe, patterns):
 
 # -- worker pool -----------------------------------------------------------------
 
-# The kernel work estimate (:meth:`FaultKernel.work`,
-# :meth:`SequentialStimulus.work`) below which ``--workers N`` still runs in
-# one process. Every worker of a sequential pass repeats its per-gate
-# interpreter work and only splits the fault bits, so the pool pays only on
-# wide passes: on a 2-vCPU host two workers were 41% slower than one
-# process at 3.0e8, within 6% of it from 6.1e8 to 1.2e9, and 17% faster at
-# 2.7e9 (CHANGES.md has the table).
-POOL_MIN_WORK = 1e9
+# The work estimate of a sequential pass (:meth:`SequentialStimulus.work`)
+# below which ``--workers N`` still runs in one process. Every worker of a
+# pass repeats its per-gate interpreter work and only splits the fault bits,
+# so the pool pays only on wide passes: on a 2-vCPU host two workers were
+# 41% slower than one process at 3.0e8, 3-19% faster but not in every run
+# from 1.2e9 to 2.45e9, and faster in every run at 2.7e9 and 5.0e9 (17% and
+# 34%; CHANGES.md has the table).
+POOL_MIN_WORK = 2.5e9
 
 
 def _map_faults(fn, kernel, faults, workers):
@@ -435,8 +435,8 @@ class FaultKernel:
     stem planes stuck-at simulation already found. ``len(kernel)`` is the
     pattern count, so a kernel stands wherever a pattern list does in
     :func:`parallel_fault_sim`, :func:`tdf_sim` and
-    :func:`detection_planes`; a pickled kernel (for a pool worker) is
-    rebuilt from its input planes.
+    :func:`detection_planes`. It always runs in this process, and a
+    pickled kernel is rebuilt from its input planes.
     """
 
     def __init__(self, netlist, inputs, n):
@@ -522,25 +522,13 @@ class FaultKernel:
                 faulty[out] = value
         return faulty
 
-    def planes(self, faults, workers=1):
-        """:meth:`diff` of each of ``faults``, the ones not yet kept split
-        over up to ``workers`` pool processes when that pays
-        (:func:`_map_faults`)."""
-        if workers > 1:
-            todo = [f for f in dict.fromkeys(faults) if f not in self._diffs]
-            chunks = _map_faults(FaultKernel.planes, self, todo, workers)
-            if chunks is not None:
-                self._diffs.update(zip(todo, (p for c in chunks for p in c)))
+    def planes(self, faults):
+        """:meth:`diff` of each of ``faults``, in this process: each fault
+        costs one cone walk, so there is no pass to share and, split over
+        two pool workers that each rebuild the kernel and its cones, this
+        kernel lost to one process at every size measured (up to 33280
+        gates and 131408 faults at 4096 patterns)."""
         return [self.diff(f) for f in faults]
-
-    def work(self, faults):
-        """Work estimate for simulating ``faults``: one ``n``-bit plane per
-        fault. The gates of each fault's cone (5-13 on average on the cores
-        measured) are left out on purpose: split over two pool workers,
-        each rebuilding the kernel and its cones, this kernel lost to one
-        process at every size measured, up to 33280 gates and 131408
-        faults at 4096 patterns."""
-        return self.n * len(faults)
 
     def toggle_activity(self):
         """:func:`circuit.toggle_activity` over the kernel's patterns, read
@@ -666,13 +654,12 @@ class SequentialStimulus:
     the :func:`sequential_sim` pass over it, kept once computed: the
     sequential counterpart of :class:`FaultKernel`.
 
-    A pass costs about the same whether it carries a few hundred faults or
-    a few hundred more (PROOFS runs every fault in one pass for this
-    reason), so the first :meth:`planes` call runs one pass over the faults
-    it asks for plus every stem stuck-at fault not among them. Its
-    fault-free planes (:attr:`good`) and stem planes then serve
-    transition-delay simulation without a second pass. A pickled stimulus
-    (for a pool worker) carries only the pattern list.
+    A :meth:`planes` call that finds some of its faults not kept runs one
+    pass over them and over the ``also`` faults not kept either: a caller
+    that runs transition-delay simulation next passes the stem faults it
+    will read (:func:`tdf_stems`), so one pass serves both, as in PROOFS.
+    The fault-free planes (:attr:`good`) come from the first pass. A
+    pickled stimulus (for a pool worker) carries only the pattern list.
     """
 
     def __init__(self, netlist, patterns):
@@ -694,17 +681,15 @@ class SequentialStimulus:
             self.planes(())
         return self._good
 
-    def planes(self, faults, workers=1):
+    def planes(self, faults, workers=1, also=()):
         """Detection plane of each stuck-at fault of ``faults``. A pass runs
-        unless all are kept; it is split over up to ``workers`` pool
-        processes when that pays (:func:`_map_faults`)."""
+        unless all are kept; it also carries the faults of ``also`` not kept
+        yet, and is split over up to ``workers`` pool processes when that
+        pays (:func:`_map_faults`)."""
         diffs = self._diffs
         run = [f for f in dict.fromkeys(faults) if f not in diffs]
         if run or self._good is None:
-            asked = set(run)
-            stems = (FaultDescriptor(net, k)
-                     for net in self.netlist.nets for k in SA_KINDS)
-            run += [s for s in stems if s not in diffs and s not in asked]
+            run = list(dict.fromkeys(run + [f for f in also if f not in diffs]))
             chunks = (_map_faults(SequentialStimulus._pass, self, run, workers)
                       or [self._pass(run)])
             self._good = chunks[0][0]
@@ -715,27 +700,34 @@ class SequentialStimulus:
         return sequential_sim(self.netlist, self.patterns, faults)
 
     def work(self, faults):
-        """Work estimate for simulating ``faults``: gates x cycles x faults,
-        every fault's bit riding every gate evaluation of the pass."""
+        """Work estimate for a pass over ``faults``: gates x cycles x
+        faults, every fault's bit riding every gate evaluation."""
         return len(self.netlist.gates) * len(self.patterns) * len(faults)
 
 
-def parallel_fault_sim(netlist, universe, patterns, workers=1):
+def parallel_fault_sim(netlist, universe, patterns, workers=1, also=()):
     """Stuck-at simulation through :class:`FaultKernel`, or for a netlist
     with flops :class:`SequentialStimulus`; first detect is each detection
     plane's lowest set bit. ``patterns`` is a pattern list or a kernel
     from :func:`stimulus` to share.
 
-    With ``workers`` > 1 and enough work (:data:`POOL_MIN_WORK`) the faults
-    are split over pool processes; each rebuilds the kernel from its input
-    planes, or runs its own sequential pass, and sends its planes back to
-    be kept. The report is bit-identical to :func:`serial_fault_sim`.
+    ``workers`` and ``also`` apply to a sequential pass: with ``workers`` >
+    1 and enough work (:data:`POOL_MIN_WORK`) its faults are split over
+    pool processes, each running its own pass and sending its planes back
+    to be kept, and the stuck-at faults ``also`` ride along, kept but not
+    reported. The combinational kernel runs in this process and simulates
+    a fault when its plane is first asked for. The report is bit-identical
+    to :func:`serial_fault_sim`.
     """
     for f in universe.faults:
         if f.kind not in SA_KINDS:
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
     patterns = stimulus(netlist, patterns)
-    firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults, workers))
+    if netlist.flops:
+        planes = patterns.planes(universe.faults, workers, also)
+    else:
+        planes = patterns.planes(universe.faults)
+    firsts = tuple(_lowest(p) for p in planes)
     return CoverageReport(len(patterns), universe.faults, firsts,
                           fault_blocks(netlist, universe.faults))
 
@@ -757,9 +749,10 @@ def tdf_sim(netlist, universe, patterns):
     (p_i, p_i+1) iff the fault-free run drives n 0 -> 1 across the pair and
     n stuck-at-0 is observable at an output under p_i+1 (dual for
     slow-to-fall). First detection is recorded at the capture pattern.
-    The kernel keeps the planes a stuck-at run on it computed, so after one
-    the stem planes (and for a netlist with flops the fault-free planes,
-    from the same pass) are read, not simulated again.
+    The kernel keeps the planes a stuck-at run on it computed, so the stem
+    planes it already holds (and for a netlist with flops the fault-free
+    planes) are read, not simulated again; pass :func:`tdf_stems` as the
+    stuck-at run's ``also`` to have it hold all of them.
     """
     faults = universe.faults
     for f in faults:
@@ -777,12 +770,17 @@ def tdf_sim(netlist, universe, patterns):
             capmasks.append((~v << 1) & v & full & ~1)
         else:
             capmasks.append((v << 1) & ~v & full & ~1)
-    # the stem stuck-at fault that holds the pre-transition value
-    sas = [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
-           for f in faults]
+    sas = tdf_stems(faults)
     needed = [sa for sa, c in zip(sas, capmasks) if c]
     detect = dict(zip(needed, patterns.planes(needed)))
     firsts = tuple(_lowest(detect[sa] & c) if c else None
                    for sa, c in zip(sas, capmasks))
     return CoverageReport(len(patterns), faults, firsts,
                           fault_blocks(netlist, faults))
+
+
+def tdf_stems(faults):
+    """Per transition fault, the stem stuck-at fault that holds its
+    pre-transition value, whose detection plane :func:`tdf_sim` reads."""
+    return [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
+            for f in faults]

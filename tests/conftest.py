@@ -28,8 +28,9 @@ def seqmini():
 
 @pytest.fixture
 def forced_pool(monkeypatch):
-    """Drop the pool threshold to 0, so every job with workers > 1 fans out,
-    and record the ``max_workers`` of every process pool started."""
+    """Drop the pool threshold to 0, so every sequential pass with workers
+    > 1 fans out, and record the ``max_workers`` of every process pool
+    started."""
     from concurrent import futures
     started = []
 

@@ -183,9 +183,9 @@ def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
     passes = []
     real = faultsim.sequential_sim
 
-    def counting(*a):
-        passes.append(a)
-        return real(*a)
+    def counting(netlist, patterns, faults):
+        passes.append(len(faults))
+        return real(netlist, patterns, faults)
     monkeypatch.setattr(faultsim, "sequential_sim", counting)
     reports = []
     for workers in ("1", "2"):
@@ -196,6 +196,12 @@ def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
         assert len(passes) == 1, workers
         reports.append((out / "coverage_report.json").read_bytes())
     assert reports[0] == reports[1]
+    # a stuck-at run alone carries no stems for a TDF run that never comes
+    passes.clear()
+    assert run(["faultsim", bench, "--plan", plan, "--kinds", "saf",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "coverage_report.json").read_text())
+    assert passes == [report["summary"]["SAF"]["total"]["faults"]]
 
 
 def test_sequential_bist_toggle_replays_the_scalar_evaluator(tmp_path):
@@ -210,27 +216,35 @@ def test_sequential_bist_toggle_replays_the_scalar_evaluator(tmp_path):
 
 
 def test_bist_reports_byte_identical_across_workers(tmp_path, forced_pool):
-    # the core's kernel goes to the pool workers, which rebuild it from its
-    # input planes; mini10 with an external pattern file and --toggle
+    # a sequential core's pass goes to the pool workers, with the plan's
+    # stream and with an external pattern file plus --toggle; the
+    # combinational core and mini10 run in one process even at threshold 0
+    seq_bench, seq_plan = _sequential_core(tmp_path)
     ext = tmp_path / "ext.pat"
     rng = random.Random(0xB15)
     ext.write_text("".join(f"{rng.getrandbits(4):04b}\n" for _ in range(40)))
-    for netlist, plan, extra in ((CORE, CORE_PLAN, []),
-                                 (MINI, MINI_PLAN, ["--patterns", str(ext),
-                                                    "--toggle"])):
+    toggle = ["--patterns", str(ext), "--toggle"]
+    for case, (netlist, plan, extra, pools) in enumerate((
+            (seq_bench, seq_plan, [], [2]),
+            (seq_bench, seq_plan, toggle, [2]),
+            (CORE, CORE_PLAN, [], []),
+            (MINI, MINI_PLAN, toggle, []))):
         reports = []
         for workers in ("1", "2"):
-            out = tmp_path / f"{len(extra)}w{workers}"
+            out = tmp_path / f"{case}w{workers}"
             out.mkdir()
             forced_pool.clear()
             assert run(["bist", netlist, "--plan", plan, "--workers", workers,
                         "--out", str(out)] + extra) == 0
-            assert forced_pool == ([2] if workers == "2" else []), extra
+            assert forced_pool == (pools if workers == "2" else []), case
             reports.append((out / "bist_report.json").read_bytes())
-        assert reports[0] == reports[1], extra
-    report = json.loads(reports[0])
-    assert report["pattern_source"] == "ext.pat" and "toggle_activity" in report
-    assert {e["clock_cycles"] for e in report["coverage"].values()} == {40}
+        assert reports[0] == reports[1], case
+        report = json.loads(reports[0])
+        if extra:
+            assert report["pattern_source"] == "ext.pat"
+            assert "toggle_activity" in report
+            assert {e["clock_cycles"] for e in report["coverage"].values()} \
+                == {40}
 
 
 def test_one_fault_kernel_per_command_on_the_core(tmp_path, capsys,
@@ -403,8 +417,10 @@ def test_report_renders_other_json(tmp_path, capsys):
     assert '"hello": 1' in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe{}",
-                                     "[1, 2]", '{"signatures": 7}'])
+@pytest.mark.parametrize("content", [
+    None, "{not json", b"\xff\xfe{}", "[1, 2]", '{"signatures": 7}',
+    '{"netlist": "n", "alfsr": {"poly": "x^2+x+1", "seed": "0x1"}, '
+    '"patterns_applied": 1, "signatures": [], "pass": [], "coverage": []}'])
 def test_report_bad_file_is_an_error(tmp_path, capsys, content):
     # a missing file, bad JSON, bad text, a non-object, a broken bist report
     f = tmp_path / "bad.json"
