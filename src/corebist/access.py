@@ -18,10 +18,10 @@ Status codes: 0=idle 1=running 2=done 3=error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ProtocolError
+from .records import record
 
 
 class TapState(Enum):
@@ -281,12 +281,11 @@ class TapSession:
 
 # -- trace files --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SerialTrace:
-    """Replayable (TCK, TMS, TDI) stimulus with optional recorded TDO."""
+class SerialTrace(record("SerialTrace", "samples tdo", defaults=(None,))):
+    """Replayable (TCK, TMS, TDI) stimulus, one (tms, tdi) sample per TCK
+    rising edge, with an optional recorded TDO tuple."""
 
-    samples: tuple   # (tms, tdi) per TCK rising edge
-    tdo: tuple = None
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text):

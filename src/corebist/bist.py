@@ -31,11 +31,11 @@ is their transpose, for the paths that replay patterns one at a time, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 from . import circuit as circuit_mod
 from . import compactor, faultsim, tpg
 from .errors import PlanError, SimulationError
+from .records import record
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -74,42 +74,46 @@ def _at(path, build, *args):
         raise PlanError(f"{path}: {e}") from None
 
 
-@dataclass(frozen=True)
-class MisrAssignment:
-    block: str
-    polynomial: tpg.Polynomial
-    cascade: compactor.XorCascade
+class MisrAssignment(record("MisrAssignment", "block polynomial cascade")):
+    """The MISR (a :class:`tpg.Polynomial`) and the
+    :class:`compactor.XorCascade` that compact one block's output port."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BistPlan:
-    """Full engine configuration, serializable to JSON."""
+class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
+                      "counter_width pattern_count golden")):
+    """Full engine configuration, serializable to JSON.
 
-    alfsr_poly: tpg.Polynomial
-    alfsr_seed: int
-    bindings: tuple            # PortBinding per block, selector order
-    misrs: tuple               # MisrAssignment per block, same order
-    counter_width: int = 12
-    pattern_count: int = 4096
-    golden: tuple = None       # Signature list once computed
+    ``bindings`` holds one :class:`tpg.PortBinding` per block in selector
+    order and ``misrs`` one :class:`MisrAssignment` per block in the same
+    order; ``golden`` is the tuple of :class:`compactor.Signature` once
+    computed. Copies with changed fields (``plan._replace(...)``) are
+    checked like a new plan.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.counter_width <= 32:
-            raise PlanError(f"counter_width {self.counter_width} outside 1..32")
-        if not 1 <= self.pattern_count <= (1 << self.counter_width):
-            raise PlanError(f"pattern_count {self.pattern_count} outside "
-                            f"1..2^{self.counter_width}")
-        blocks = [b.block for b in self.bindings]
+    __slots__ = ()
+
+    def __new__(cls, alfsr_poly, alfsr_seed, bindings, misrs, counter_width=12,
+                pattern_count=4096, golden=None):
+        if not 1 <= counter_width <= 32:
+            raise PlanError(f"counter_width {counter_width} outside 1..32")
+        if not 1 <= pattern_count <= (1 << counter_width):
+            raise PlanError(f"pattern_count {pattern_count} outside "
+                            f"1..2^{counter_width}")
+        blocks = [b.block for b in bindings]
         if len(set(blocks)) != len(blocks):
             raise PlanError("a block is bound more than once")
-        if [m.block for m in self.misrs] != blocks:
+        if [m.block for m in misrs] != blocks:
             raise PlanError("MISR assignment order must match binding order")
-        if len(self.misrs) > 4:
+        if len(misrs) > 4:
             raise PlanError("output selector is a 2-bit code (at most 4 MISRs)")
-        if self.alfsr_seed == 0:
+        if alfsr_seed == 0:
             raise PlanError("all-zero ALFSR seed")
-        if self.golden is not None and [s.block for s in self.golden] != blocks:
+        if golden is not None and [s.block for s in golden] != blocks:
             raise PlanError("golden signatures must list every MISR in plan order")
+        return super().__new__(cls, alfsr_poly, alfsr_seed, bindings, misrs,
+                               counter_width, pattern_count, golden)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -230,19 +234,40 @@ class BistPlan:
             fh.write(self.to_json())
 
 
-@dataclass
 class ControlUnitState:
-    pattern_counter: int = 0
-    test_enable: bool = False
-    output_select: int = 0
-    phase: str = "idle"   # idle -> loading -> running -> done
+    """The control unit's registers; ``phase`` runs idle -> loading ->
+    running -> done."""
+
+    __slots__ = ("pattern_counter", "test_enable", "output_select", "phase")
+
+    def __init__(self, pattern_counter=0, test_enable=False, output_select=0,
+                 phase="idle"):
+        self.pattern_counter = pattern_counter
+        self.test_enable = test_enable
+        self.output_select = output_select
+        self.phase = phase
+
+    def _key(self):
+        return (self.pattern_counter, self.test_enable, self.output_select,
+                self.phase)
+
+    def __repr__(self):
+        return ("ControlUnitState(pattern_counter=%r, test_enable=%r, "
+                "output_select=%r, phase=%r)" % self._key())
+
+    def __eq__(self, other):
+        if type(other) is not ControlUnitState:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None   # mutable
 
 
-@dataclass(frozen=True)
-class BistResult:
-    signatures: tuple
-    passed: tuple          # per-block bool, or None when no golden available
-    patterns_applied: int
+class BistResult(record("BistResult", "signatures passed patterns_applied")):
+    """A self-test's signatures; ``passed`` holds one bool per block, or
+    None when no golden signatures were available."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self):
@@ -455,7 +480,7 @@ def compute_golden(netlist, plan):
     """Fault-free run; returns the plan with golden signatures stored."""
     session = BistSession(netlist, plan)
     session.run()
-    return replace(plan, golden=session.signatures())
+    return plan._replace(golden=session.signatures())
 
 
 def run_selftest(netlist, plan, injected=None, require_golden=True):
@@ -570,7 +595,7 @@ class EngineSession(BistSession):
         start = self.control.pattern_counter
         if start < n:
             engine = SignatureEngine(self.netlist,
-                                     replace(self.plan, pattern_count=n, golden=None))
+                                     self.plan._replace(pattern_count=n, golden=None))
             self.misrs = {m.block: compactor.MisrState(m.polynomial, value)
                           for m, value in zip(self.plan.misrs, engine.golden)}
             poly = self.alfsr.polynomial

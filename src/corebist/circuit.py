@@ -17,9 +17,9 @@ given.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import NetlistError, SimulationError
+from .records import record
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 _UNARY = ("NOT", "BUF")
@@ -27,33 +27,27 @@ _UNARY = ("NOT", "BUF")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    inputs: tuple
-    output: str
+class Gate(record("Gate", "kind inputs output")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise NetlistError(f"unknown gate kind {self.kind!r}")
-        if self.kind in _UNARY and len(self.inputs) != 1:
-            raise NetlistError(f"{self.kind} takes exactly 1 input")
-        if self.kind not in _UNARY and len(self.inputs) < 1:
-            raise NetlistError(f"{self.kind} needs at least 1 input")
+    def __new__(cls, kind, inputs, output):
+        if kind not in GATE_KINDS:
+            raise NetlistError(f"unknown gate kind {kind!r}")
+        if kind in _UNARY and len(inputs) != 1:
+            raise NetlistError(f"{kind} takes exactly 1 input")
+        if kind not in _UNARY and len(inputs) < 1:
+            raise NetlistError(f"{kind} needs at least 1 input")
+        return super().__new__(cls, kind, inputs, output)
 
 
-@dataclass(frozen=True)
-class Flop:
-    d: str
-    q: str
-    init: int = 0
+class Flop(record("Flop", "d q init", defaults=(0,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Block:
-    name: str
-    input_port: tuple   # net names, LSB-first
-    output_port: tuple
+class Block(record("Block", "name input_port output_port")):
+    """A named sub-circuit; ports list net names LSB-first."""
+
+    __slots__ = ()
 
 
 class Netlist:
@@ -184,28 +178,10 @@ class Netlist:
         return "\n".join(lines) + "\n"
 
 
-class LogicState:
-    """Per-net values in {0, 1}, X (None) only before initialization."""
-
-    def __init__(self, values=None):
-        self.values = dict(values) if values else {}
-
-    def copy(self):
-        return LogicState(self.values)
-
-    def __getitem__(self, net):
-        return self.values.get(net)
-
-    def __eq__(self, other):
-        return isinstance(other, LogicState) and self.values == other.values
-
-
 def initial_state(netlist):
-    """Reset state: flops at their declared init values, all else X."""
-    st = LogicState()
-    for f in netlist.flops:
-        st.values[f.q] = f.init
-    return st
+    """Reset state as a dict net -> bit: flops at their declared init
+    values; every other net is absent (X) until the first evaluation."""
+    return {f.q: f.init for f in netlist.flops}
 
 
 _EVAL = {
@@ -224,9 +200,11 @@ def evaluate(netlist, state, inputs, fault=None):
     """One clock cycle: settle combinational nets, then update flops once.
 
     ``inputs`` assigns every primary input (dict name -> bit, or a bit tuple
-    aligned with ``netlist.primary_inputs``). Returns a new LogicState with
-    all nets settled. ``fault`` optionally injects a stuck-at fault (see
-    faultsim); this single scalar path is shared by golden and faulty runs.
+    aligned with ``netlist.primary_inputs``); ``state`` is a dict net -> bit
+    as :func:`initial_state` or an earlier call gives it. Returns a new
+    dict with every net settled and flop Q nets at their post-edge value.
+    ``fault`` optionally injects a stuck-at fault (see faultsim); this
+    single scalar path is shared by golden and faulty runs.
     """
     pis = netlist.primary_inputs
     if isinstance(inputs, dict):
@@ -240,7 +218,7 @@ def evaluate(netlist, state, inputs, fault=None):
             raise SimulationError("input vector width mismatch")
         vals = {n: b & 1 for n, b in zip(pis, inputs)}
     for f in netlist.flops:
-        q = state[f.q]
+        q = state.get(f.q)
         if q is None:
             raise SimulationError(f"uninitialized flop {f.q!r}")
         vals[f.q] = q
@@ -293,10 +271,8 @@ def evaluate(netlist, state, inputs, fault=None):
 
     # combinational nets keep settled values; flop Q reflects the new edge
     edge = [(f.q, vals[f.d]) for f in netlist.flops]
-    out = LogicState()
-    out.values = vals
     vals.update(edge)
-    return out
+    return vals
 
 
 def pre_edge_q(netlist, state, fault=None):
@@ -304,24 +280,22 @@ def pre_edge_q(netlist, state, fault=None):
     that starts from ``state``: the stored Q value, except that a stem
     fault on a Q net holds it at the stuck value (a stuck Q net stays stuck
     before the edge, whatever the last edge stored)."""
-    seen = {f.q: state[f.q] for f in netlist.flops}
+    seen = {f.q: state.get(f.q) for f in netlist.flops}
     if fault is not None and fault.pin is None and fault.net in seen:
         seen[fault.net] = 1 if fault.kind == "SA1" else 0
     return seen
 
 
 def run_patterns(netlist, patterns, fault=None):
-    """Apply a pattern sequence from reset; yield the observed state per cycle:
-    combinational nets settled for the pattern, flop Q nets pre-edge
-    (:func:`pre_edge_q`).
+    """Apply a pattern sequence from reset; yield the observed state per cycle
+    as a dict: combinational nets settled for the pattern, flop Q nets
+    pre-edge (:func:`pre_edge_q`).
     """
     state = initial_state(netlist)
     for p in patterns:
         seen = pre_edge_q(netlist, state, fault)
         nxt = evaluate(netlist, state, p, fault=fault)
-        observed = nxt.copy()
-        observed.values.update(seen)
-        yield observed
+        yield {**nxt, **seen}
         state = nxt
 
 

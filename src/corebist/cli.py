@@ -11,15 +11,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
-from . import access, bist, circuit, compactor, diagnosis, faultsim, tpg
+from . import bist, circuit, faultsim
 from .errors import CoreBistError, NetlistError, PlanError, ProtocolError, \
     ReportError, SimulationError
 
 REPORT_SCHEMA_VERSION = 1
 
 WORKERS_ENV = "COREBIST_WORKERS"
+
+FAULT_KINDS = ("saf", "tdf")      # --kinds
+# --granularity; diagnosis.GRANULARITIES, spelled out here so that building
+# the parser does not import diagnosis
+GRANULARITIES = ("pattern", "signature")
 
 
 def _default_workers():
@@ -51,7 +55,7 @@ def _load_plan(args, netlist):
         raise PlanError("--plan is required for this command")
     plan = bist.BistPlan.load(args.plan)
     if getattr(args, "seed", None) is not None:
-        plan = replace(plan, alfsr_seed=args.seed, golden=None)
+        plan = plan._replace(alfsr_seed=args.seed, golden=None)
     return plan
 
 
@@ -122,7 +126,7 @@ def cmd_lint(args):
     return 0
 
 
-def _coverage_tables(netlist, patterns, workers, kinds=("saf", "tdf")):
+def _coverage_tables(netlist, patterns, workers, kinds=FAULT_KINDS):
     out = {}
     tdf = (faultsim.enumerate_faults(netlist, ("STR", "STF"))
            if "tdf" in kinds else None)
@@ -203,10 +207,14 @@ def _render_bist(p):
 
 
 def cmd_faultsim(args):
+    kinds = tuple(k.strip().lower() for k in args.kinds.split(","))
+    for k in kinds:
+        if k not in FAULT_KINDS:
+            raise SimulationError(f"--kinds: unknown kind {k!r} "
+                                  f"(choose from {', '.join(FAULT_KINDS)})")
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     patterns, count, source = _resolve_patterns(args, netlist, plan)
-    kinds = tuple(k.strip().lower() for k in args.kinds.split(","))
     tables = _coverage_tables(netlist, patterns, args.workers, kinds)
     payload = _header(netlist, plan)
     payload["pattern_source"] = source
@@ -251,6 +259,7 @@ def cmd_import(args):
 
 
 def cmd_tap(args):
+    from . import access
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     trace = access.SerialTrace.load(args.trace)
@@ -282,13 +291,14 @@ def cmd_tap(args):
 
 
 def cmd_diagnose(args):
+    from . import diagnosis
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     if args.granularity == "signature" and args.patterns is not None:
         if not args.patterns.isdigit():
             raise SimulationError("--patterns FILE needs --granularity pattern: "
                                   "signatures replay the plan's ALFSR stream")
-        plan = replace(plan, pattern_count=int(args.patterns), golden=None)
+        plan = plan._replace(pattern_count=int(args.patterns), golden=None)
     if args.granularity == "signature":
         # the signature path assembles the plan's stream itself
         patterns, count, source = (), plan.pattern_count, "alfsr"
@@ -382,7 +392,8 @@ def build_parser():
     p = sub.add_parser("faultsim", help="fault simulation and coverage only")
     common(p)
     p.add_argument("--patterns", help="pattern count or external pattern file")
-    p.add_argument("--kinds", default="saf,tdf", help="saf,tdf subset")
+    p.add_argument("--kinds", default="saf,tdf",
+                   help="comma-separated subset of saf,tdf")
     p.add_argument("--compare", help="external pattern file for a "
                                      "side-by-side coverage table")
     p.set_defaults(func=cmd_faultsim)
@@ -401,7 +412,7 @@ def build_parser():
     p = sub.add_parser("diagnose", help="diagnostic matrix and fault classes")
     common(p, fans_out=False)
     p.add_argument("--patterns", help="pattern count or external pattern file")
-    p.add_argument("--granularity", choices=diagnosis.GRANULARITIES,
+    p.add_argument("--granularity", choices=GRANULARITIES,
                    default="pattern")
     p.set_defaults(func=cmd_diagnose)
 

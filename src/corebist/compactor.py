@@ -22,24 +22,23 @@ the error planes (Bardell, McAnney & Savir, 1987).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import PlanError, SimulationError
+from .records import record
 from .tpg import Polynomial, lfsr_next
 
 
-@dataclass(frozen=True)
-class XorCascade:
+class XorCascade(record("XorCascade", "in_width out_width")):
     """Width folder: output bit j collects input bits i with i mod out == j."""
 
-    in_width: int
-    out_width: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.out_width > self.in_width:
+    def __new__(cls, in_width, out_width):
+        if out_width > in_width:
             raise PlanError("cascade cannot widen a word")
-        if self.out_width < 1:
+        if out_width < 1:
             raise PlanError("cascade output width must be >= 1")
+        return super().__new__(cls, in_width, out_width)
 
 
 def fold(cascade, word):
@@ -54,12 +53,10 @@ def fold(cascade, word):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MisrState:
+class MisrState(record("MisrState", "polynomial register", defaults=(0,))):
     """Multiple-input signature register; all-zero is a legal state."""
 
-    polynomial: Polynomial
-    register: int = 0
+    __slots__ = ()
 
     @property
     def bits(self):
@@ -78,14 +75,10 @@ def misr_absorb(state, word):
     return MisrState(state.polynomial, lfsr_next(state.polynomial, state.register) ^ w)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(record("Signature", "block polynomial value pattern_count")):
     """Final compacted response of one block."""
 
-    block: str
-    polynomial: Polynomial
-    value: int
-    pattern_count: int
+    __slots__ = ()
 
     def hex(self):
         return f"{self.value:0{(self.polynomial.degree + 3) // 4}x}"

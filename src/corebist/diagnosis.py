@@ -12,20 +12,20 @@ logical equivalence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import bist as bist_mod
 from . import faultsim
 from .errors import SimulationError
+from .records import record
 
 GRANULARITIES = ("pattern", "signature")
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    fault: faultsim.FaultDescriptor
-    observations: tuple
-    granularity: str
+class Syndrome(record("Syndrome", "fault observations granularity")):
+    """A :class:`faultsim.FaultDescriptor`'s observations at one
+    granularity."""
+
+    __slots__ = ()
 
     def canonical(self):
         """Platform-independent bytes used as the classification key."""
@@ -38,22 +38,19 @@ class Syndrome:
         return b"".join(v.to_bytes(8, "little") for v in self.observations)
 
 
-@dataclass(frozen=True)
-class DiagnosticMatrix:
-    granularity: str
-    pattern_count: int
-    faults: tuple
-    rows: tuple            # canonical bytes per fault
-    detected: tuple        # bool per fault
+class DiagnosticMatrix(record("DiagnosticMatrix",
+                              "granularity pattern_count faults rows detected")):
+    """One row of canonical syndrome bytes and one detected bool per fault."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    granularity: str
-    pattern_count: int
-    classes: tuple         # tuples of fault indices, detected classes only
-    undetected: tuple      # fault indices with all-zero / golden syndrome
-    fault_count: int
+class ClassReport(record("ClassReport", "granularity pattern_count classes "
+                         "undetected fault_count")):
+    """``classes``: tuples of fault indices, detected classes only;
+    ``undetected``: the fault indices with an all-zero / golden syndrome."""
+
+    __slots__ = ()
 
     @property
     def max_size(self):

@@ -41,24 +41,21 @@ detected launch-on-capture over consecutive pattern pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import circuit
 from .errors import SimulationError
+from .records import record
 
 SA_KINDS = ("SA0", "SA1")
 TDF_KINDS = ("STR", "STF")
 
 
-@dataclass(frozen=True)
-class FaultDescriptor:
-    """One fault site. ``gate``/``pin`` name a branch (gate input pin);
-    both None means the net stem (driver output)."""
+class FaultDescriptor(record("FaultDescriptor", "net kind gate pin",
+                             defaults=(None, None))):
+    """One fault site. ``gate`` (the output net of the gate owning the
+    faulted input pin) and ``pin`` name a branch; both None means the net
+    stem (driver output)."""
 
-    net: str
-    kind: str
-    gate: str = None   # output net of the gate owning the faulted input pin
-    pin: int = None
+    __slots__ = ()
 
     @property
     def site(self):
@@ -71,10 +68,29 @@ class FaultDescriptor:
         return f"{self.site}:{self.kind}"
 
 
-@dataclass(frozen=True)
 class FaultUniverse:
-    faults: tuple
-    collapse_map: dict = None   # fault -> representative fault
+    """A fault list; ``collapse_map`` (fault -> representative fault) is
+    kept by :func:`collapse`. ``len(universe)`` is the fault count."""
+
+    __slots__ = ("faults", "collapse_map")
+
+    def __init__(self, faults, collapse_map=None):
+        self.faults = faults
+        self.collapse_map = collapse_map
+
+    def _key(self):
+        return self.faults, self.collapse_map
+
+    def __repr__(self):
+        return "FaultUniverse(faults=%r, collapse_map=%r)" % self._key()
+
+    def __eq__(self, other):
+        if type(other) is not FaultUniverse:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def counts(self):
@@ -224,14 +240,16 @@ def _block_cones(netlist):
     return cones
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-fault first-detection indices plus per-block rollup."""
+class CoverageReport(record("CoverageReport",
+                            "pattern_count faults first_detect fault_blocks")):
+    """Per-fault first-detection indices plus per-block rollup.
 
-    pattern_count: int
-    faults: tuple            # FaultDescriptor, universe order
-    first_detect: tuple      # int pattern index or None, parallel to faults
-    fault_blocks: tuple      # block name or None, parallel to faults
+    ``faults`` are FaultDescriptors in universe order; ``first_detect`` (an
+    int pattern index or None) and ``fault_blocks`` (a block name or None)
+    run parallel to them.
+    """
+
+    __slots__ = ()
 
     @property
     def detected(self):

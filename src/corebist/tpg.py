@@ -9,10 +9,10 @@ Register bit 0 is the LSB of the emitted pattern word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import PlanError, SimulationError
+from .records import record
 
 _POLY_RE = re.compile(r"x\^(\d+)|x|1")
 
@@ -27,27 +27,26 @@ DEFAULT_POLYNOMIALS = {
 }
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(record("Polynomial", "degree taps")):
     """Characteristic polynomial over GF(2); constant term implicit.
 
     ``taps`` holds the exponents of every non-constant term, the degree
-    included. Canonical text form: ``x^20+x^3+1``.
+    included. Canonical text form: ``x^20+x^3+1``. Unlike the other
+    records it keeps an instance ``__dict__``, where :attr:`tap_mask` is
+    cached.
     """
 
-    degree: int
-    taps: frozenset
-
-    def __post_init__(self):
-        if not 2 <= self.degree <= 64:
-            raise PlanError(f"polynomial degree {self.degree} outside 2..64")
-        if not self.taps:
+    def __new__(cls, degree, taps):
+        if not 2 <= degree <= 64:
+            raise PlanError(f"polynomial degree {degree} outside 2..64")
+        if not taps:
             raise PlanError("empty tap set")
-        if self.degree not in self.taps:
+        if degree not in taps:
             raise PlanError("tap set must include the degree term")
-        for t in self.taps:
-            if not 0 < t <= self.degree:
-                raise PlanError(f"tap {t} out of range for degree {self.degree}")
+        for t in taps:
+            if not 0 < t <= degree:
+                raise PlanError(f"tap {t} out of range for degree {degree}")
+        return super().__new__(cls, degree, taps)
 
     @classmethod
     def parse(cls, text):
@@ -81,7 +80,7 @@ class Polynomial:
     def tap_mask(self):
         """Register bits the feedback XORs (bit t-1 for tap t), computed on
         first use and kept; not a field, so equality, hashing and the
-        pickled fields stay ``degree`` and ``taps``."""
+        pickled tuple stay ``degree`` and ``taps``."""
         return sum(1 << (t - 1) for t in self.taps)
 
 
@@ -91,12 +90,10 @@ def lfsr_next(poly, register):
     return ((register << 1) | fb) & ((1 << poly.degree) - 1)
 
 
-@dataclass(frozen=True)
-class AlfsrState:
+class AlfsrState(record("AlfsrState", "polynomial register")):
     """Autonomous LFSR state; the all-zero register is rejected at seed time."""
 
-    polynomial: Polynomial
-    register: int
+    __slots__ = ()
 
     @property
     def bits(self):
@@ -146,29 +143,27 @@ def alfsr_period(state, limit=None):
     raise SimulationError("orbit longer than limit")
 
 
-@dataclass(frozen=True)
-class ConstraintProgram:
+class ConstraintProgram(record("ConstraintProgram", "port_width schedule cyclic")):
     """Declarative constraint-generator schedule.
 
-    ``schedule`` is a list of (value, hold) pairs; ``value`` is an int of
+    ``schedule`` is a tuple of (value, hold) pairs; ``value`` is an int of
     ``port_width`` bits held for ``hold`` cycles. Cyclic programs wrap;
     non-cyclic ones hold the last value forever.
     """
 
-    port_width: int
-    schedule: tuple  # ((value:int, hold:int), ...)
-    cyclic: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.port_width < 1:
+    def __new__(cls, port_width, schedule, cyclic=True):
+        if port_width < 1:
             raise PlanError("constraint port width must be >= 1")
-        if not self.schedule:
+        if not schedule:
             raise PlanError("constraint schedule is empty")
-        for value, hold in self.schedule:
+        for value, hold in schedule:
             if hold < 1:
                 raise PlanError("hold count must be >= 1")
-            if value >> self.port_width:
-                raise PlanError(f"value {value:#x} exceeds port width {self.port_width}")
+            if value >> port_width:
+                raise PlanError(f"value {value:#x} exceeds port width {port_width}")
+        return super().__new__(cls, port_width, schedule, cyclic)
 
     @property
     def total_cycles(self):
@@ -191,43 +186,41 @@ def cg_step(program, cycle):
     return program.schedule[-1][0]
 
 
-@dataclass(frozen=True)
-class PortBinding:
+class PortBinding(record("PortBinding", "block width alfsr_slice cg cg_bits")):
     """How one block's input port is driven (the a-d wiring situations).
 
-    ``alfsr_slice`` maps block input bit -> ALFSR bit index; bits listed in
-    ``cg_bits`` are driven by the constraint program instead and must not
-    appear in the slice. Replication (several input bits reading the same
-    ALFSR bit) is allowed.
+    ``alfsr_slice`` maps block input bit -> ALFSR bit index (None: a new
+    empty dict); bits listed in ``cg_bits`` (LSB-first order) are driven by
+    the constraint program ``cg`` instead and must not appear in the slice.
+    Replication (several input bits reading the same ALFSR bit) is allowed.
     """
 
-    block: str
-    width: int
-    alfsr_slice: dict = field(default_factory=dict)   # input bit -> alfsr bit
-    cg: ConstraintProgram = None
-    cg_bits: tuple = ()                               # input bits, LSB-first order
+    __slots__ = ()
 
-    def __post_init__(self):
-        cg_set = set(self.cg_bits)
-        if len(cg_set) != len(self.cg_bits):
-            raise PlanError(f"duplicate CG bit in binding for {self.block!r}")
-        if cg_set and self.cg is None:
-            raise PlanError(f"CG bits given without a program for {self.block!r}")
-        if self.cg is not None and len(self.cg_bits) != self.cg.port_width:
-            raise PlanError(f"CG port width mismatch for {self.block!r}")
-        if cg_set & set(self.alfsr_slice):
-            raise PlanError(f"bit driven by both CG and ALFSR in {self.block!r}")
+    def __new__(cls, block, width, alfsr_slice=None, cg=None, cg_bits=()):
+        if alfsr_slice is None:
+            alfsr_slice = {}
+        cg_set = set(cg_bits)
+        if len(cg_set) != len(cg_bits):
+            raise PlanError(f"duplicate CG bit in binding for {block!r}")
+        if cg_set and cg is None:
+            raise PlanError(f"CG bits given without a program for {block!r}")
+        if cg is not None and len(cg_bits) != cg.port_width:
+            raise PlanError(f"CG port width mismatch for {block!r}")
+        if cg_set & set(alfsr_slice):
+            raise PlanError(f"bit driven by both CG and ALFSR in {block!r}")
         # count the bits instead of building range(width): a plan file can
         # give any width, and the message names only the first few bits
-        covered = cg_set | set(self.alfsr_slice)
-        extra = sorted(b for b in covered if not 0 <= b < self.width)
-        missing = max(0, self.width - (len(covered) - len(extra)))
+        covered = cg_set | set(alfsr_slice)
+        extra = sorted(b for b in covered if not 0 <= b < width)
+        missing = max(0, width - (len(covered) - len(extra)))
         if missing or extra:
-            absent = [b for b in range(min(self.width, len(covered) + _SHOWN))
+            absent = [b for b in range(min(width, len(covered) + _SHOWN))
                       if b not in covered]
-            raise PlanError(f"binding for {self.block!r} must drive every input bit "
+            raise PlanError(f"binding for {block!r} must drive every input bit "
                             f"exactly once (missing {_first(absent, missing)}, "
                             f"extra {_first(extra, len(extra))})")
+        return super().__new__(cls, block, width, alfsr_slice, cg, cg_bits)
 
 
 _SHOWN = 8   # bits a binding error lists before it only counts them

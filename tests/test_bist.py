@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -35,38 +34,34 @@ def test_plan_roundtrip(core_plan):
 
 def test_plan_rejects_zero_patterns(mini_plan):
     with pytest.raises(PlanError, match="pattern_count"):
-        dataclasses.replace(mini_plan, pattern_count=0)
+        mini_plan._replace(pattern_count=0)
 
 
 def test_plan_rejects_count_beyond_counter(mini_plan):
     with pytest.raises(PlanError):
-        dataclasses.replace(mini_plan, pattern_count=(1 << 12) + 1)
+        mini_plan._replace(pattern_count=(1 << 12) + 1)
 
 
 def test_plan_rejects_more_than_4_misrs(mini_plan):
     b = mini_plan.bindings[0]
     m = mini_plan.misrs[0]
-    bindings = tuple(dataclasses.replace(b, block=f"B{i}") for i in range(5))
-    misrs = tuple(dataclasses.replace(m, block=f"B{i}") for i in range(5))
+    bindings = tuple(b._replace(block=f"B{i}") for i in range(5))
+    misrs = tuple(m._replace(block=f"B{i}") for i in range(5))
     with pytest.raises(PlanError, match="2-bit"):
-        dataclasses.replace(mini_plan, bindings=bindings, misrs=misrs,
-                            golden=None)
+        mini_plan._replace(bindings=bindings, misrs=misrs, golden=None)
 
 
 def test_plan_binding_width_checked_against_netlist(mini10, mini_plan):
-    bad = dataclasses.replace(
-        mini_plan,
-        bindings=(tpg.modular_binding("MAIN", 5, 8),),
-        golden=None)
+    bad = mini_plan._replace(bindings=(tpg.modular_binding("MAIN", 5, 8),),
+                             golden=None)
     with pytest.raises(PlanError, match="width"):
         bist.BistSession(mini10, bad)
 
 
 def test_plan_unknown_block_rejected(mini10, mini_plan):
-    bad = dataclasses.replace(
-        mini_plan,
-        bindings=(dataclasses.replace(mini_plan.bindings[0], block="NOPE"),),
-        misrs=(dataclasses.replace(mini_plan.misrs[0], block="NOPE"),),
+    bad = mini_plan._replace(
+        bindings=(mini_plan.bindings[0]._replace(block="NOPE"),),
+        misrs=(mini_plan.misrs[0]._replace(block="NOPE"),),
         golden=None)
     with pytest.raises(PlanError, match="unknown block"):
         bist.BistSession(mini10, bad)
@@ -75,15 +70,14 @@ def test_plan_unknown_block_rejected(mini10, mini_plan):
 # -- golden signatures --------------------------------------------------------------
 
 def test_compute_golden_is_deterministic(mini10, mini_plan):
-    base = dataclasses.replace(mini_plan, golden=None)
+    base = mini_plan._replace(golden=None)
     g1 = bist.compute_golden(mini10, base)
     g2 = bist.compute_golden(mini10, base)
     assert g1.golden == g2.golden
 
 
 def test_stored_golden_matches_recomputation(mini10, mini_plan):
-    fresh = bist.compute_golden(mini10, dataclasses.replace(mini_plan,
-                                                            golden=None))
+    fresh = bist.compute_golden(mini10, mini_plan._replace(golden=None))
     assert [s.value for s in fresh.golden] == \
         [s.value for s in mini_plan.golden]
 
@@ -176,7 +170,7 @@ def test_selftest_fault_free_passes(mini10, mini_plan):
 
 
 def test_selftest_requires_golden(mini10, mini_plan):
-    bare = dataclasses.replace(mini_plan, golden=None)
+    bare = mini_plan._replace(golden=None)
     with pytest.raises(PlanError, match="golden"):
         bist.run_selftest(mini10, bare)
 
@@ -211,8 +205,7 @@ def test_misr_detection_rate_mini(mini10, mini_plan):
 
 
 def test_case_study_golden_signatures_stable(core, core_plan):
-    fresh = bist.compute_golden(core, dataclasses.replace(core_plan,
-                                                          golden=None))
+    fresh = bist.compute_golden(core, core_plan._replace(golden=None))
     assert [s.value for s in fresh.golden] == \
         [s.value for s in core_plan.golden]
 
@@ -345,8 +338,8 @@ def test_misr_detection_rate_matches_session():
 def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
     # pass/fail and detection are judged against the stored values, even
     # when they are not what the plan produces
-    stale = dataclasses.replace(mini_plan, golden=tuple(
-        dataclasses.replace(s, value=s.value ^ 1) for s in mini_plan.golden))
+    stale = mini_plan._replace(golden=tuple(
+        s._replace(value=s.value ^ 1) for s in mini_plan.golden))
     u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
     _assert_same_results(mini10, stale, (None,) + u.faults)
     (fault_free,) = bist.selftest_results(mini10, stale, (None,))
@@ -388,7 +381,7 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
     monkeypatch.setattr(bist, "SignatureEngine", refuse)
     monkeypatch.setattr(bist, "plan_planes", refuse)
     monkeypatch.setattr(compactor, "signature_of_planes", refuse)
-    bare = dataclasses.replace(mini_plan, golden=None)
+    bare = mini_plan._replace(golden=None)
     assert bist.compute_golden(mini10, bare).golden == mini_plan.golden
     f = faultsim.FaultDescriptor(mini10.primary_outputs[0], "SA1")
     bist.run_selftest(mini10, mini_plan, injected=f)
@@ -540,9 +533,9 @@ def test_plan_patterns_on_core_match_pattern_stream(core, core_plan):
 
 @pytest.mark.parametrize("src", [8, 9, -1])
 def test_alfsr_source_out_of_range_rejected_on_both_paths(mini10, mini_plan, src):
-    binding = dataclasses.replace(mini_plan.bindings[0],
-                                  alfsr_slice={0: 0, 1: 1, 2: 2, 3: src})
-    bad = dataclasses.replace(mini_plan, bindings=(binding,), golden=None)
+    binding = mini_plan.bindings[0]._replace(
+        alfsr_slice={0: 0, 1: 1, 2: 2, 3: src})
+    bad = mini_plan._replace(bindings=(binding,), golden=None)
     for build in (bist.BistSession, bist.plan_planes, bist.plan_patterns):
         with pytest.raises(PlanError, match=f"ALFSR bit {src} out of range"):
             build(mini10, bad)

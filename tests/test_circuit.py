@@ -45,6 +45,15 @@ def test_unknown_gate_kind():
         circuit.parse_netlist("INPUT(a)\nOUTPUT(y)\ny = FROB(a)")
 
 
+def test_gate_copy_is_checked_like_a_new_gate():
+    g = circuit.Gate("AND", ("a", "b"), "y")
+    assert g._replace(kind="OR") == circuit.Gate("OR", ("a", "b"), "y")
+    with pytest.raises(NetlistError, match="unknown gate kind 'ZZ'"):
+        g._replace(kind="ZZ")
+    with pytest.raises(NetlistError, match="NOT takes exactly 1 input"):
+        g._replace(kind="NOT")
+
+
 def test_syntax_error_has_line_number():
     with pytest.raises(NetlistError, match="line 2"):
         circuit.parse_netlist("INPUT(a)\n???\n")
@@ -193,7 +202,7 @@ def test_toggle_matches_state_dump_diff_oracle(mini10):
         state = tpg.alfsr_step(state)
     frac, counts = circuit.toggle_activity(mini10, pats)
     # oracle: diff successive full-state dumps
-    dumps = [dict(st.values) for st in circuit.run_patterns(mini10, pats)]
+    dumps = list(circuit.run_patterns(mini10, pats))
     expect = {n: 0 for n in mini10.nets}
     for a, b in zip(dumps, dumps[1:]):
         for n in mini10.nets:

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -131,6 +134,25 @@ def test_faultsim_compare_external(tmp_path):
                 "--compare", str(ext), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "coverage_report.json").read_text())
     assert report["comparison"]["external_pattern_count"] == 3
+
+
+@pytest.mark.parametrize("kinds, bad", [("xyz", "xyz"), ("saf,xyz", "xyz"),
+                                        ("", ""), ("saf,,tdf", "")])
+def test_faultsim_unknown_kind_is_an_error(tmp_path, capsys, kinds, bad):
+    assert run(["faultsim", MINI, "--plan", MINI_PLAN, "--kinds", kinds,
+                "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --kinds: unknown kind {bad!r} "
+                            f"(choose from saf, tdf)\n")
+    assert not (tmp_path / "coverage_report.json").exists()
+
+
+def test_faultsim_kinds_are_case_and_space_tolerant(tmp_path):
+    assert run(["faultsim", MINI, "--plan", MINI_PLAN, "--kinds", " TDF , saf",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "coverage_report.json").read_text())
+    assert sorted(report["summary"]) == ["SAF", "TDF"]
 
 
 def test_workers_do_not_change_report(tmp_path):
@@ -648,3 +670,59 @@ def test_trace_parser_fuzz_never_escapes(tmp_path, capsys):
         _assert_clean_exit(code, capsys.readouterr().err, "error: ", (i, kind))
         codes.add(code)
     assert codes == {0, 1}
+
+
+# -- import surface -----------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+_LOADED = """
+import json, sys
+from corebist.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+# what the dataclass machinery would drag in
+_RECORD_BUILDERS = {"dataclasses", "inspect"}
+
+
+def _fresh_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+@pytest.mark.parametrize("command, loads, skips", [
+    (["bist", MINI, "--plan", MINI_PLAN], "corebist.faultsim",
+     {"corebist.access", "corebist.diagnosis"}),
+    (["faultsim", MINI, "--plan", MINI_PLAN], "corebist.faultsim",
+     {"corebist.access", "corebist.diagnosis"}),
+    (["tap", TRACE, CORE, "--plan", CORE_PLAN, "--expect", TRACE],
+     "corebist.access", {"corebist.diagnosis"}),
+    (["diagnose", MINI, "--plan", MINI_PLAN], "corebist.diagnosis",
+     {"corebist.access"}),
+])
+def test_each_command_imports_only_what_it_runs(tmp_path, command, loads,
+                                                skips):
+    out = _fresh_python("-c", _LOADED, *command, "--out", str(tmp_path)).stdout
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert loads in loaded
+    unwanted = (skips | _RECORD_BUILDERS) & loaded
+    assert not unwanted, unwanted
+
+
+def test_package_attributes_load_submodules_on_first_use():
+    _fresh_python("-c", """
+import sys, corebist
+assert "corebist.faultsim" not in sys.modules
+assert callable(corebist.faultsim.collapse)
+assert corebist.faultsim is sys.modules["corebist.faultsim"]
+assert not hasattr(corebist, "nonexistent")
+""")
+
+
+def test_granularity_choices_match_diagnosis():
+    from corebist import diagnosis
+    assert cli.GRANULARITIES == diagnosis.GRANULARITIES

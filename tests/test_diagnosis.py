@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -245,7 +244,7 @@ def test_signature_cli_honours_pattern_count(tmp_path, mini10):
     report = json.loads((tmp_path / "diagnosis_report.json").read_text())
     assert report["pattern_count"] == 16
     assert report["overall"]["pattern_count"] == 16
-    plan = replace(bist.BistPlan.load(MINI_PLAN), pattern_count=16, golden=None)
+    plan = bist.BistPlan.load(MINI_PLAN)._replace(pattern_count=16, golden=None)
     u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
     expected = diagnosis.classify(diagnosis.build_matrix(
         mini10, u, [], granularity="signature", plan=plan))

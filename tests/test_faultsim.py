@@ -98,6 +98,17 @@ def test_collapsing_is_a_partition(seventeen):
         assert collapsed.collapse_map[rep] == rep
 
 
+def test_fault_records_keep_their_value_contract():
+    f = faultsim.FaultDescriptor("a", "SA0")
+    assert repr(f) == "FaultDescriptor(net='a', kind='SA0', gate=None, pin=None)"
+    assert f == faultsim.FaultDescriptor("a", "SA0", None, None)
+    assert hash(f) == hash(faultsim.FaultDescriptor("a", "SA0"))
+    assert f != faultsim.FaultDescriptor("a", "SA0", "y", 0)
+    u = faultsim.FaultUniverse((f,))
+    assert repr(u) == f"FaultUniverse(faults=({f!r},), collapse_map=None)"
+    assert u == faultsim.FaultUniverse((f,)) and len(u) == 1
+
+
 # -- serial simulation ---------------------------------------------------------------
 
 def test_and_y_sa0_detected_at_pattern_0(and2):

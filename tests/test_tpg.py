@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 
@@ -175,14 +174,19 @@ def test_binding_must_cover_every_bit():
                                     "(1999997 bits)], extra [])")
 
 
+def test_binding_default_slice_is_a_fresh_dict():
+    a, b = tpg.PortBinding("X", 0), tpg.PortBinding("Y", 0)
+    assert a.alfsr_slice == {} and a.alfsr_slice is not b.alfsr_slice
+
+
 def test_tap_mask_is_kept_and_not_a_field():
     p = tpg.Polynomial.parse("x^16+x^12+x^3+x+1")
     q = tpg.Polynomial.parse("x^16+x^12+x^3+x+1")
     assert p.tap_mask == 0x8805
     assert vars(p)["tap_mask"] == 0x8805 and "tap_mask" not in vars(q)
-    # equality, hashing and the dataclass fields ignore it
+    # equality, hashing and the record fields ignore it
     assert p == q and hash(p) == hash(q)
-    assert [f.name for f in dataclasses.fields(p)] == ["degree", "taps"]
+    assert p._fields == ("degree", "taps") and tuple(p) == (16, p.taps)
     assert repr(p) == repr(q)
     for r in (pickle.loads(pickle.dumps(p)), pickle.loads(pickle.dumps(q))):
         assert r == p and hash(r) == hash(p) and r.tap_mask == 0x8805
