@@ -304,7 +304,7 @@ class SerialTrace(record("SerialTrace", "samples tdo", defaults=(None,))):
                 vals = [int(f) for f in fields]
             except ValueError:
                 raise ProtocolError(f"trace line {lineno}: non-binary field") from None
-            if any(v not in (0, 1) for v in vals[:3]):
+            if any(v not in (0, 1) for v in vals):
                 raise ProtocolError(f"trace line {lineno}: fields must be 0/1")
             if vals[0] != 1:
                 raise ProtocolError(f"trace line {lineno}: one rising edge "
@@ -315,7 +315,7 @@ class SerialTrace(record("SerialTrace", "samples tdo", defaults=(None,))):
                 raise ProtocolError(f"trace line {lineno}: inconsistent column count")
             samples.append((vals[1], vals[2]))
             if has_tdo:
-                tdo.append(vals[3] if vals[3] in (0, 1) else 0)
+                tdo.append(vals[3])
         return cls(tuple(samples), tuple(tdo) if has_tdo else None)
 
     @classmethod

@@ -23,8 +23,9 @@ sequential core's TAP replay steps the scalar session.
 The stimulus is built as whole-stream bit planes by :func:`plan_planes`
 (one integer per primary input, bit t = cycle t, straight from the ALFSR
 sequence), and :func:`plan_stimulus` compiles them into the one kernel a
-command shares between its signatures, SAF and TDF. :func:`plan_patterns`
-is their transpose, for the paths that replay patterns one at a time, and
+command shares between its signatures, SAF, TDF and toggle activity, on a
+combinational and a sequential core alike. :func:`plan_patterns` is their
+transpose, for the scalar paths that replay patterns one at a time, and
 :meth:`BistSession.pattern_stream` the cycle-by-cycle oracle of both.
 """
 
@@ -108,8 +109,9 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
             raise PlanError("MISR assignment order must match binding order")
         if len(misrs) > 4:
             raise PlanError("output selector is a 2-bit code (at most 4 MISRs)")
-        if alfsr_seed == 0:
-            raise PlanError("all-zero ALFSR seed")
+        if not 1 <= alfsr_seed < 1 << alfsr_poly.degree:
+            raise PlanError(f"ALFSR seed {alfsr_seed:#x} outside "
+                            f"1..2^{alfsr_poly.degree}-1")
         if golden is not None and [s.block for s in golden] != blocks:
             raise PlanError("golden signatures must list every MISR in plan order")
         return super().__new__(cls, alfsr_poly, alfsr_seed, bindings, misrs,
@@ -461,19 +463,11 @@ def plan_planes(netlist, plan, count=None):
     return [planes[net] for net in netlist.primary_inputs]
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def plan_patterns(netlist, plan, count=None):
     """Primary-input pattern list the plan would apply: the transpose of
     :func:`plan_planes`, one tuple per cycle."""
     n = plan.pattern_count if count is None else count
-    planes = plan_planes(netlist, plan, count)
-    columns = {}         # replicated inputs share one column
-    for plane in planes:
-        if plane not in columns:
-            columns[plane] = format(plane, f"0{n}b")[::-1].encode().translate(_BITS)
-    return list(zip(*(columns[p] for p in planes))) if planes else [()] * n
+    return faultsim.pattern_rows(plan_planes(netlist, plan, count), n)
 
 
 def compute_golden(netlist, plan):
@@ -498,18 +492,13 @@ def run_selftest(netlist, plan, injected=None, require_golden=True):
     return BistResult(sigs, passed, session.control.pattern_counter)
 
 
-def plan_stimulus(netlist, plan, count=None):
+def plan_stimulus(netlist, plan, count=None, workers=1):
     """The plan's first ``count`` patterns (default: its pattern count) as
-    the fault simulators take them: one :class:`faultsim.FaultKernel` over
-    :func:`plan_planes` for a combinational netlist, built once and shared
-    by every simulation over those patterns; for a netlist with flops, one
-    :class:`faultsim.SequentialStimulus` over the :func:`plan_patterns`
-    tuples, whose kernel runs cycle by cycle."""
-    if netlist.flops:
-        return faultsim.SequentialStimulus(netlist,
-                                           plan_patterns(netlist, plan, count))
+    the fault simulators take them: :func:`faultsim.kernel` over
+    :func:`plan_planes`, built once and shared by every simulation over
+    those patterns, whose passes use up to ``workers`` processes."""
     n = plan.pattern_count if count is None else count
-    return faultsim.FaultKernel(netlist, plan_planes(netlist, plan, n), n)
+    return faultsim.kernel(netlist, plan_planes(netlist, plan, n), n, workers)
 
 
 class SignatureEngine:
@@ -642,9 +631,8 @@ def misr_detection_rate(netlist, plan, universe, workers=1):
     signature path and list the ones the MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
-    stimulus = plan_stimulus(netlist, plan)
-    report = faultsim.parallel_fault_sim(netlist, universe, stimulus,
-                                         workers=workers)
+    stimulus = plan_stimulus(netlist, plan, workers=workers)
+    report = faultsim.parallel_fault_sim(netlist, universe, stimulus)
     detected = report.detected_faults()
     if not detected:
         raise SimulationError("empty fault universe" if not universe.faults

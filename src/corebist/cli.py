@@ -95,20 +95,21 @@ def parse_pattern_file(path, netlist, plan):
     return patterns
 
 
-def _resolve_patterns(args, netlist, plan, stream=None):
+def _resolve_patterns(args, netlist, plan, stream=None, workers=1):
     """--patterns N (count) or --patterns FILE (external vectors); without
     the option, ``stream`` (the plan's own stream, built here if not
-    given). Patterns come as :func:`faultsim.stimulus` gives them: one
-    kernel to share between every simulation over them."""
+    given). Patterns come as :func:`faultsim.kernel` builds them, with
+    ``workers``: one kernel to share between every simulation over them."""
     spec = getattr(args, "patterns", None)
     if spec is None:
         if stream is None:
-            stream = bist.plan_stimulus(netlist, plan)
+            stream = bist.plan_stimulus(netlist, plan, workers=workers)
         return stream, plan.pattern_count, "alfsr"
     if spec.isdigit():
         count = int(spec)
-        return bist.plan_stimulus(netlist, plan, count), count, "alfsr"
-    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan))
+        return bist.plan_stimulus(netlist, plan, count, workers), count, "alfsr"
+    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan),
+                                 workers)
     return patterns, len(patterns), os.path.basename(spec)
 
 
@@ -126,17 +127,17 @@ def cmd_lint(args):
     return 0
 
 
-def _coverage_tables(netlist, patterns, workers, kinds=FAULT_KINDS):
+def _coverage_tables(netlist, patterns, kinds=FAULT_KINDS):
     out = {}
     tdf = (faultsim.enumerate_faults(netlist, ("STR", "STF"))
            if "tdf" in kinds else None)
     if "saf" in kinds:
         universe = faultsim.collapse(
             faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
-        # a sequential pass also carries the stems TDF reads next
-        also = faultsim.tdf_stems(tdf.faults) if tdf and netlist.flops else ()
+        # the stuck-at run also carries the stems TDF reads next
+        also = faultsim.tdf_stems(tdf.faults) if tdf else ()
         out["SAF"] = faultsim.parallel_fault_sim(netlist, universe, patterns,
-                                                 workers=workers, also=also)
+                                                 also=also)
     if tdf:
         out["TDF"] = faultsim.tdf_sim(netlist, tdf, patterns)
     return out
@@ -158,12 +159,13 @@ def cmd_bist(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     # one kernel over the plan's stream serves the signatures and, unless
-    # --patterns asks for other patterns, SAF and TDF too
-    stream = bist.plan_stimulus(netlist, plan)
+    # --patterns asks for other patterns, SAF, TDF and --toggle too
+    stream = bist.plan_stimulus(netlist, plan, workers=args.workers)
     (result,) = bist.selftest_results(netlist, plan, (None,),
                                       None if netlist.flops else stream)
-    patterns, _, source = _resolve_patterns(args, netlist, plan, stream)
-    tables = _coverage_tables(netlist, patterns, args.workers)
+    patterns, _, source = _resolve_patterns(args, netlist, plan, stream,
+                                            args.workers)
+    tables = _coverage_tables(netlist, patterns)
 
     payload = _header(netlist, plan)
     payload["patterns_applied"] = result.patterns_applied
@@ -175,8 +177,7 @@ def cmd_bist(args):
     payload["pass"] = list(result.passed)
     payload["coverage"] = _coverage_json(tables)
     if args.toggle:
-        frac, _counts = (circuit.toggle_activity(netlist, patterns.patterns)
-                         if netlist.flops else patterns.toggle_activity())
+        frac, _counts = patterns.toggle_activity()
         payload["toggle_activity"] = round(frac, 4)
 
     out = os.path.join(args.out, "bist_report.json")
@@ -214,8 +215,9 @@ def cmd_faultsim(args):
                                   f"(choose from {', '.join(FAULT_KINDS)})")
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
-    patterns, count, source = _resolve_patterns(args, netlist, plan)
-    tables = _coverage_tables(netlist, patterns, args.workers, kinds)
+    patterns, count, source = _resolve_patterns(args, netlist, plan,
+                                                workers=args.workers)
+    tables = _coverage_tables(netlist, patterns, kinds)
     payload = _header(netlist, plan)
     payload["pattern_source"] = source
     payload["pattern_count"] = count
@@ -223,8 +225,9 @@ def cmd_faultsim(args):
     payload["summary"] = {k: faultsim.coverage(r) for k, r in tables.items()}
     if args.compare:
         ext = faultsim.stimulus(netlist,
-                                parse_pattern_file(args.compare, netlist, plan))
-        ext_tables = _coverage_tables(netlist, ext, args.workers, kinds)
+                                parse_pattern_file(args.compare, netlist, plan),
+                                args.workers)
+        ext_tables = _coverage_tables(netlist, ext, kinds)
         payload["comparison"] = {
             "external_file": os.path.basename(args.compare),
             "external_pattern_count": len(ext),
@@ -364,7 +367,8 @@ def build_parser():
         p.add_argument("netlist", help="bench-format netlist file")
         p.add_argument("--plan", help="BIST plan JSON file")
         p.add_argument("--seed", type=lambda s: int(s, 0),
-                       help="override the plan's ALFSR seed")
+                       help="override the plan's ALFSR seed "
+                       "(1..2^degree-1)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=_default_workers(),
                        help=f"up to N fault-sim worker processes (env "

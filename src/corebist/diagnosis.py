@@ -117,18 +117,25 @@ def build_matrix(netlist, universe, patterns, granularity="pattern",
                             rows, tuple(not all(r.passed) for r in results))
 
 
-def classify(matrix):
-    """Group identical syndrome rows; stable numbering by first member."""
+def _classes(matrix, members):
+    """Class report over the faults at the ascending indices ``members``:
+    identical syndrome rows grouped, so classes are numbered by their
+    first member."""
     groups = {}
     undetected = []
-    for i, (row, det) in enumerate(zip(matrix.rows, matrix.detected)):
-        if not det:
-            undetected.append(i)
+    for i in members:
+        if matrix.detected[i]:
+            groups.setdefault(matrix.rows[i], []).append(i)
         else:
-            groups.setdefault(row, []).append(i)
-    classes = sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
+            undetected.append(i)
     return ClassReport(matrix.granularity, matrix.pattern_count,
-                       tuple(classes), tuple(undetected), len(matrix.faults))
+                       tuple(tuple(g) for g in groups.values()),
+                       tuple(undetected), len(members))
+
+
+def classify(matrix):
+    """Group identical syndrome rows; stable numbering by first member."""
+    return _classes(matrix, range(len(matrix.faults)))
 
 
 def refine(matrix, netlist, universe, extra_patterns):
@@ -155,24 +162,14 @@ def classify_per_block(matrix, fault_blocks):
     """Per-block class statistics (the per-component rows of the report).
 
     ``fault_blocks`` assigns each fault a block name (or None); rows are
-    compared only within a block.
+    compared only within a block, and blocks come in the order of their
+    first fault.
     """
-    table = {}
-    for block in sorted({b for b in fault_blocks if b is not None},
-                        key=lambda b: fault_blocks.index(b)):
-        idx = [i for i, b in enumerate(fault_blocks) if b == block]
-        groups = {}
-        undetected = []
-        for i in idx:
-            if matrix.detected[i]:
-                groups.setdefault(matrix.rows[i], []).append(i)
-            else:
-                undetected.append(i)
-        classes = sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
-        rep = ClassReport(matrix.granularity, matrix.pattern_count,
-                          tuple(classes), tuple(undetected), len(idx))
-        table[block] = rep
-    return table
+    members = {}
+    for i, block in enumerate(fault_blocks):
+        if block is not None:
+            members.setdefault(block, []).append(i)
+    return {block: _classes(matrix, idx) for block, idx in members.items()}
 
 
 def export_matrix(matrix, path):

@@ -6,32 +6,29 @@ Stuck-at simulation paths are kept deliberately separate:
 * :func:`serial_fault_sim` replays every fault one pattern at a time through
   the scalar evaluator in :mod:`corebist.circuit` - the oracle path. It
   never calls either kernel.
-* :class:`FaultKernel` compiles a combinational netlist against one input
+* :func:`kernel` builds the kernel that fits the netlist from one input
   plane per primary input (bit t = pattern t), as the BIST plan builds
-  them; :func:`stimulus` transposes a pattern list once. Each net becomes
-  one integer plane over the whole pattern set and the fault-free planes
-  are computed once. Each fault then re-evaluates only the gates of its
+  them; :func:`stimulus` transposes a pattern list once. Both kernels have
+  ``len()``, the fault-free planes ``good``, ``planes(faults, also=())``
+  (one detection plane per stuck-at fault, kept once computed) and
+  ``toggle_activity()``.
+* :class:`FaultKernel` (combinational): each net is one integer plane over
+  the whole pattern set, and each fault re-evaluates only the gates of its
   fanout cone whose inputs differ from the fault-free planes
-  (parallel-pattern single-fault propagation): :meth:`FaultKernel.faulty`
-  gives the planes that change and :meth:`FaultKernel.diff` the plane of
-  patterns that detect the fault.
-* :func:`sequential_sim` simulates a netlist with flops fault-parallel:
-  one word per net per cycle, bit 0 the fault-free machine and bit k+1
-  fault k, run once from reset for the whole fault set. Its detection
-  words are transposed into one plane per fault, the contract of
-  :meth:`FaultKernel.diff`. :class:`SequentialStimulus` holds a checked
-  pattern list and keeps the planes of its pass, which can carry the stem
-  faults a transition-delay run will read as well.
+  (parallel-pattern single-fault propagation).
+* :class:`SequentialStimulus` (flops) runs :func:`sequential_sim`
+  fault-parallel: one word per net per cycle, bit 0 the fault-free machine
+  and bit k+1 fault k, one pass from reset for the whole fault set.
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-run on whichever kernel fits the netlist, and the combinational self-test
-signatures in :mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern
-list they build their own kernel; given one from :func:`stimulus` they
-share it, so one command simulates the fault-free planes (and, with flops,
-runs its fault-parallel pass) once for all of them. Only a sequential pass
-fans out to worker processes, and only when its work estimate reaches
-:data:`POOL_MIN_WORK`. Their results must be bit-identical to the serial
-oracle's, and that equivalence is the main regression property.
+run on either kernel, and the combinational self-test signatures in
+:mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern list they
+build their own kernel; given a built one they share it, so one command
+simulates the fault-free planes once for all of them. Only a sequential
+pass fans out, to at most the ``workers`` its kernel was built with, and
+only when its work estimate reaches :data:`POOL_MIN_WORK`. Their results
+must be bit-identical to the serial oracle's, and that equivalence is the
+main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -358,7 +355,7 @@ def serial_fault_sim(netlist, universe, patterns):
 # -- worker pool -----------------------------------------------------------------
 
 # The work estimate of a sequential pass (:meth:`SequentialStimulus.work`)
-# below which ``--workers N`` still runs in one process. Every worker of a
+# below which ``workers`` > 1 still runs in one process. Every worker of a
 # pass repeats its per-gate interpreter work and only splits the fault bits,
 # so the pool pays only on wide passes: on a 2-vCPU host two workers were
 # 41% slower than one process at 3.0e8, 3-19% faster but not in every run
@@ -367,27 +364,29 @@ def serial_fault_sim(netlist, universe, patterns):
 POOL_MIN_WORK = 2.5e9
 
 
-def _map_faults(fn, kernel, faults, workers):
-    """``fn(kernel, chunk)`` for ``faults`` split into up to ``workers``
+def _map_faults(fn, stim, faults):
+    """``fn(stim, chunk)`` for ``faults`` split into up to ``stim.workers``
     chunks, each in a pool process, as a list in chunk order. None, and no
-    pool, when fewer than two processes would run or the kernel's work
-    estimate for ``faults`` is below :data:`POOL_MIN_WORK`."""
-    workers = min(workers, len(faults))
-    if workers <= 1 or kernel.work(faults) < POOL_MIN_WORK:
+    pool, when fewer than two processes would run or the work estimate for
+    ``faults`` is below :data:`POOL_MIN_WORK`."""
+    workers = min(stim.workers, len(faults))
+    if workers <= 1 or stim.work(faults) < POOL_MIN_WORK:
         return None
     from concurrent.futures import ProcessPoolExecutor
     size = (len(faults) + workers - 1) // workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, kernel, faults[i:i + size])
+        futures = [pool.submit(fn, stim, faults[i:i + size])
                    for i in range(0, len(faults), size)]
         # submission order keeps the merge deterministic
         return [fut.result() for fut in futures]
 
 
-# -- compiled combinational kernel -------------------------------------------
+# -- planes ----------------------------------------------------------------------
 
 # byte value -> ASCII '0'/'1' of its low bit, for packing bit columns
 _BIT_CHARS = bytes(48 + (b & 1) for b in range(256))
+# ASCII '0'/'1' -> byte value 0/1, for unpacking planes
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _plane(bits):
@@ -399,6 +398,16 @@ def _columns(rows):
     """Rows of bits (or of ASCII '0'/'1') -> one plane per column, bit t =
     row t: a bit-matrix transpose."""
     return [_plane(col) for col in zip(*rows)]
+
+
+def pattern_rows(planes, n):
+    """The ``n`` patterns that one ``n``-bit plane per primary input holds,
+    one tuple per pattern: the transpose back to a pattern list."""
+    columns = {}         # replicated inputs share one column
+    for plane in planes:
+        if plane not in columns:
+            columns[plane] = format(plane, f"0{n}b")[::-1].encode().translate(_BITS)
+    return list(zip(*(columns[p] for p in planes))) if planes else [()] * n
 
 
 def _pattern_list(netlist, patterns):
@@ -437,29 +446,13 @@ def _eval_gate(kind, planes, mask):
     return planes[0]  # BUF
 
 
-class FaultKernel:
-    """A combinational netlist compiled against one set of ``n`` patterns,
-    given as one input plane per primary input (bit t = pattern t), as
-    :func:`bist.plan_planes` builds them or :func:`stimulus` transposes
-    them from a pattern list.
-
-    Every net holds one integer plane over the whole pattern set; the
-    fault-free planes are computed once, here. A stuck-at fault is then
-    simulated by parallel-pattern single-fault propagation: only the gates
-    of the fault site's fanout cone whose inputs differ from the fault-free
-    planes are re-evaluated, and every other net reads its fault-free plane.
-    One kernel serves every simulation over the same patterns: detection
-    planes are kept once computed, so transition-delay simulation reads the
-    stem planes stuck-at simulation already found. ``len(kernel)`` is the
-    pattern count, so a kernel stands wherever a pattern list does in
-    :func:`parallel_fault_sim`, :func:`tdf_sim` and
-    :func:`detection_planes`. It always runs in this process, and a
-    pickled kernel is rebuilt from its input planes.
-    """
+class _Kernel:
+    """What both kernels share: ``n`` patterns given as one input plane per
+    primary input, and the fault-free (:attr:`good`) and detection planes,
+    kept once computed. ``len(kernel)`` is the pattern count. A subclass
+    sets ``_good`` and simulates faults in ``_simulate``."""
 
     def __init__(self, netlist, inputs, n):
-        if netlist.flops:
-            raise SimulationError("the fault kernel needs a combinational netlist")
         if n < 1:
             raise SimulationError("no patterns")
         if len(inputs) != len(netlist.primary_inputs):
@@ -468,6 +461,66 @@ class FaultKernel:
         self.netlist = netlist
         self.n = n
         self.mask = mask = (1 << n) - 1
+        self.inputs = [plane & mask for plane in inputs]
+        self._good = None
+        self._diffs = {}
+
+    def __len__(self):
+        return self.n
+
+    @property
+    def good(self):
+        """Every net's fault-free plane, in ``netlist.nets`` order."""
+        if self._good is None:
+            self.planes(())
+        return self._good
+
+    def planes(self, faults, also=()):
+        """Detection plane of each stuck-at fault of ``faults``: bit t is
+        set iff pattern t's observed outputs differ from the fault-free
+        ones. Faults not kept yet are simulated together with the faults of
+        ``also`` not kept either, which are kept but not returned: a caller
+        that runs transition-delay simulation next passes the stem faults
+        it will read (:func:`tdf_stems`), so one pass serves both, as in
+        PROOFS."""
+        diffs = self._diffs
+        run = [f for f in dict.fromkeys(faults) if f not in diffs]
+        if run or self._good is None:
+            run = list(dict.fromkeys(run + [f for f in also if f not in diffs]))
+            diffs.update(zip(run, self._simulate(run)))
+        return [diffs[f] for f in faults]
+
+    def toggle_activity(self):
+        """:func:`circuit.toggle_activity` over the kernel's patterns, read
+        from the fault-free planes: a net changes between patterns t and
+        t+1 iff bit t of ``v ^ v >> 1`` is set, for t < n - 1."""
+        if self.n < 2:
+            raise SimulationError("toggle activity needs at least 2 patterns")
+        pairs = self.mask >> 1
+        counts = {net: ((v ^ v >> 1) & pairs).bit_count()
+                  for net, v in zip(self.netlist.nets, self.good)}
+        return sum(1 for c in counts.values() if c) / len(counts), counts
+
+
+class FaultKernel(_Kernel):
+    """The kernel of a combinational netlist, as :func:`kernel` builds it.
+
+    Every net holds one integer plane over the whole pattern set; the
+    fault-free planes are computed once, here. A stuck-at fault is then
+    simulated by parallel-pattern single-fault propagation: only the gates
+    of the fault site's fanout cone whose inputs differ from the fault-free
+    planes are re-evaluated, and every other net reads its fault-free plane.
+    Each fault costs one cone walk, so there is no pass to share; split
+    over two pool workers that each rebuild the kernel and its cones, this
+    kernel lost to one process at every size measured (up to 33280 gates
+    and 131408 faults at 4096 patterns), so it always runs in this process.
+    """
+
+    def __init__(self, netlist, inputs, n):
+        if netlist.flops:
+            raise SimulationError("the fault kernel needs a combinational netlist")
+        super().__init__(netlist, inputs, n)
+        mask = self.mask
         self.index = index = {net: i for i, net in enumerate(netlist.nets)}
         # gates in topological order, so a cone sorted by position is too
         self._ops = ops = [(g.kind, index[g.output],
@@ -480,22 +533,12 @@ class FaultKernel:
                 self._readers[i].append(pos)
         self._obs = frozenset(index[net] for net in observation_nets(netlist))
         self._cones = {}
-        self._diffs = {}
         good = [0] * len(netlist.nets)
-        for net, plane in zip(netlist.primary_inputs, inputs):
-            good[index[net]] = plane & mask
+        for net, plane in zip(netlist.primary_inputs, self.inputs):
+            good[index[net]] = plane
         for kind, out, ins in ops:
             good[out] = _eval_gate(kind, [good[i] for i in ins], mask)
-        self.good = good
-
-    def __len__(self):
-        return self.n
-
-    def __reduce__(self):
-        index = self.index
-        return (FaultKernel, (self.netlist, [self.good[index[net]] for net
-                                             in self.netlist.primary_inputs],
-                              self.n))
+        self._good = good
 
     def _cone(self, net):
         """Positions of the gates fed by ``net``, in topological order."""
@@ -514,7 +557,7 @@ class FaultKernel:
     def faulty(self, fault):
         """Net index -> faulty plane under the stuck-at ``fault``, for the
         nets whose plane differs from the fault-free one."""
-        good = self.good
+        good = self._good
         mask = self.mask
         stuck = mask if fault.kind == "SA1" else 0
         if fault.pin is None:
@@ -540,52 +583,22 @@ class FaultKernel:
                 faulty[out] = value
         return faulty
 
-    def planes(self, faults):
-        """:meth:`diff` of each of ``faults``, in this process: each fault
-        costs one cone walk, so there is no pass to share and, split over
-        two pool workers that each rebuild the kernel and its cones, this
-        kernel lost to one process at every size measured (up to 33280
-        gates and 131408 faults at 4096 patterns)."""
-        return [self.diff(f) for f in faults]
-
-    def toggle_activity(self):
-        """:func:`circuit.toggle_activity` over the kernel's patterns, read
-        from the fault-free planes: a net changes between patterns t and
-        t+1 iff bit t of ``v ^ v >> 1`` is set, for t < n - 1."""
-        if self.n < 2:
-            raise SimulationError("toggle activity needs at least 2 patterns")
-        pairs = self.mask >> 1
-        counts = {net: ((v ^ v >> 1) & pairs).bit_count()
-                  for net, v in zip(self.netlist.nets, self.good)}
-        return sum(1 for c in counts.values() if c) / len(counts), counts
-
-    def diff(self, fault):
-        """OR of faulty ^ fault-free over the observation nets: bit t is set
-        iff pattern t detects the stuck-at ``fault``. Kept once computed."""
-        diff = self._diffs.get(fault)
-        if diff is None:
-            good = self.good
-            obs = self._obs
+    def _simulate(self, faults):
+        """OR of faulty ^ fault-free over the observation nets, per fault."""
+        good = self._good
+        obs = self._obs
+        diffs = []
+        for fault in faults:
             diff = 0
             for net, value in self.faulty(fault).items():
                 if net in obs:
                     diff |= value ^ good[net]
-            self._diffs[fault] = diff
-        return diff
+            diffs.append(diff)
+        return diffs
 
-
-def stimulus(netlist, patterns):
-    """``patterns`` as the netlist's kernel takes them: a
-    :class:`SequentialStimulus` for a netlist with flops, else a
-    :class:`FaultKernel` (``patterns`` itself when it is already either).
-    Compile a pattern list once with this before handing it to more than
-    one simulation."""
-    if isinstance(patterns, (FaultKernel, SequentialStimulus)):
-        return patterns
-    if netlist.flops:
-        return SequentialStimulus(netlist, patterns)
-    patterns = _pattern_list(netlist, patterns)
-    return FaultKernel(netlist, _columns(patterns), len(patterns))
+    def diff(self, fault):
+        """The detection plane of the stuck-at ``fault`` (:meth:`planes`)."""
+        return self.planes((fault,))[0]
 
 
 # -- fault-parallel sequential kernel -----------------------------------------
@@ -606,7 +619,7 @@ def sequential_sim(netlist, patterns, faults):
     Returns ``(good, diffs)``: ``good[i]`` is net i's fault-free plane (bit
     t = its value in cycle t, flop Q nets pre-edge) and ``diffs[k]`` is
     fault k's detection plane, bit t set iff cycle t's observed outputs
-    differ from the fault-free ones (the contract of :meth:`FaultKernel.diff`).
+    differ from the fault-free ones (the contract of :meth:`planes`).
     """
     patterns = _pattern_list(netlist, patterns)
     index = {n: i for i, n in enumerate(netlist.nets)}
@@ -667,94 +680,84 @@ def sequential_sim(netlist, patterns, faults):
     return _columns(rows), diffs[1:]
 
 
-class SequentialStimulus:
-    """A checked pattern list for a netlist with flops, plus the planes of
-    the :func:`sequential_sim` pass over it, kept once computed: the
-    sequential counterpart of :class:`FaultKernel`.
+class SequentialStimulus(_Kernel):
+    """The kernel of a netlist with flops, as :func:`kernel` builds it: its
+    fault-free and detection planes come from :func:`sequential_sim`
+    passes over the patterns, the fault-free ones from the first pass.
 
-    A :meth:`planes` call that finds some of its faults not kept runs one
-    pass over them and over the ``also`` faults not kept either: a caller
-    that runs transition-delay simulation next passes the stem faults it
-    will read (:func:`tdf_stems`), so one pass serves both, as in PROOFS.
-    The fault-free planes (:attr:`good`) come from the first pass. A
-    pickled stimulus (for a pool worker) carries only the pattern list.
+    A :meth:`planes` call that finds faults not kept runs one pass over
+    them and its ``also`` faults, split over up to ``workers`` pool
+    processes when that pays (:func:`_map_faults`); each worker runs its
+    own pass and sends its planes back to be kept. A pickled stimulus (for
+    a pool worker) carries only the input planes.
     """
 
-    def __init__(self, netlist, patterns):
-        self.netlist = netlist
-        self.patterns = _pattern_list(netlist, patterns)
-        self._good = None
-        self._diffs = {}
-
-    def __len__(self):
-        return len(self.patterns)
+    def __init__(self, netlist, inputs, n, workers=1):
+        super().__init__(netlist, inputs, n)
+        self.workers = workers
 
     def __reduce__(self):
-        return (SequentialStimulus, (self.netlist, self.patterns))
+        return (SequentialStimulus, (self.netlist, self.inputs, self.n))
 
-    @property
-    def good(self):
-        """Every net's fault-free plane, as :func:`sequential_sim` gives it."""
-        if self._good is None:
-            self.planes(())
-        return self._good
-
-    def planes(self, faults, workers=1, also=()):
-        """Detection plane of each stuck-at fault of ``faults``. A pass runs
-        unless all are kept; it also carries the faults of ``also`` not kept
-        yet, and is split over up to ``workers`` pool processes when that
-        pays (:func:`_map_faults`)."""
-        diffs = self._diffs
-        run = [f for f in dict.fromkeys(faults) if f not in diffs]
-        if run or self._good is None:
-            run = list(dict.fromkeys(run + [f for f in also if f not in diffs]))
-            chunks = (_map_faults(SequentialStimulus._pass, self, run, workers)
-                      or [self._pass(run)])
-            self._good = chunks[0][0]
-            diffs.update(zip(run, (p for _, c in chunks for p in c)))
-        return [diffs[f] for f in faults]
+    def _simulate(self, faults):
+        chunks = (_map_faults(SequentialStimulus._pass, self, faults)
+                  or [self._pass(faults)])
+        self._good = chunks[0][0]
+        return [p for _, c in chunks for p in c]
 
     def _pass(self, faults):
-        return sequential_sim(self.netlist, self.patterns, faults)
+        return sequential_sim(self.netlist, pattern_rows(self.inputs, self.n),
+                              faults)
 
     def work(self, faults):
         """Work estimate for a pass over ``faults``: gates x cycles x
         faults, every fault's bit riding every gate evaluation."""
-        return len(self.netlist.gates) * len(self.patterns) * len(faults)
+        return len(self.netlist.gates) * self.n * len(faults)
 
 
-def parallel_fault_sim(netlist, universe, patterns, workers=1, also=()):
-    """Stuck-at simulation through :class:`FaultKernel`, or for a netlist
-    with flops :class:`SequentialStimulus`; first detect is each detection
-    plane's lowest set bit. ``patterns`` is a pattern list or a kernel
-    from :func:`stimulus` to share.
+def kernel(netlist, inputs, n, workers=1):
+    """The kernel of ``netlist`` over ``n`` patterns given as one input
+    plane per primary input (bit t = pattern t): a
+    :class:`SequentialStimulus` for a netlist with flops, whose passes use
+    up to ``workers`` processes, else a :class:`FaultKernel`, which runs in
+    this process. Build one per pattern set and share it between every
+    simulation over those patterns."""
+    if netlist.flops:
+        return SequentialStimulus(netlist, inputs, n, workers)
+    return FaultKernel(netlist, inputs, n)
 
-    ``workers`` and ``also`` apply to a sequential pass: with ``workers`` >
-    1 and enough work (:data:`POOL_MIN_WORK`) its faults are split over
-    pool processes, each running its own pass and sending its planes back
-    to be kept, and the stuck-at faults ``also`` ride along, kept but not
-    reported. The combinational kernel runs in this process and simulates
-    a fault when its plane is first asked for. The report is bit-identical
-    to :func:`serial_fault_sim`.
+
+def stimulus(netlist, patterns, workers=1):
+    """The :func:`kernel` over a pattern list, transposed once into input
+    planes; ``patterns`` itself, with the ``workers`` it was built with,
+    when it already is a kernel."""
+    if isinstance(patterns, _Kernel):
+        return patterns
+    patterns = _pattern_list(netlist, patterns)
+    return kernel(netlist, _columns(patterns), len(patterns), workers)
+
+
+def parallel_fault_sim(netlist, universe, patterns, also=()):
+    """Stuck-at simulation on the netlist's kernel (``patterns``: a pattern
+    list or a kernel from :func:`stimulus` or :func:`kernel` to share);
+    first detect is each detection plane's lowest set bit. The stuck-at
+    faults ``also`` are simulated with the universe and kept in the
+    kernel, but not reported (:meth:`planes`). The report is
+    bit-identical to :func:`serial_fault_sim`.
     """
     for f in universe.faults:
         if f.kind not in SA_KINDS:
             raise SimulationError("parallel_fault_sim handles stuck-at faults only")
     patterns = stimulus(netlist, patterns)
-    if netlist.flops:
-        planes = patterns.planes(universe.faults, workers, also)
-    else:
-        planes = patterns.planes(universe.faults)
-    firsts = tuple(_lowest(p) for p in planes)
+    firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults, also))
     return CoverageReport(len(patterns), universe.faults, firsts,
                           fault_blocks(netlist, universe.faults))
 
 
 def detection_planes(netlist, faults, patterns):
     """Per stuck-at fault, the plane whose bit t is set iff pattern t
-    detects it: the pattern-granularity syndrome, from one
-    :class:`FaultKernel` or one :class:`SequentialStimulus` pass
-    (``patterns`` may be either)."""
+    detects it: the pattern-granularity syndrome, from the netlist's
+    kernel (``patterns`` may be one)."""
     return stimulus(netlist, patterns).planes(faults)
 
 
@@ -768,9 +771,9 @@ def tdf_sim(netlist, universe, patterns):
     n stuck-at-0 is observable at an output under p_i+1 (dual for
     slow-to-fall). First detection is recorded at the capture pattern.
     The kernel keeps the planes a stuck-at run on it computed, so the stem
-    planes it already holds (and for a netlist with flops the fault-free
-    planes) are read, not simulated again; pass :func:`tdf_stems` as the
-    stuck-at run's ``also`` to have it hold all of them.
+    planes it already holds are read, not simulated again; pass
+    :func:`tdf_stems` as the stuck-at run's ``also`` to have it hold all
+    of them.
     """
     faults = universe.faults
     for f in faults:
@@ -779,7 +782,7 @@ def tdf_sim(netlist, universe, patterns):
     patterns = stimulus(netlist, patterns)
     if len(patterns) < 2:
         raise SimulationError("transition fault simulation needs >= 2 patterns")
-    full = (1 << len(patterns)) - 1
+    full = patterns.mask
     value = dict(zip(netlist.nets, patterns.good))
     capmasks = []
     for f in faults:

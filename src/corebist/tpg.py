@@ -183,7 +183,6 @@ def cg_step(program, cycle):
         if cycle < hold:
             return value
         cycle -= hold
-    return program.schedule[-1][0]
 
 
 class PortBinding(record("PortBinding", "block width alfsr_slice cg cg_bits")):

@@ -194,6 +194,13 @@ def test_trace_parse_rejects_bad_field_count():
         access.SerialTrace.parse("1 1\n")
 
 
+@pytest.mark.parametrize("line", ["1 1 0 7", "1 1 0 -1", "1 1 2 0"])
+def test_trace_parse_rejects_non_binary_values(line):
+    # the TDO column included: a bad one must not read as 0
+    with pytest.raises(ProtocolError, match="trace line 2: fields must be 0/1"):
+        access.SerialTrace.parse("1 1 0 0\n" + line + "\n")
+
+
 def test_trace_parse_inconsistent_columns():
     with pytest.raises(ProtocolError, match="inconsistent"):
         access.SerialTrace.parse("1 1 0\n1 1 0 1\n")

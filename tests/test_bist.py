@@ -422,16 +422,6 @@ def test_kernel_from_plan_planes_matches_kernel_from_tuples(mini10, seventeen,
                             _transposed_kernel(seventeen, planes, n), n)
 
 
-def test_pickled_kernel_is_rebuilt_from_its_input_planes(core, core_plan):
-    import pickle
-    kernel = bist.plan_stimulus(core, core_plan)
-    f = faultsim.FaultDescriptor(core.primary_outputs[0], "SA0")
-    kernel.diff(f)
-    copy = pickle.loads(pickle.dumps(kernel))
-    assert len(copy) == len(kernel) and copy.good == kernel.good
-    assert copy._diffs == {} and copy.diff(f) == kernel.diff(f)
-
-
 def test_tdf_on_a_shared_kernel_matches_tdf_from_patterns(mini10, mini_plan,
                                                           core, core_plan):
     for netlist, plan in ((mini10, mini_plan), (core, core_plan)):

@@ -226,10 +226,17 @@ def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
     assert passes == [report["summary"]["SAF"]["total"]["faults"]]
 
 
-def test_sequential_bist_toggle_replays_the_scalar_evaluator(tmp_path):
+def test_sequential_bist_toggle_reads_the_pass_planes(tmp_path, monkeypatch):
+    # the toggle activity comes off the fault-free planes of the pass SAF
+    # ran, not from a scalar replay; the scalar one is the oracle
     bench, plan_path = _sequential_core(tmp_path)
-    assert run(["bist", bench, "--plan", plan_path, "--toggle",
-                "--out", str(tmp_path)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("circuit.toggle_activity was called")
+    with monkeypatch.context() as m:
+        m.setattr(circuit, "toggle_activity", refuse)
+        assert run(["bist", bench, "--plan", plan_path, "--toggle",
+                    "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "bist_report.json").read_text())
     netlist = circuit.load_netlist(bench)
     frac, _ = circuit.toggle_activity(netlist, bist.plan_patterns(
@@ -455,6 +462,25 @@ def test_report_bad_file_is_an_error(tmp_path, capsys, content):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {f}: "), err
+
+
+@pytest.mark.parametrize("seed", ["0x0", "-0x1", "0x100", "0x100001"])
+def test_plan_seed_outside_the_alfsr_range_is_an_error(tmp_path, capsys,
+                                                       seed):
+    # mini10's plan has a degree-8 ALFSR: seeds run 1..0xff
+    plan = json.loads(open(MINI_PLAN).read())
+    plan["alfsr"]["seed"] = seed
+    bad = tmp_path / "bad.plan.json"
+    bad.write_text(json.dumps(plan))
+    message = f"error: ALFSR seed {int(seed, 0):#x} outside 1..2^8-1\n"
+    for argv in (["--plan", str(bad)], ["--plan", MINI_PLAN, f"--seed={seed}"]):
+        assert run(["bist", MINI, "--out", str(tmp_path)] + argv) == 1
+        assert capsys.readouterr().err == message, argv
+    assert not (tmp_path / "bist_report.json").exists()
+    # the range's ends run
+    for seed in ("0x1", "0xff"):
+        assert run(["bist", MINI, "--plan", MINI_PLAN, "--seed", seed,
+                    "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -218,12 +218,13 @@ def test_workers_do_not_change_results(mini10, seqmini, forced_pool,
     for netlist in (seqmini, rseq):
         pats = random_patterns(rng, netlist, 48)
         u = faultsim.enumerate_faults(netlist)
-        r1 = faultsim.parallel_fault_sim(netlist, u, pats, workers=1)
+        r1 = faultsim.parallel_fault_sim(
+            netlist, u, faultsim.stimulus(netlist, pats, workers=1))
         planes = faultsim.detection_planes(netlist, u.faults, pats)
         assert forced_pool == []
-        stim = faultsim.stimulus(netlist, pats)
+        stim = faultsim.stimulus(netlist, pats, workers=2)
         calls.clear()
-        r2 = faultsim.parallel_fault_sim(netlist, u, stim, workers=2)
+        r2 = faultsim.parallel_fault_sim(netlist, u, stim)
         assert forced_pool == [2], netlist.name
         assert r1.first_detect == r2.first_detect, netlist.name
         assert stim.planes(u.faults) == planes, netlist.name
@@ -232,7 +233,8 @@ def test_workers_do_not_change_results(mini10, seqmini, forced_pool,
     # the combinational kernel runs in this process whatever the threshold
     pats = random_patterns(rng, mini10, 48)
     u = faultsim.enumerate_faults(mini10)
-    assert faultsim.parallel_fault_sim(mini10, u, pats, workers=2).first_detect \
+    assert faultsim.parallel_fault_sim(
+        mini10, u, faultsim.stimulus(mini10, pats, workers=2)).first_detect \
         == faultsim.serial_fault_sim(mini10, u, pats).first_detect
     assert forced_pool == []
 
@@ -242,10 +244,10 @@ def test_small_job_starts_no_pool(mini10, seqmini, no_pool):
     for netlist in (mini10, seqmini):
         pats = random_patterns(rng, netlist, 48)
         u = faultsim.enumerate_faults(netlist)
-        stim = faultsim.stimulus(netlist, pats)
+        stim = faultsim.stimulus(netlist, pats, workers=2)
         if netlist.flops:
             assert 0 < stim.work(u.faults) < faultsim.POOL_MIN_WORK
-        r = faultsim.parallel_fault_sim(netlist, u, stim, workers=2)
+        r = faultsim.parallel_fault_sim(netlist, u, stim)
         assert r.first_detect == faultsim.serial_fault_sim(
             netlist, u, pats).first_detect, netlist.name
 
@@ -304,21 +306,50 @@ def test_kernel_faulty_planes_match_brute_force():
                 assert i not in faulty or faulty[i] != kernel.good[i]
 
 
-def test_kernel_toggle_activity_matches_scalar(mini10, seventeen):
+def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini,
+                                              forced_pool):
     rng = random.Random(0x7066)
     core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
     netlists = [mini10, seventeen, core] + [
         random_combinational(rng, n_in=rng.randint(2, 7),
                              n_gates=rng.randint(6, 30), name=f"tog{k}")
         for k in range(3)]
+    netlists += [seqmini] + [random_sequential(rng, n_in=4, n_flops=4,
+                                               n_gates=24, name=f"stog{k}")
+                             for k in range(2)]
     for n in netlists:
         for count in (2, 63, 64, 65):
             pats = random_patterns(rng, n, count)
+            want = circuit.toggle_activity(n, pats)
             frac, counts = faultsim.stimulus(n, pats).toggle_activity()
-            assert (frac, counts) == circuit.toggle_activity(n, pats), \
-                (n.name, count)
+            assert (frac, counts) == want, (n.name, count)
+            # read off the fault-free planes of a pass that, on a netlist
+            # with flops, the pool workers ran
+            forced_pool.clear()
+            stim = faultsim.stimulus(n, pats, workers=2)
+            faultsim.parallel_fault_sim(n, faultsim.enumerate_faults(n), stim)
+            assert forced_pool == ([2] if n.flops else []), (n.name, count)
+            assert stim.toggle_activity() == want, (n.name, count)
     with pytest.raises(SimulationError, match="at least 2"):
         faultsim.stimulus(mini10, [(0, 1, 0, 1)]).toggle_activity()
+
+
+def test_also_on_fault_kernel_keeps_the_tdf_stems(monkeypatch):
+    core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
+    pats = random_patterns(random.Random(0xA150), core, 200)
+    saf = faultsim.collapse(faultsim.enumerate_faults(core), core)
+    tdf = faultsim.enumerate_faults(core, ("STR", "STF"))
+    stems = faultsim.tdf_stems(tdf.faults)
+    assert set(stems) - set(saf.faults)
+    want = faultsim.tdf_sim(core, tdf, pats)
+    kernel = faultsim.stimulus(core, pats)
+    assert faultsim.parallel_fault_sim(core, saf, kernel, also=stems) == \
+        faultsim.parallel_fault_sim(core, saf, pats)
+
+    def refuse(self, fault):
+        raise AssertionError(f"{fault.key} simulated again")
+    monkeypatch.setattr(faultsim.FaultKernel, "faulty", refuse)
+    assert faultsim.tdf_sim(core, tdf, kernel) == want
 
 
 def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
