@@ -139,10 +139,6 @@ class WrapperState:
             return "WDR"
         return "WBY"
 
-    def _dr_width(self):
-        return {"WBY": 1, "WBR": self.wbr_width,
-                "WCDR": WCDR_WIDTH, "WDR": WDR_WIDTH}[self.selected()]
-
 
 def _shift_reg(value, width, tdi):
     """LSB-first shift: TDO is bit 0, TDI enters at bit width-1."""

@@ -8,17 +8,16 @@ then the ALFSR steps. Flops (if any) clock at the end of the cycle.
 
 Two paths produce signatures. :class:`BistSession` (with
 :func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
-scalar evaluation at a time; it is the oracle, it serves sequential cores,
-and it never touches a fault-sim kernel, the plane builder or the
-closed-form MISR. For a combinational core, :class:`SignatureEngine`
-simulates the plan's whole pattern stream once in a
-:class:`faultsim.FaultKernel` and reduces each MISR's folded output planes
-with :func:`compactor.signature_of_planes`; since that map is linear over
-GF(2), a faulty signature is the fault-free one XOR the signature of the
-folded error planes. :func:`selftest_results` picks the path and is what
-the reports use. TAP replay on a combinational core runs
-:class:`EngineSession`, whose START reads its signatures from the engine; a
-sequential core's TAP replay steps the scalar session.
+scalar evaluation at a time; it is the oracle, no command reads its
+signatures, and it never touches a fault-sim kernel, the plane builder or
+the closed-form MISR. :class:`SignatureEngine` simulates the plan's whole
+pattern stream once in the netlist's :func:`faultsim.kernel`, on a
+combinational and a sequential core alike, and reduces each MISR's folded
+output planes with :func:`compactor.signature_of_planes`; since that map
+is linear over GF(2), a faulty signature is the fault-free one XOR the
+signature of the folded error planes. :func:`selftest_results` is what the
+reports use, and TAP replay runs :class:`EngineSession`, whose START reads
+its signatures from the engine.
 
 The stimulus is built as whole-stream bit planes by :func:`plan_planes`
 (one integer per primary input, bit t = cycle t, straight from the ALFSR
@@ -502,16 +501,17 @@ def plan_stimulus(netlist, plan, count=None, workers=1):
 
 
 class SignatureEngine:
-    """Self-test signatures of a combinational netlist from one
-    :class:`faultsim.FaultKernel` over the plan's pattern stream.
+    """Self-test signatures of a netlist from its :func:`faultsim.kernel`
+    over the plan's pattern stream.
 
     Each MISR's cascade folds its block's output-port planes (port bit i
     into word bit i mod out) and :func:`compactor.signature_of_planes`
     reduces the folded planes to the fault-free signature in closed form.
-    Under a stuck-at fault only the nets in the fault's cone change; their
-    error planes (faulty ^ fault-free) fold the same way, and since the
+    Under a stuck-at fault the kernel's error planes (faulty ^ fault-free,
+    :meth:`faultsim._Kernel.errors`) fold the same way, and since the
     closed form is linear the faulty signature is the fault-free one XOR
-    the signature of the folded error planes.
+    the signature of the folded error planes. On a core with flops one
+    fault-parallel pass from reset gives them for every fault.
 
     ``kernel``, when given, must be compiled over the plan's own stream
     (:func:`plan_stimulus`); it is shared, not copied.
@@ -519,9 +519,6 @@ class SignatureEngine:
 
     def __init__(self, netlist, plan, kernel=None):
         _check_plan(netlist, plan)
-        if netlist.flops:
-            raise SimulationError("the signature engine needs a combinational "
-                                  "netlist; sequential cores run BistSession")
         if kernel is None:
             kernel = plan_stimulus(netlist, plan)
         if len(kernel) != plan.pattern_count:
@@ -540,42 +537,39 @@ class SignatureEngine:
         self.golden = self._signatures({i: good[i] for i in self._taps})
 
     def _signatures(self, planes):
-        """One signature per MISR of the folded ``{net index: plane}``."""
+        """One signature per MISR of the folded ``{net index: plane}``;
+        nets no MISR reads are skipped."""
         words = [[0] * m.cascade.out_width for m in self.plan.misrs]
         for net, plane in planes.items():
-            for k, j in self._taps[net]:
+            for k, j in self._taps.get(net, ()):
                 words[k][j] ^= plane
         n = self.plan.pattern_count
         return tuple(compactor.signature_of_planes(m.polynomial, w, n)
                      if any(w) else 0 for m, w in zip(self.plan.misrs, words))
 
-    def signatures(self, fault=None):
-        """Signature values, one per MISR in plan order, under ``fault``."""
-        if fault is None:
-            return self.golden
-        good = self.kernel.good
-        errors = self._signatures({net: plane ^ good[net] for net, plane
-                                   in self.kernel.faulty(fault).items()
-                                   if net in self._taps})
-        return tuple(g ^ e for g, e in zip(self.golden, errors))
+    def signatures(self, faults):
+        """Per entry of ``faults`` (None: fault-free), the signature values,
+        one per MISR in plan order; one kernel call serves every fault."""
+        run = [f for f in dict.fromkeys(faults) if f is not None]
+        values = {None: self.golden}
+        for fault, errors in zip(run, self.kernel.errors(run) if run else ()):
+            values[fault] = tuple(g ^ e for g, e in
+                                  zip(self.golden, self._signatures(errors)))
+        return [values[f] for f in faults]
 
 
 class EngineSession(BistSession):
     """A :class:`BistSession` whose :meth:`run` reads the signatures from
-    :class:`SignatureEngine`; TAP replay uses it on combinational cores.
+    :class:`SignatureEngine`; TAP replay uses it.
 
-    The session's ALFSR always stands ``pattern_counter`` steps past the
-    seed and its MISRs at the signatures of that many cycles, and a
-    combinational core keeps no state between cycles. So the scalar loop,
-    continued up to the pattern count n, ends with the MISRs at the
-    signatures of the plan's first n patterns: one engine pass over them.
+    Only :meth:`reset` and :meth:`run` move a session. So after ``start``
+    cycles its ALFSR stands ``start`` steps past the seed, its MISRs at the
+    signatures of the plan's first ``start`` patterns, and a flop core's
+    state at the state those patterns reach from reset. The scalar loop,
+    continued up to the pattern count n, thus ends with the MISRs at the
+    signatures of the plan's first n patterns: one engine run from reset
+    over them. TAP never reads ``dut_state``, which this run leaves alone.
     """
-
-    def __init__(self, netlist, plan):
-        if netlist.flops:
-            raise SimulationError("the engine session needs a combinational "
-                                  "netlist; sequential cores run BistSession")
-        super().__init__(netlist, plan)
 
     def run(self):
         self.control.test_enable = True
@@ -602,28 +596,18 @@ def selftest_results(netlist, plan, faults, kernel=None):
     each what ``run_selftest(netlist, plan, injected=f)`` returns.
 
     Pass/fail is judged against the plan's stored golden signatures, or the
-    fault-free ones when none are stored. Combinational netlists go through
-    :class:`SignatureEngine` (on ``kernel``, if given, which must be
-    compiled over the plan's stream); sequential ones replay
-    :class:`BistSession` per fault.
+    fault-free ones when none are stored. The signatures come from
+    :class:`SignatureEngine`, on ``kernel`` if given, which must be
+    compiled over the plan's stream.
     """
     n = plan.pattern_count
-    if netlist.flops:
-        if plan.golden is None:
-            plan = compute_golden(netlist, plan)
-        values = [tuple(s.value for s in run_selftest(netlist, plan,
-                                                      injected=f).signatures)
-                  for f in faults]
-        reference = tuple(s.value for s in plan.golden)
-    else:
-        engine = SignatureEngine(netlist, plan, kernel)
-        values = [engine.signatures(f) for f in faults]
-        reference = engine.golden if plan.golden is None else \
-            tuple(s.value for s in plan.golden)
+    engine = SignatureEngine(netlist, plan, kernel)
+    reference = engine.golden if plan.golden is None else \
+        tuple(s.value for s in plan.golden)
     return [BistResult(tuple(compactor.Signature(m.block, m.polynomial, v, n)
                              for m, v in zip(plan.misrs, sig)),
                        tuple(v == r for v, r in zip(sig, reference)), n)
-            for sig in values]
+            for sig in engine.signatures(faults)]
 
 
 def misr_detection_rate(netlist, plan, universe, workers=1):
@@ -637,8 +621,7 @@ def misr_detection_rate(netlist, plan, universe, workers=1):
     if not detected:
         raise SimulationError("empty fault universe" if not universe.faults
                               else "no detected faults to compact")
-    results = selftest_results(netlist, plan, detected,
-                               None if netlist.flops else stimulus)
+    results = selftest_results(netlist, plan, detected, stimulus)
     aliased = tuple(f for f, r in zip(detected, results) if r.all_pass)
     rate = (len(detected) - len(aliased)) / len(detected)
     return rate, aliased

@@ -158,14 +158,13 @@ def _coverage_json(tables):
 def cmd_bist(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
-    # one kernel over the plan's stream serves the signatures and, unless
-    # --patterns asks for other patterns, SAF, TDF and --toggle too
+    # one kernel over the plan's stream serves SAF, TDF and --toggle (unless
+    # --patterns asks for others), then the signatures, off the same pass
     stream = bist.plan_stimulus(netlist, plan, workers=args.workers)
-    (result,) = bist.selftest_results(netlist, plan, (None,),
-                                      None if netlist.flops else stream)
     patterns, _, source = _resolve_patterns(args, netlist, plan, stream,
                                             args.workers)
     tables = _coverage_tables(netlist, patterns)
+    (result,) = bist.selftest_results(netlist, plan, (None,), stream)
 
     payload = _header(netlist, plan)
     payload["patterns_applied"] = result.patterns_applied
@@ -266,9 +265,7 @@ def cmd_tap(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args, netlist)
     trace = access.SerialTrace.load(args.trace)
-    # sequential cores replay the scalar session cycle by cycle
-    session_cls = bist.BistSession if netlist.flops else bist.EngineSession
-    session = access.TapSession(session_cls(netlist, plan))
+    session = access.TapSession(bist.EngineSession(netlist, plan))
     tdo = access.drive_trace(session, trace)
     rendered = access.SerialTrace(trace.samples).render(tdo=tdo)
     out = os.path.join(args.out, "tap_trace.out")

@@ -9,10 +9,10 @@ so an all-zero register absorbing an all-zero stream stays zero, and the
 whole compactor is linear over GF(2).
 
 Signatures can be computed two ways. :func:`misr_absorb` steps the register
-one word at a time; the scalar self-test session in :mod:`corebist.bist`
-does this for every cycle, and it is the path for sequential cores.
-For a combinational core the whole response is known up front as bit
-planes (one integer per folded output bit, bit t = cycle t), and
+one word at a time; the scalar self-test session in :mod:`corebist.bist`,
+the oracle, does this for every cycle. The signature engine there knows
+the whole response up front as bit planes (one integer per folded output
+bit, bit t = cycle t), on a combinational and a sequential core alike, and
 :func:`signature_of_planes` reduces them in closed form over GF(2), with a
 few shift-XORs per tap instead of one register step per word. Being linear,
 it also gives a faulty signature as the fault-free one XOR the signature of

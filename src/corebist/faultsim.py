@@ -9,9 +9,9 @@ Stuck-at simulation paths are kept deliberately separate:
 * :func:`kernel` builds the kernel that fits the netlist from one input
   plane per primary input (bit t = pattern t), as the BIST plan builds
   them; :func:`stimulus` transposes a pattern list once. Both kernels have
-  ``len()``, the fault-free planes ``good``, ``planes(faults, also=())``
-  (one detection plane per stuck-at fault, kept once computed) and
-  ``toggle_activity()``.
+  ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults,
+  also=())`` (one detection plane per stuck-at fault, kept once computed),
+  ``errors(faults)`` (their per-net parts) and ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
   the whole pattern set, and each fault re-evaluates only the gates of its
   fanout cone whose inputs differ from the fault-free planes
@@ -21,8 +21,8 @@ Stuck-at simulation paths are kept deliberately separate:
   and bit k+1 fault k, one pass from reset for the whole fault set.
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-run on either kernel, and the combinational self-test signatures in
-:mod:`corebist.bist` on :class:`FaultKernel`. Given a pattern list they
+run on either kernel, and so do the self-test signatures in
+:mod:`corebist.bist`, which read :meth:`errors`. Given a pattern list they
 build their own kernel; given a built one they share it, so one command
 simulates the fault-free planes once for all of them. Only a sequential
 pass fans out, to at most the ``workers`` its kernel was built with, and
@@ -302,21 +302,20 @@ def fault_blocks(netlist, faults):
     return tuple(out)
 
 
-def coverage(report, per_kind=True):
+def coverage(report):
     """Summary table over a report; an empty universe is an error, not 100%."""
     if not report.faults:
         raise SimulationError("empty fault universe")
     summary = {"total": {"faults": len(report.faults),
                          "detected": report.detected,
                          "coverage": report.coverage}}
-    if per_kind:
-        for kind in SA_KINDS + TDF_KINDS:
-            idx = [i for i, f in enumerate(report.faults) if f.kind == kind]
-            if not idx:
-                continue
-            det = sum(1 for i in idx if report.first_detect[i] is not None)
-            summary[kind] = {"faults": len(idx), "detected": det,
-                             "coverage": det / len(idx)}
+    for kind in SA_KINDS + TDF_KINDS:
+        idx = [i for i, f in enumerate(report.faults) if f.kind == kind]
+        if not idx:
+            continue
+        det = sum(1 for i in idx if report.first_detect[i] is not None)
+        summary[kind] = {"faults": len(idx), "detected": det,
+                         "coverage": det / len(idx)}
     return summary
 
 
@@ -448,9 +447,12 @@ def _eval_gate(kind, planes, mask):
 
 class _Kernel:
     """What both kernels share: ``n`` patterns given as one input plane per
-    primary input, and the fault-free (:attr:`good`) and detection planes,
-    kept once computed. ``len(kernel)`` is the pattern count. A subclass
-    sets ``_good`` and simulates faults in ``_simulate``."""
+    primary input, the net ``index`` (position in ``netlist.nets``), and
+    the fault-free (:attr:`good`) and detection planes, kept once computed.
+    ``len(kernel)`` is the pattern count. A subclass sets ``_good``,
+    simulates faults in ``_simulate`` and has ``errors(faults)``: per
+    fault, ``{net index: faulty ^ fault-free plane}`` at the observation
+    nets it changes, whose OR is its :meth:`planes` entry."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -462,6 +464,7 @@ class _Kernel:
         self.n = n
         self.mask = mask = (1 << n) - 1
         self.inputs = [plane & mask for plane in inputs]
+        self.index = {net: i for i, net in enumerate(netlist.nets)}
         self._good = None
         self._diffs = {}
 
@@ -521,7 +524,7 @@ class FaultKernel(_Kernel):
             raise SimulationError("the fault kernel needs a combinational netlist")
         super().__init__(netlist, inputs, n)
         mask = self.mask
-        self.index = index = {net: i for i, net in enumerate(netlist.nets)}
+        index = self.index
         # gates in topological order, so a cone sorted by position is too
         self._ops = ops = [(g.kind, index[g.output],
                             tuple(index[i] for i in g.inputs))
@@ -583,27 +586,25 @@ class FaultKernel(_Kernel):
                 faulty[out] = value
         return faulty
 
+    def errors(self, faults):
+        """Lazily, one cone walk per fault (the contract: :class:`_Kernel`)."""
+        good, obs = self._good, self._obs
+        return ({net: value ^ good[net] for net, value in
+                 self.faulty(fault).items() if net in obs} for fault in faults)
+
     def _simulate(self, faults):
-        """OR of faulty ^ fault-free over the observation nets, per fault."""
-        good = self._good
-        obs = self._obs
         diffs = []
-        for fault in faults:
+        for errors in self.errors(faults):
             diff = 0
-            for net, value in self.faulty(fault).items():
-                if net in obs:
-                    diff |= value ^ good[net]
+            for plane in errors.values():
+                diff |= plane
             diffs.append(diff)
         return diffs
-
-    def diff(self, fault):
-        """The detection plane of the stuck-at ``fault`` (:meth:`planes`)."""
-        return self.planes((fault,))[0]
 
 
 # -- fault-parallel sequential kernel -----------------------------------------
 
-def sequential_sim(netlist, patterns, faults):
+def sequential_sim(netlist, patterns, faults, per_net=False):
     """Fault-parallel simulation of a netlist with flops from reset, in the
     style of PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992): the
     fault-free machine and every stuck-at fault of ``faults`` in one pass
@@ -619,7 +620,10 @@ def sequential_sim(netlist, patterns, faults):
     Returns ``(good, diffs)``: ``good[i]`` is net i's fault-free plane (bit
     t = its value in cycle t, flop Q nets pre-edge) and ``diffs[k]`` is
     fault k's detection plane, bit t set iff cycle t's observed outputs
-    differ from the fault-free ones (the contract of :meth:`planes`).
+    differ from the fault-free ones (the contract of :meth:`planes`). With
+    ``per_net``, ``diffs[k]`` is instead fault k's error planes (the
+    contract of :meth:`_Kernel.errors`): only then does the pass keep each
+    observation net's word per cycle and transpose it.
     """
     patterns = _pattern_list(netlist, patterns)
     index = {n: i for i, n in enumerate(netlist.nets)}
@@ -652,7 +656,7 @@ def sequential_sim(netlist, patterns, faults):
 
     v = [0] * len(index)
     state = [full if f.init else 0 for f in netlist.flops]
-    words, rows = [], []
+    words, rows, kept = [], [], []
     for p in patterns:
         for i, b in zip(pis, p):
             v[i] = full if b else 0
@@ -673,11 +677,24 @@ def sequential_sim(netlist, patterns, faults):
             w = v[i]
             diff |= w ^ full if w & 1 else w
         words.append(diff)
+        if per_net:
+            kept.append([v[i] for i in obs])
         rows.append(bytes(w & 1 for w in v))
         state = [v[d] for _, d in flops]
     width = len(faults) + 1
-    diffs = _columns(format(d, f"0{width}b")[::-1].encode() for d in words)
-    return _columns(rows), diffs[1:]
+
+    def machines(cycles):     # per-cycle words -> one plane per fault
+        return _columns(format(w, f"0{width}b")[::-1].encode()
+                        for w in cycles)[1:]
+    if not per_net:
+        return _columns(rows), machines(words)
+    errors = [{} for _ in faults]
+    for i, column in zip(obs, zip(*kept)):
+        for k, plane in enumerate(machines(w ^ full if w & 1 else w
+                                           for w in column)):
+            if plane:
+                errors[k][i] = plane
+    return _columns(rows), errors
 
 
 class SequentialStimulus(_Kernel):
@@ -686,10 +703,11 @@ class SequentialStimulus(_Kernel):
     passes over the patterns, the fault-free ones from the first pass.
 
     A :meth:`planes` call that finds faults not kept runs one pass over
-    them and its ``also`` faults, split over up to ``workers`` pool
-    processes when that pays (:func:`_map_faults`); each worker runs its
-    own pass and sends its planes back to be kept. A pickled stimulus (for
-    a pool worker) carries only the input planes.
+    them and its ``also`` faults, and an :meth:`errors` call one pass over
+    its faults, split over up to ``workers`` pool processes when that pays
+    (:func:`_map_faults`); each worker runs its own pass and sends its
+    planes back. A pickled stimulus (for a pool worker) carries only the
+    input planes.
     """
 
     def __init__(self, netlist, inputs, n, workers=1):
@@ -699,15 +717,21 @@ class SequentialStimulus(_Kernel):
     def __reduce__(self):
         return (SequentialStimulus, (self.netlist, self.inputs, self.n))
 
-    def _simulate(self, faults):
-        chunks = (_map_faults(SequentialStimulus._pass, self, faults)
-                  or [self._pass(faults)])
-        self._good = chunks[0][0]
-        return [p for _, c in chunks for p in c]
-
     def _pass(self, faults):
         return sequential_sim(self.netlist, pattern_rows(self.inputs, self.n),
                               faults)
+
+    def _error_pass(self, faults):
+        return sequential_sim(self.netlist, pattern_rows(self.inputs, self.n),
+                              faults, per_net=True)
+
+    def _simulate(self, faults, run=_pass):
+        chunks = _map_faults(run, self, faults) or [run(self, faults)]
+        self._good = chunks[0][0]
+        return [p for _, c in chunks for p in c]
+
+    def errors(self, faults):
+        return self._simulate(faults, SequentialStimulus._error_pass)
 
     def work(self, faults):
         """Work estimate for a pass over ``faults``: gates x cycles x
@@ -773,7 +797,8 @@ def tdf_sim(netlist, universe, patterns):
     The kernel keeps the planes a stuck-at run on it computed, so the stem
     planes it already holds are read, not simulated again; pass
     :func:`tdf_stems` as the stuck-at run's ``also`` to have it hold all
-    of them.
+    of them. Asked for before the fault-free planes, they come with them
+    from one pass on a core with flops.
     """
     faults = universe.faults
     for f in faults:
@@ -782,21 +807,18 @@ def tdf_sim(netlist, universe, patterns):
     patterns = stimulus(netlist, patterns)
     if len(patterns) < 2:
         raise SimulationError("transition fault simulation needs >= 2 patterns")
+    detect = patterns.planes(tdf_stems(faults))
     full = patterns.mask
     value = dict(zip(netlist.nets, patterns.good))
-    capmasks = []
-    for f in faults:
+    firsts = []
+    for f, plane in zip(faults, detect):
         v = value[f.net]
         if f.kind == "STR":
-            capmasks.append((~v << 1) & v & full & ~1)
+            capture = (~v << 1) & v & full & ~1
         else:
-            capmasks.append((v << 1) & ~v & full & ~1)
-    sas = tdf_stems(faults)
-    needed = [sa for sa, c in zip(sas, capmasks) if c]
-    detect = dict(zip(needed, patterns.planes(needed)))
-    firsts = tuple(_lowest(detect[sa] & c) if c else None
-                   for sa, c in zip(sas, capmasks))
-    return CoverageReport(len(patterns), faults, firsts,
+            capture = (v << 1) & ~v & full & ~1
+        firsts.append(_lowest(plane & capture))
+    return CoverageReport(len(patterns), faults, tuple(firsts),
                           fault_blocks(netlist, faults))
 
 

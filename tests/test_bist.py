@@ -6,7 +6,7 @@ from corebist import access, bist, circuit, compactor, faultsim, fixture_path, t
 from corebist.errors import PlanError, SimulationError
 
 import oracle
-from conftest import random_combinational
+from conftest import random_combinational, random_sequential
 
 
 @pytest.fixture
@@ -258,13 +258,19 @@ def test_linear_signatures_match_session_core_sample(core, core_plan):
 _MISR_POLYS = ("x^2+x+1", "x^3+x+1", "x^4+x+1", "x^5+x^2+1")
 
 
-def _random_plan_case(rng, count, name):
-    """Random combinational netlist cut into 1-4 blocks, with a random plan:
-    CG-driven input bits, cascades with in % out != 0, MISR widths 2-5."""
+def _random_plan_case(rng, count, name, flops=0):
+    """Random netlist cut into 1-4 blocks, with a random plan: CG-driven
+    input bits, cascades with in % out != 0, MISR widths 2-5. With
+    ``flops``, a :func:`random_sequential` core with that many flops, whose
+    Q nets output ports may read."""
     n_blocks = rng.randint(1, 4)
     n_in = rng.randint(n_blocks, 9)
-    base = random_combinational(rng, n_in=n_in, n_gates=rng.randint(8, 30),
-                                name=name)
+    n_gates = rng.randint(8, 30)
+    if flops:
+        base = random_sequential(rng, n_in=n_in, n_flops=flops,
+                                 n_gates=n_gates, name=name)
+    else:
+        base = random_combinational(rng, n_in=n_in, n_gates=n_gates, name=name)
     pis = list(base.primary_inputs)
     cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
     in_ports = [pis[a:b] for a, b in zip([0] + cuts, cuts + [n_in])]
@@ -274,8 +280,9 @@ def _random_plan_case(rng, count, name):
         len(base.nets), 3 * p.degree + 1))) for p in polys]
     pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
                for k, (i, o) in enumerate(zip(in_ports, out_ports))]
-    netlist = circuit.parse_netlist(
-        "\n".join(pragmas) + "\n" + base.to_bench(), name=name)
+    bench = [line for line in base.to_bench().splitlines()
+             if not line.startswith("#@block")]
+    netlist = circuit.parse_netlist("\n".join(pragmas + bench), name=name)
     alfsr = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8])
     bindings, misrs = [], []
     for k, (port, poly) in enumerate(zip(in_ports, polys)):
@@ -352,43 +359,95 @@ def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
         for r in _scalar(mini10, stale, u.faults))
 
 
-def test_sequential_core_takes_the_scalar_session(seqmini, monkeypatch):
-    plan = bist.BistPlan(
+def _seqmini_plan(count=20):
+    return bist.BistPlan(
         tpg.Polynomial.parse("x^4+x+1"), 0x9,
         (tpg.modular_binding("MAIN", 2, 4),),
         (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
                              compactor.XorCascade(2, 2)),),
-        pattern_count=20)
-    with pytest.raises(SimulationError, match="combinational"):
-        bist.SignatureEngine(seqmini, plan)
-    faults = faultsim.enumerate_faults(seqmini).faults
-    want = _scalar(seqmini, plan, faults)
-    runs = []
-    run = bist.BistSession.run
-    monkeypatch.setattr(bist.BistSession, "run",
-                        lambda self, inject=None: (runs.append(inject),
-                                                   run(self, inject))[1])
-    got = bist.selftest_results(seqmini, plan, faults)
-    assert [r.signatures for r in got] == [r.signatures for r in want]
-    assert runs == [None] + list(faults)   # golden run, then one per fault
+        pattern_count=count)
 
 
-def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, monkeypatch):
+def test_linear_signatures_match_session_sequential_cores(seqmini):
+    for count in (1, 2, 20, 63, 64, 65):
+        u = faultsim.enumerate_faults(seqmini)
+        _assert_same_results(seqmini, _seqmini_plan(count), (None,) + u.faults,
+                             ("seqmini", count))
+    rng = random.Random(0x5E9)
+    misr_counts, uneven, cg, q_ports = set(), 0, 0, 0
+    for trial in range(3):
+        for count in (1, 2, 63, 64, 65):
+            netlist, plan = _random_plan_case(rng, count, f"seqsig{trial}",
+                                              flops=rng.randint(1, 4))
+            misr_counts.add(len(plan.misrs))
+            uneven += sum(m.cascade.in_width % m.cascade.out_width != 0
+                          for m in plan.misrs)
+            cg += sum(b.cg is not None for b in plan.bindings)
+            qs = {f.q for f in netlist.flops}
+            q_ports += sum(bool(qs & set(b.output_port))
+                           for b in netlist.blocks)
+            u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+            _assert_same_results(netlist, plan, (None,) + u.faults,
+                                 (trial, count))
+            if count == 65:       # a stored golden that is not the plan's
+                stale = plan._replace(golden=tuple(
+                    s._replace(value=s.value ^ 1) for s in plan.golden))
+                _assert_same_results(netlist, stale, (None,) + u.faults,
+                                     (trial, "stale"))
+    assert len(misr_counts) > 1 and uneven and cg and q_ports
+
+
+def test_signature_paths_never_step_the_session(seqmini, mini10, mini_plan,
+                                                 monkeypatch):
+    seq_plan = _seqmini_plan()
+    cases = [(seqmini, seq_plan), (mini10, mini_plan)]
+    want = [_scalar(n, p, (None,) + faultsim.enumerate_faults(n).faults)
+            for n, p in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature path ran the scalar session")
+    monkeypatch.setattr(bist.BistSession, "run", refuse)
+    monkeypatch.setattr(bist, "run_selftest", refuse)
+    monkeypatch.setattr(bist, "compute_golden", refuse)
+    for (netlist, plan), scalar in zip(cases, want):
+        faults = (None,) + faultsim.enumerate_faults(netlist).faults
+        got = bist.selftest_results(netlist, plan, faults)
+        assert [r.signatures for r in got] == [r.signatures for r in scalar]
+    # the compaction-loss study on a flop core, against the oracle's
+    golden = want[0][0].signatures
+    u = faultsim.enumerate_faults(seqmini)
+    detected = faultsim.serial_fault_sim(
+        seqmini, u, bist.plan_patterns(seqmini, seq_plan)).detected_faults()
+    scalar = dict(zip(u.faults, want[0][1:]))
+    _, aliased = bist.misr_detection_rate(
+        seqmini, seq_plan._replace(golden=golden), u)
+    assert aliased == tuple(f for f in detected
+                            if scalar[f].signatures == golden)
+
+
+def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, seqmini,
+                                               monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scalar session used the fault kernel")
     monkeypatch.setattr(faultsim, "FaultKernel", refuse)
+    monkeypatch.setattr(faultsim, "SequentialStimulus", refuse)
+    monkeypatch.setattr(faultsim, "sequential_sim", refuse)
     # nor the engine or the plane builder
     monkeypatch.setattr(bist, "SignatureEngine", refuse)
     monkeypatch.setattr(bist, "plan_planes", refuse)
     monkeypatch.setattr(compactor, "signature_of_planes", refuse)
-    bare = mini_plan._replace(golden=None)
-    assert bist.compute_golden(mini10, bare).golden == mini_plan.golden
-    f = faultsim.FaultDescriptor(mini10.primary_outputs[0], "SA1")
-    bist.run_selftest(mini10, mini_plan, injected=f)
-    session = bist.BistSession(mini10, mini_plan)
-    patterns = session.pattern_stream()
-    session.run()
-    faultsim.serial_fault_sim(mini10, faultsim.enumerate_faults(mini10), patterns)
+    for netlist, plan in ((mini10, mini_plan),
+                          (seqmini, bist.compute_golden(seqmini,
+                                                        _seqmini_plan()))):
+        bare = plan._replace(golden=None)
+        assert bist.compute_golden(netlist, bare).golden == plan.golden
+        f = faultsim.FaultDescriptor(netlist.primary_outputs[0], "SA1")
+        bist.run_selftest(netlist, plan, injected=f)
+        session = bist.BistSession(netlist, plan)
+        patterns = session.pattern_stream()
+        session.run()
+        faultsim.serial_fault_sim(netlist, faultsim.enumerate_faults(netlist),
+                                  patterns)
 
 
 # -- one kernel from the plan's planes ------------------------------------------------
@@ -404,7 +463,7 @@ def _assert_same_kernel(netlist, a, b, label):
     u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
     for f in u.faults:
         assert a.faulty(f) == b.faulty(f), (label, f.key)
-        assert a.diff(f) == b.diff(f), (label, f.key)
+        assert a.planes((f,))[0] == b.planes((f,))[0], (label, f.key)
 
 
 def test_kernel_from_plan_planes_matches_kernel_from_tuples(mini10, seventeen,
@@ -605,12 +664,19 @@ def test_engine_session_matches_scalar_session_random_plans():
     assert len(misr_counts) > 1
 
 
-def test_engine_session_refuses_a_sequential_core(seqmini):
-    plan = bist.BistPlan(
-        tpg.Polynomial.parse("x^4+x+1"), 0x9,
-        (tpg.modular_binding("MAIN", 2, 4),),
-        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
-                             compactor.XorCascade(2, 2)),),
-        pattern_count=20)
-    with pytest.raises(SimulationError, match="combinational"):
-        bist.EngineSession(seqmini, plan)
+def test_engine_session_matches_scalar_session_sequential_cores(seqmini):
+    # START after START, or after a smaller count, continues from the state
+    # the scalar session's core holds: the state of the plan's prefix
+    rng = random.Random(0x5E56)
+    plan = bist.compute_golden(seqmini, _seqmini_plan())
+    _assert_engine_session_matches(seqmini, plan, _tap_script(rng, plan),
+                                   "seqmini")
+    misr_counts = {len(plan.misrs)}
+    for trial in range(3):
+        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
+                                          f"seqtap{trial}",
+                                          flops=rng.randint(1, 4))
+        misr_counts.add(len(plan.misrs))
+        _assert_engine_session_matches(netlist, plan,
+                                       _tap_script(rng, plan), trial)
+    assert len(misr_counts) > 1

@@ -363,9 +363,11 @@ def test_tap_on_a_combinational_core_takes_the_engine(tmp_path, capsys,
     assert "TDO matches golden trace" in capsys.readouterr().out
 
 
-def test_tap_on_a_sequential_core_takes_the_scalar_session(tmp_path, capsys,
-                                                           monkeypatch):
-    netlist = circuit.load_netlist(fixture_path("seqmini.bench"))
+SEQMINI = str(fixture_path("seqmini.bench"))
+
+
+def _seqmini_plan(tmp_path):
+    """A 20-pattern plan for seqmini, saved; returns it and its path."""
     plan = bist.BistPlan(
         tpg.Polynomial.parse("x^4+x+1"), 0x9,
         (tpg.modular_binding("MAIN", 2, 4),),
@@ -373,9 +375,19 @@ def test_tap_on_a_sequential_core_takes_the_scalar_session(tmp_path, capsys,
                              compactor.XorCascade(2, 2)),),
         pattern_count=20)
     plan.save(tmp_path / "seq.plan.json")
+    return plan, str(tmp_path / "seq.plan.json")
+
+
+def test_sequential_commands_take_the_engine(tmp_path, capsys, monkeypatch):
+    # tap, bist and signature diagnose on a core with flops agree with the
+    # scalar session, which none of them runs
+    netlist = circuit.load_netlist(SEQMINI)
+    plan, plan_path = _seqmini_plan(tmp_path)
     rec = access.TraceRecorder(access.TapSession(bist.BistSession(netlist, plan)))
     rec.tap_reset()
     rec.write_wcdr(access.CMD_RESET)
+    rec.write_wcdr(access.CMD_SET_COUNT, 13)
+    rec.write_wcdr(access.CMD_START)
     rec.write_wcdr(access.CMD_SET_COUNT, 20)
     rec.write_wcdr(access.CMD_START)
     rec.write_wcdr(access.CMD_READ_STATUS)
@@ -383,20 +395,47 @@ def test_tap_on_a_sequential_core_takes_the_scalar_session(tmp_path, capsys,
     assert status == access.STATUS_DONE
     trace, tdo = rec.trace()
     (tmp_path / "seq.trace").write_text(trace.render(tdo=tdo))
+    golden = bist.compute_golden(netlist, plan).golden
+    u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+    undetected = sum(bist.run_selftest(netlist, plan._replace(golden=golden),
+                                       injected=f).all_pass for f in u.faults)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("TAP on a sequential core used the engine")
-    monkeypatch.setattr(bist, "SignatureEngine", refuse)
-    runs = []
-    scalar_run = bist.BistSession.run
-    monkeypatch.setattr(bist.BistSession, "run",
-                        lambda self, inject=None: (runs.append(inject),
-                                                   scalar_run(self, inject))[1])
-    assert run(["tap", str(tmp_path / "seq.trace"), str(fixture_path("seqmini.bench")),
-                "--plan", str(tmp_path / "seq.plan.json"),
+        raise AssertionError("a command ran the scalar session")
+    monkeypatch.setattr(bist.BistSession, "run", refuse)
+    monkeypatch.setattr(bist, "run_selftest", refuse)
+    monkeypatch.setattr(bist, "compute_golden", refuse)
+    assert run(["tap", str(tmp_path / "seq.trace"), SEQMINI, "--plan", plan_path,
                 "--expect", str(tmp_path / "seq.trace"), "--out", str(tmp_path)]) == 0
     assert "TDO matches golden trace" in capsys.readouterr().out
-    assert runs == [None]
+    assert run(["bist", SEQMINI, "--plan", plan_path, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "bist_report.json").read_text())
+    assert [int(s["value"], 16) for s in report["signatures"]] == \
+        [s.value for s in golden]
+    assert run(["diagnose", SEQMINI, "--plan", plan_path, "--granularity",
+                "signature", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "diagnosis_report.json").read_text())
+    assert report["overall"]["fault_count"] == len(u.faults)
+    assert report["overall"]["undetected"] == undetected
+
+
+def test_sequential_bist_and_tdf_run_one_pass(tmp_path, monkeypatch):
+    # bist reads the golden signatures off the coverage pass, and TDF asks
+    # for its stem planes before the fault-free ones
+    _, plan_path = _seqmini_plan(tmp_path)
+    passes = []
+    real = faultsim.sequential_sim
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[2]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+    for argv in (["bist"], ["faultsim", "--kinds", "tdf"],
+                 ["faultsim", "--kinds", "saf,tdf"]):
+        passes.clear()
+        assert run(argv + [SEQMINI, "--plan", plan_path,
+                           "--out", str(tmp_path)]) == 0, argv
+        assert len(passes) == 1, (argv, passes)
 
 
 # -- diagnose -----------------------------------------------------------------------

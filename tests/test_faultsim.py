@@ -421,6 +421,41 @@ def test_sequential_kernel_matches_serial_and_brute_force():
     assert {"branch", "input", "Q", "D"} <= sites
 
 
+def test_error_planes_match_oracle_and_or_to_the_detection_planes(
+        forced_pool):
+    # per fault, faulty ^ fault-free at each observation net it changes,
+    # from the oracle's replay; on both kernels and through the pool
+    rng = random.Random(0xE44)
+    cases = [(n, random_patterns(rng, n, count))
+             for n in (random_combinational(rng, n_in=5, n_gates=16),)
+             for count in (1, 64, 65)]
+    cases += list(_sequential_cases(0xE45, netlists=2))
+    for n, pats in cases:
+        obs = faultsim.observation_nets(n)
+        golden = oracle.run_sequence(n, pats, observe=obs)
+        faults = faultsim.enumerate_faults(n).faults
+        planes = faultsim.detection_planes(n, faults, pats)
+        want = []
+        for f in faults:
+            faulty = oracle.run_sequence(n, pats, fault=oracle.fault_tuple(f),
+                                         observe=obs)
+            want.append({net: _plane([a[j] != b[j] for a, b in
+                                      zip(faulty, golden)])
+                         for j, net in enumerate(obs)})
+        for workers in (1, 2):
+            forced_pool.clear()
+            stim = faultsim.stimulus(n, pats, workers)
+            for f, errors, nets, plane in zip(faults, stim.errors(faults),
+                                              want, planes):
+                assert errors == {stim.index[net]: e for net, e in nets.items()
+                                  if e}, (n.name, len(pats), f.key)
+                union = 0
+                for e in errors.values():
+                    union |= e
+                assert union == plane, (n.name, len(pats), f.key)
+            assert forced_pool == ([2] if n.flops and workers == 2 else [])
+
+
 def test_sequential_kernel_good_planes_match_oracle():
     # bit 0 of every net's word is the fault-free machine, flop Q pre-edge
     for n, pats in _sequential_cases(0x600D, netlists=2):
