@@ -511,16 +511,15 @@ class SignatureEngine:
     :meth:`faultsim._Kernel.errors`) fold the same way, and since the
     closed form is linear the faulty signature is the fault-free one XOR
     the signature of the folded error planes. On a core with flops one
-    fault-parallel pass from reset gives them for every fault.
+    fault-parallel pass from reset gives them for every fault, and the
+    fault-free planes with them.
 
-    ``kernel``, when given, must be compiled over the plan's own stream
+    ``kernel`` must be compiled over the plan's own stream
     (:func:`plan_stimulus`); it is shared, not copied.
     """
 
-    def __init__(self, netlist, plan, kernel=None):
+    def __init__(self, netlist, plan, kernel):
         _check_plan(netlist, plan)
-        if kernel is None:
-            kernel = plan_stimulus(netlist, plan)
         if len(kernel) != plan.pattern_count:
             raise SimulationError(f"{len(kernel)} patterns for a plan of "
                                   f"{plan.pattern_count}")
@@ -533,8 +532,6 @@ class SignatureEngine:
             out = misr.cascade.out_width
             for i, net in enumerate(blocks[binding.block].output_port):
                 self._taps.setdefault(kernel.index[net], []).append((k, i % out))
-        good = kernel.good
-        self.golden = self._signatures({i: good[i] for i in self._taps})
 
     def _signatures(self, planes):
         """One signature per MISR of the folded ``{net index: plane}``;
@@ -551,10 +548,12 @@ class SignatureEngine:
         """Per entry of ``faults`` (None: fault-free), the signature values,
         one per MISR in plan order; one kernel call serves every fault."""
         run = [f for f in dict.fromkeys(faults) if f is not None]
-        values = {None: self.golden}
-        for fault, errors in zip(run, self.kernel.errors(run) if run else ()):
+        errors = self.kernel.errors(run) if run else ()
+        good = self.kernel.good  # after the error pass, which gives it on flops
+        values = {None: self._signatures({i: good[i] for i in self._taps})}
+        for fault, planes in zip(run, errors):
             values[fault] = tuple(g ^ e for g, e in
-                                  zip(self.golden, self._signatures(errors)))
+                                  zip(values[None], self._signatures(planes)))
         return [values[f] for f in faults]
 
 
@@ -577,10 +576,12 @@ class EngineSession(BistSession):
         n = self._pattern_count
         start = self.control.pattern_counter
         if start < n:
-            engine = SignatureEngine(self.netlist,
-                                     self.plan._replace(pattern_count=n, golden=None))
+            plan = self.plan._replace(pattern_count=n, golden=None)
+            engine = SignatureEngine(self.netlist, plan,
+                                     plan_stimulus(self.netlist, plan))
+            (golden,) = engine.signatures((None,))
             self.misrs = {m.block: compactor.MisrState(m.polynomial, value)
-                          for m, value in zip(self.plan.misrs, engine.golden)}
+                          for m, value in zip(self.plan.misrs, golden)}
             poly = self.alfsr.polynomial
             register = self.alfsr.register
             for _ in range(n - start):
@@ -591,23 +592,24 @@ class EngineSession(BistSession):
         self.control.phase = "done"
 
 
-def selftest_results(netlist, plan, faults, kernel=None):
+def selftest_results(netlist, plan, faults, kernel):
     """One :class:`BistResult` per entry of ``faults`` (None: fault-free),
     each what ``run_selftest(netlist, plan, injected=f)`` returns.
 
     Pass/fail is judged against the plan's stored golden signatures, or the
     fault-free ones when none are stored. The signatures come from
-    :class:`SignatureEngine`, on ``kernel`` if given, which must be
-    compiled over the plan's stream.
+    :class:`SignatureEngine` on ``kernel``, which must be compiled over the
+    plan's stream (:func:`plan_stimulus`).
     """
     n = plan.pattern_count
     engine = SignatureEngine(netlist, plan, kernel)
-    reference = engine.golden if plan.golden is None else \
-        tuple(s.value for s in plan.golden)
+    reference, *values = engine.signatures((None, *faults))
+    if plan.golden is not None:
+        reference = tuple(s.value for s in plan.golden)
     return [BistResult(tuple(compactor.Signature(m.block, m.polynomial, v, n)
                              for m, v in zip(plan.misrs, sig)),
                        tuple(v == r for v, r in zip(sig, reference)), n)
-            for sig in engine.signatures(faults)]
+            for sig in values]
 
 
 def misr_detection_rate(netlist, plan, universe, workers=1):

@@ -50,7 +50,7 @@ def _header(netlist, plan=None):
     return h
 
 
-def _load_plan(args, netlist):
+def _load_plan(args):
     if not args.plan:
         raise PlanError("--plan is required for this command")
     plan = bist.BistPlan.load(args.plan)
@@ -157,7 +157,7 @@ def _coverage_json(tables):
 
 def cmd_bist(args):
     netlist = circuit.load_netlist(args.netlist)
-    plan = _load_plan(args, netlist)
+    plan = _load_plan(args)
     # one kernel over the plan's stream serves SAF, TDF and --toggle (unless
     # --patterns asks for others), then the signatures, off the same pass
     stream = bist.plan_stimulus(netlist, plan, workers=args.workers)
@@ -213,7 +213,7 @@ def cmd_faultsim(args):
             raise SimulationError(f"--kinds: unknown kind {k!r} "
                                   f"(choose from {', '.join(FAULT_KINDS)})")
     netlist = circuit.load_netlist(args.netlist)
-    plan = _load_plan(args, netlist)
+    plan = _load_plan(args)
     patterns, count, source = _resolve_patterns(args, netlist, plan,
                                                 workers=args.workers)
     tables = _coverage_tables(netlist, patterns, kinds)
@@ -243,7 +243,7 @@ def cmd_faultsim(args):
 
 def cmd_import(args):
     netlist = circuit.load_netlist(args.netlist)
-    plan = _load_plan(args, netlist)
+    plan = _load_plan(args)
     patterns = parse_pattern_file(args.file, netlist, plan)
     print(f"OK: {len(patterns)} patterns, width "
           f"{len(netlist.primary_inputs)} primary inputs")
@@ -263,7 +263,7 @@ def cmd_import(args):
 def cmd_tap(args):
     from . import access
     netlist = circuit.load_netlist(args.netlist)
-    plan = _load_plan(args, netlist)
+    plan = _load_plan(args)
     trace = access.SerialTrace.load(args.trace)
     session = access.TapSession(bist.EngineSession(netlist, plan))
     tdo = access.drive_trace(session, trace)
@@ -293,17 +293,14 @@ def cmd_tap(args):
 def cmd_diagnose(args):
     from . import diagnosis
     netlist = circuit.load_netlist(args.netlist)
-    plan = _load_plan(args, netlist)
+    plan = _load_plan(args)
     if args.granularity == "signature" and args.patterns is not None:
         if not args.patterns.isdigit():
             raise SimulationError("--patterns FILE needs --granularity pattern: "
                                   "signatures replay the plan's ALFSR stream")
         plan = plan._replace(pattern_count=int(args.patterns), golden=None)
-    if args.granularity == "signature":
-        # the signature path assembles the plan's stream itself
-        patterns, count, source = (), plan.pattern_count, "alfsr"
-    else:
-        patterns, count, source = _resolve_patterns(args, netlist, plan)
+    patterns, count, source = _resolve_patterns(args, netlist, plan,
+                                                workers=args.workers)
     universe = faultsim.collapse(
         faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
     matrix = diagnosis.build_matrix(netlist, universe, patterns,
@@ -369,9 +366,9 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=_default_workers(),
                        help=f"up to N fault-sim worker processes (env "
-                       f"{WORKERS_ENV}); only a sequential core's stuck-at "
-                       f"pass fans out, and only when its estimated work "
-                       f"(gates x cycles x faults) reaches "
+                       f"{WORKERS_ENV}); only a sequential core's "
+                       f"fault-parallel passes fan out, and only when the "
+                       f"estimated work (gates x cycles x faults) reaches "
                        f"{faultsim.POOL_MIN_WORK:g}, where two processes "
                        f"were measured faster than one; a combinational "
                        f"core and smaller jobs run in one process"
@@ -411,7 +408,7 @@ def build_parser():
     p.set_defaults(func=cmd_tap)
 
     p = sub.add_parser("diagnose", help="diagnostic matrix and fault classes")
-    common(p, fans_out=False)
+    common(p)
     p.add_argument("--patterns", help="pattern count or external pattern file")
     p.add_argument("--granularity", choices=GRANULARITIES,
                    default="pattern")

@@ -86,31 +86,30 @@ class ClassReport(record("ClassReport", "granularity pattern_count classes "
         return d
 
 
-def build_matrix(netlist, universe, patterns, granularity="pattern",
+def build_matrix(netlist, universe, kernel, granularity="pattern",
                  plan=None):
-    """One syndrome row per fault, in universe order.
+    """One syndrome row per fault, in universe order, read from ``kernel``
+    (built by :func:`faultsim.stimulus` from a pattern list, if it is one).
 
     Pattern granularity takes each fault's per-pattern detection plane from
-    :func:`faultsim.detection_planes` (``patterns``: a pattern list or a
-    kernel from :func:`faultsim.stimulus`); its
-    little-endian bytes equal :meth:`Syndrome.canonical`. Signature
-    granularity needs a ``plan``, ignores ``patterns`` and takes each
-    fault's signatures over the plan's own ``pattern_count`` patterns from
-    :func:`bist.selftest_results`; a fault is detected when they differ
-    from the plan's golden signatures.
+    :func:`faultsim.detection_planes`; its little-endian bytes equal
+    :meth:`Syndrome.canonical`. Signature granularity needs a ``plan``, over
+    whose stream ``kernel`` must run (:func:`bist.plan_stimulus`), and takes
+    each fault's signatures from :func:`bist.selftest_results`; a fault is
+    detected when they differ from the plan's golden signatures.
     """
     if granularity not in GRANULARITIES:
         raise SimulationError(f"unknown granularity {granularity!r}")
+    if granularity == "signature" and plan is None:
+        raise SimulationError("signature granularity needs a BIST plan")
+    kernel = faultsim.stimulus(netlist, kernel)
     if granularity == "pattern":
-        patterns = faultsim.stimulus(netlist, patterns)
-        planes = faultsim.detection_planes(netlist, universe.faults, patterns)
-        size = (len(patterns) + 7) // 8
-        return DiagnosticMatrix("pattern", len(patterns), universe.faults,
+        planes = faultsim.detection_planes(netlist, universe.faults, kernel)
+        size = (len(kernel) + 7) // 8
+        return DiagnosticMatrix("pattern", len(kernel), universe.faults,
                                 tuple(p.to_bytes(size, "little") for p in planes),
                                 tuple(p != 0 for p in planes))
-    if plan is None:
-        raise SimulationError("signature granularity needs a BIST plan")
-    results = bist_mod.selftest_results(netlist, plan, universe.faults)
+    results = bist_mod.selftest_results(netlist, plan, universe.faults, kernel)
     rows = tuple(b"".join(s.value.to_bytes(8, "little") for s in r.signatures)
                  for r in results)
     return DiagnosticMatrix("signature", plan.pattern_count, universe.faults,

@@ -21,10 +21,10 @@ Stuck-at simulation paths are kept deliberately separate:
   and bit k+1 fault k, one pass from reset for the whole fault set.
 
 :func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-run on either kernel, and so do the self-test signatures in
-:mod:`corebist.bist`, which read :meth:`errors`. Given a pattern list they
-build their own kernel; given a built one they share it, so one command
-simulates the fault-free planes once for all of them. Only a sequential
+run on either kernel. Given a pattern list they build their own kernel;
+given a built one they share it, and so do the self-test signatures in
+:mod:`corebist.bist`, which read :meth:`errors` off the kernel they are
+given, so one command simulates the fault-free planes once. Only a sequential
 pass fans out, to at most the ``workers`` its kernel was built with, and
 only when its work estimate reaches :data:`POOL_MIN_WORK`. Their results
 must be bit-identical to the serial oracle's, and that equivalence is the
@@ -217,7 +217,6 @@ def observation_nets(netlist):
 
 def _block_cones(netlist):
     """Block name -> set of nets in the fanin cone of its output port."""
-    by_output = {g.output: g for g in netlist.gates}
     flop_d = {f.q: f.d for f in netlist.flops}
     cones = {}
     for b in netlist.blocks:
@@ -228,7 +227,7 @@ def _block_cones(netlist):
             if n in cone:
                 continue
             cone.add(n)
-            g = by_output.get(n)
+            g = netlist.driver.get(n)
             if g is not None:
                 stack.extend(g.inputs)
             elif n in flop_d:
@@ -445,14 +444,28 @@ def _eval_gate(kind, planes, mask):
     return planes[0]  # BUF
 
 
+def _op_table(netlist):
+    """The net index (position in ``netlist.nets``), the gates in
+    topological order as ``(kind, output, inputs)`` net indices, each gate
+    output's position among them, and the observation nets' indices as the
+    keys of a dict (ordered, and quick to test for membership)."""
+    index = {net: i for i, net in enumerate(netlist.nets)}
+    ops = [(g.kind, index[g.output], tuple(index[i] for i in g.inputs))
+           for g in netlist.topo_gates]
+    driver = {out: pos for pos, (_, out, _) in enumerate(ops)}
+    return index, ops, driver, dict.fromkeys(index[n] for n in
+                                             observation_nets(netlist))
+
+
 class _Kernel:
     """What both kernels share: ``n`` patterns given as one input plane per
-    primary input, the net ``index`` (position in ``netlist.nets``), and
-    the fault-free (:attr:`good`) and detection planes, kept once computed.
-    ``len(kernel)`` is the pattern count. A subclass sets ``_good``,
-    simulates faults in ``_simulate`` and has ``errors(faults)``: per
-    fault, ``{net index: faulty ^ fault-free plane}`` at the observation
-    nets it changes, whose OR is its :meth:`planes` entry."""
+    primary input, the op table of :func:`_op_table` (``index`` is its net
+    index), and the fault-free (:attr:`good`) and detection planes, kept
+    once computed. ``len(kernel)`` is the pattern count. A subclass sets
+    ``_good``, simulates faults in ``_simulate`` and has
+    ``errors(faults)``: per fault, ``{net index: faulty ^ fault-free
+    plane}`` at the observation nets it changes, whose OR is its
+    :meth:`planes` entry."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -464,7 +477,7 @@ class _Kernel:
         self.n = n
         self.mask = mask = (1 << n) - 1
         self.inputs = [plane & mask for plane in inputs]
-        self.index = {net: i for i, net in enumerate(netlist.nets)}
+        self.index, self._ops, self._driver, self._obs = _op_table(netlist)
         self._good = None
         self._diffs = {}
 
@@ -523,24 +536,17 @@ class FaultKernel(_Kernel):
         if netlist.flops:
             raise SimulationError("the fault kernel needs a combinational netlist")
         super().__init__(netlist, inputs, n)
-        mask = self.mask
-        index = self.index
         # gates in topological order, so a cone sorted by position is too
-        self._ops = ops = [(g.kind, index[g.output],
-                            tuple(index[i] for i in g.inputs))
-                           for g in netlist.topo_gates]
-        self._driver = {out: pos for pos, (_, out, _) in enumerate(ops)}
         self._readers = [[] for _ in netlist.nets]
-        for pos, (_, _, ins) in enumerate(ops):
+        for pos, (_, _, ins) in enumerate(self._ops):
             for i in set(ins):
                 self._readers[i].append(pos)
-        self._obs = frozenset(index[net] for net in observation_nets(netlist))
         self._cones = {}
         good = [0] * len(netlist.nets)
         for net, plane in zip(netlist.primary_inputs, self.inputs):
-            good[index[net]] = plane
-        for kind, out, ins in ops:
-            good[out] = _eval_gate(kind, [good[i] for i in ins], mask)
+            good[self.index[net]] = plane
+        for kind, out, ins in self._ops:
+            good[out] = _eval_gate(kind, [good[i] for i in ins], self.mask)
         self._good = good
 
     def _cone(self, net):
@@ -626,13 +632,9 @@ def sequential_sim(netlist, patterns, faults, per_net=False):
     observation net's word per cycle and transpose it.
     """
     patterns = _pattern_list(netlist, patterns)
-    index = {n: i for i, n in enumerate(netlist.nets)}
-    gates = [(g.kind, index[g.output], tuple(index[i] for i in g.inputs))
-             for g in netlist.topo_gates]
-    driver = {out: pos for pos, (_, out, _) in enumerate(gates)}
+    index, gates, driver, obs = _op_table(netlist)
     pis = [index[n] for n in netlist.primary_inputs]
     flops = [(index[f.q], index[f.d]) for f in netlist.flops]
-    obs = [index[n] for n in observation_nets(netlist)]
 
     full = (2 << len(faults)) - 1
     stems, pins = {}, {}

@@ -14,7 +14,6 @@ from functools import cached_property
 from .errors import PlanError, SimulationError
 from .records import record
 
-_POLY_RE = re.compile(r"x\^(\d+)|x|1")
 
 # primitive polynomials used as engine defaults, verified by the period
 # property tests (orbit length 2^n - 1)

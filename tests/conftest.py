@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corebist import circuit, faultsim, fixture_path
+from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
 
 
 @pytest.fixture
@@ -51,6 +51,17 @@ def no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
     monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
+
+
+def seqmini_plan(count=20):
+    """A ``count``-pattern plan for seqmini: its 2-bit MAIN port driven
+    from a 4-bit ALFSR, its 2-bit output into a 2-bit MISR."""
+    return bist.BistPlan(
+        tpg.Polynomial.parse("x^4+x+1"), 0x9,
+        (tpg.modular_binding("MAIN", 2, 4),),
+        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
+                             compactor.XorCascade(2, 2)),),
+        pattern_count=count)
 
 
 def exhaustive_patterns(netlist):

@@ -6,7 +6,7 @@ from corebist import access, bist, circuit, compactor, faultsim, fixture_path, t
 from corebist.errors import PlanError, SimulationError
 
 import oracle
-from conftest import random_combinational, random_sequential
+from conftest import random_combinational, random_sequential, seqmini_plan
 
 
 @pytest.fixture
@@ -227,8 +227,9 @@ def _scalar(netlist, plan, faults):
 
 
 def _assert_same_results(netlist, plan, faults, label=""):
-    for f, got, want in zip(faults, bist.selftest_results(netlist, plan, faults),
-                            _scalar(netlist, plan, faults)):
+    results = bist.selftest_results(netlist, plan, faults,
+                                    bist.plan_stimulus(netlist, plan))
+    for f, got, want in zip(faults, results, _scalar(netlist, plan, faults)):
         key = f.key if f is not None else "fault-free"
         assert got.signatures == want.signatures, (label, key)
         if plan.golden is not None:
@@ -245,7 +246,8 @@ def test_linear_signatures_match_session_core_sample(core, core_plan):
     # the case study at its full 4096 patterns, a seeded handful of faults
     u = faultsim.collapse(faultsim.enumerate_faults(core), core)
     faults = tuple(random.Random(0xC0DE).sample(u.faults, 3))
-    results = bist.selftest_results(core, core_plan, (None,) + faults)
+    results = bist.selftest_results(core, core_plan, (None,) + faults,
+                                    bist.plan_stimulus(core, core_plan))
     assert all(results[0].passed)
     assert [s.value for s in results[0].signatures] == \
         [s.value for s in core_plan.golden]
@@ -349,29 +351,21 @@ def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
         s._replace(value=s.value ^ 1) for s in mini_plan.golden))
     u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
     _assert_same_results(mini10, stale, (None,) + u.faults)
-    (fault_free,) = bist.selftest_results(mini10, stale, (None,))
+    stream = bist.plan_stimulus(mini10, stale)
+    (fault_free,) = bist.selftest_results(mini10, stale, (None,), stream)
     assert fault_free.passed == (False,)
     from corebist import diagnosis
-    m = diagnosis.build_matrix(mini10, u, [], "signature", plan=stale)
+    m = diagnosis.build_matrix(mini10, u, stream, "signature", plan=stale)
     stale_values = tuple(s.value for s in stale.golden)
     assert m.detected == tuple(
         tuple(s.value for s in r.signatures) != stale_values
         for r in _scalar(mini10, stale, u.faults))
 
 
-def _seqmini_plan(count=20):
-    return bist.BistPlan(
-        tpg.Polynomial.parse("x^4+x+1"), 0x9,
-        (tpg.modular_binding("MAIN", 2, 4),),
-        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
-                             compactor.XorCascade(2, 2)),),
-        pattern_count=count)
-
-
 def test_linear_signatures_match_session_sequential_cores(seqmini):
     for count in (1, 2, 20, 63, 64, 65):
         u = faultsim.enumerate_faults(seqmini)
-        _assert_same_results(seqmini, _seqmini_plan(count), (None,) + u.faults,
+        _assert_same_results(seqmini, seqmini_plan(count), (None,) + u.faults,
                              ("seqmini", count))
     rng = random.Random(0x5E9)
     misr_counts, uneven, cg, q_ports = set(), 0, 0, 0
@@ -399,7 +393,7 @@ def test_linear_signatures_match_session_sequential_cores(seqmini):
 
 def test_signature_paths_never_step_the_session(seqmini, mini10, mini_plan,
                                                  monkeypatch):
-    seq_plan = _seqmini_plan()
+    seq_plan = seqmini_plan()
     cases = [(seqmini, seq_plan), (mini10, mini_plan)]
     want = [_scalar(n, p, (None,) + faultsim.enumerate_faults(n).faults)
             for n, p in cases]
@@ -411,7 +405,8 @@ def test_signature_paths_never_step_the_session(seqmini, mini10, mini_plan,
     monkeypatch.setattr(bist, "compute_golden", refuse)
     for (netlist, plan), scalar in zip(cases, want):
         faults = (None,) + faultsim.enumerate_faults(netlist).faults
-        got = bist.selftest_results(netlist, plan, faults)
+        got = bist.selftest_results(netlist, plan, faults,
+                                    bist.plan_stimulus(netlist, plan))
         assert [r.signatures for r in got] == [r.signatures for r in scalar]
     # the compaction-loss study on a flop core, against the oracle's
     golden = want[0][0].signatures
@@ -438,7 +433,7 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, seqmini,
     monkeypatch.setattr(compactor, "signature_of_planes", refuse)
     for netlist, plan in ((mini10, mini_plan),
                           (seqmini, bist.compute_golden(seqmini,
-                                                        _seqmini_plan()))):
+                                                        seqmini_plan()))):
         bare = plan._replace(golden=None)
         assert bist.compute_golden(netlist, bare).golden == plan.golden
         f = faultsim.FaultDescriptor(netlist.primary_outputs[0], "SA1")
@@ -668,7 +663,7 @@ def test_engine_session_matches_scalar_session_sequential_cores(seqmini):
     # START after START, or after a smaller count, continues from the state
     # the scalar session's core holds: the state of the plan's prefix
     rng = random.Random(0x5E56)
-    plan = bist.compute_golden(seqmini, _seqmini_plan())
+    plan = bist.compute_golden(seqmini, seqmini_plan())
     _assert_engine_session_matches(seqmini, plan, _tap_script(rng, plan),
                                    "seqmini")
     misr_counts = {len(plan.misrs)}

@@ -11,7 +11,7 @@ from corebist import (access, bist, circuit, cli, compactor, faultsim,
                       fixture_path, tpg)
 from corebist.errors import PlanError
 
-from conftest import random_sequential
+from conftest import random_sequential, seqmini_plan
 
 
 MINI = str(fixture_path("mini10.bench"))
@@ -368,12 +368,7 @@ SEQMINI = str(fixture_path("seqmini.bench"))
 
 def _seqmini_plan(tmp_path):
     """A 20-pattern plan for seqmini, saved; returns it and its path."""
-    plan = bist.BistPlan(
-        tpg.Polynomial.parse("x^4+x+1"), 0x9,
-        (tpg.modular_binding("MAIN", 2, 4),),
-        (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
-                             compactor.XorCascade(2, 2)),),
-        pattern_count=20)
+    plan = seqmini_plan()
     plan.save(tmp_path / "seq.plan.json")
     return plan, str(tmp_path / "seq.plan.json")
 
@@ -436,6 +431,50 @@ def test_sequential_bist_and_tdf_run_one_pass(tmp_path, monkeypatch):
         assert run(argv + [SEQMINI, "--plan", plan_path,
                            "--out", str(tmp_path)]) == 0, argv
         assert len(passes) == 1, (argv, passes)
+
+
+def test_sequential_diagnose_runs_one_pass(tmp_path, monkeypatch):
+    # the golden signatures come off the pass that gives the error planes,
+    # and the detection planes off the pass that gives the fault-free ones
+    cores = [(SEQMINI, _seqmini_plan(tmp_path)[1]), _sequential_core(tmp_path)]
+    passes = []
+    real = faultsim.sequential_sim
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[2]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+    for bench, plan_path in cores:
+        for granularity in ("pattern", "signature"):
+            passes.clear()
+            assert run(["diagnose", bench, "--plan", plan_path, "--granularity",
+                        granularity, "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / "diagnosis_report.json").read_text())
+            assert passes == [report["overall"]["fault_count"]], \
+                (bench, granularity, passes)
+
+
+def test_diagnose_reports_byte_identical_across_workers(tmp_path, forced_pool):
+    # diagnose hands --workers to its one kernel, so a sequential core's
+    # pass goes to the pool workers at both granularities
+    cores = [(SEQMINI, _seqmini_plan(tmp_path)[1]), _sequential_core(tmp_path)]
+    for case, (bench, plan_path) in enumerate(cores):
+        for granularity in ("pattern", "signature"):
+            reports = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{case}{granularity}w{workers}"
+                out.mkdir()
+                forced_pool.clear()
+                assert run(["diagnose", bench, "--plan", plan_path,
+                            "--granularity", granularity, "--workers", workers,
+                            "--out", str(out)]) == 0
+                assert forced_pool == ([2] if workers == "2" else []), \
+                    (case, granularity)
+                reports.append((out / "diagnosis_report.json").read_bytes())
+            assert reports[0] == reports[1], (case, granularity)
+            report = json.loads(reports[0])
+            assert report["overall"]["granularity"] == granularity
+            assert report["overall"]["class_count"] > 1, (case, granularity)
 
 
 # -- diagnose -----------------------------------------------------------------------

@@ -8,7 +8,8 @@ from corebist import (bist, circuit, cli, compactor, diagnosis, faultsim,
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import exhaustive_patterns, random_combinational, random_patterns
+from conftest import (exhaustive_patterns, random_combinational,
+                      random_patterns, seqmini_plan)
 
 MINI = str(fixture_path("mini10.bench"))
 MINI_PLAN = str(fixture_path("mini10.plan.json"))
@@ -227,7 +228,8 @@ def test_signature_rows_match_session_control_unit():
             len(block.output_port), misr.degree)),),
         pattern_count=64)
     u = faultsim.collapse(faultsim.enumerate_faults(cu), cu)
-    m = diagnosis.build_matrix(cu, u, [], granularity="signature", plan=plan)
+    m = diagnosis.build_matrix(cu, u, bist.plan_stimulus(cu, plan),
+                               granularity="signature", plan=plan)
     golden = bist.compute_golden(cu, plan).golden
     for f, row, det in zip(u.faults, m.rows, m.detected):
         sigs = bist.run_selftest(cu, plan, injected=f,
@@ -247,8 +249,34 @@ def test_signature_cli_honours_pattern_count(tmp_path, mini10):
     plan = bist.BistPlan.load(MINI_PLAN)._replace(pattern_count=16, golden=None)
     u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
     expected = diagnosis.classify(diagnosis.build_matrix(
-        mini10, u, [], granularity="signature", plan=plan))
+        mini10, u, bist.plan_stimulus(mini10, plan), granularity="signature",
+        plan=plan))
     assert report["overall"] == expected.to_dict()
+
+
+def test_signature_rows_on_a_pattern_count_plan_match_session(mini10, seqmini):
+    # the kernel diagnose --patterns N builds: the plan cut to N patterns
+    for netlist, plan in ((mini10, bist.BistPlan.load(MINI_PLAN)),
+                          (seqmini, seqmini_plan())):
+        u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+        for count in (1, 9, 16):
+            cut = plan._replace(pattern_count=count, golden=None)
+            m = diagnosis.build_matrix(netlist, u,
+                                       bist.plan_stimulus(netlist, plan, count),
+                                       granularity="signature", plan=cut)
+            assert m.pattern_count == count
+            golden = bist.compute_golden(netlist, cut).golden
+            for f, row, det in zip(u.faults, m.rows, m.detected):
+                sigs = bist.run_selftest(netlist, cut, injected=f,
+                                         require_golden=False).signatures
+                assert row == b"".join(s.value.to_bytes(8, "little")
+                                       for s in sigs), (netlist.name, count, f.key)
+                assert det == (sigs != golden), (netlist.name, count, f.key)
+        # a kernel over another pattern count is refused
+        with pytest.raises(SimulationError, match="patterns for a plan"):
+            diagnosis.build_matrix(netlist, u, bist.plan_stimulus(netlist, plan, 9),
+                                   granularity="signature",
+                                   plan=plan._replace(pattern_count=16))
 
 
 def test_signature_cli_rejects_pattern_file(tmp_path, capsys):
