@@ -277,7 +277,10 @@ class BistResult(record("BistResult", "signatures passed patterns_applied")):
         return all(self.passed)
 
 
-def _check_plan(netlist, plan):
+def check_plan(netlist, plan):
+    """Raise :class:`PlanError` unless ``plan`` fits ``netlist``: every
+    binding and MISR names a block of matching width, every ALFSR source is
+    a stage, and every primary input is bound."""
     blocks = {b.name: b for b in netlist.blocks}
     degree = plan.alfsr_poly.degree
     for binding, misr in zip(plan.bindings, plan.misrs):
@@ -311,7 +314,7 @@ class BistSession:
     """One self-test execution context: control unit + generators + MISRs."""
 
     def __init__(self, netlist, plan):
-        _check_plan(netlist, plan)
+        check_plan(netlist, plan)
         self.netlist = netlist
         self.plan = plan
         self.blocks = {b.name: b for b in netlist.blocks}
@@ -434,7 +437,7 @@ def plan_planes(netlist, plan, count=None):
     from :func:`_cg_planes`. :meth:`BistSession.pattern_stream` is the
     cycle-by-cycle oracle of this function.
     """
-    _check_plan(netlist, plan)
+    check_plan(netlist, plan)
     n = plan.pattern_count if count is None else count
     _check_count(plan, n)
     poly = plan.alfsr_poly
@@ -491,13 +494,13 @@ def run_selftest(netlist, plan, injected=None, require_golden=True):
     return BistResult(sigs, passed, session.control.pattern_counter)
 
 
-def plan_stimulus(netlist, plan, count=None, workers=1):
+def plan_stimulus(netlist, plan, count=None):
     """The plan's first ``count`` patterns (default: its pattern count) as
     the fault simulators take them: :func:`faultsim.kernel` over
     :func:`plan_planes`, built once and shared by every simulation over
-    those patterns, whose passes use up to ``workers`` processes."""
+    those patterns."""
     n = plan.pattern_count if count is None else count
-    return faultsim.kernel(netlist, plan_planes(netlist, plan, n), n, workers)
+    return faultsim.kernel(netlist, plan_planes(netlist, plan, n), n)
 
 
 class SignatureEngine:
@@ -519,7 +522,7 @@ class SignatureEngine:
     """
 
     def __init__(self, netlist, plan, kernel):
-        _check_plan(netlist, plan)
+        check_plan(netlist, plan)
         if len(kernel) != plan.pattern_count:
             raise SimulationError(f"{len(kernel)} patterns for a plan of "
                                   f"{plan.pattern_count}")
@@ -612,12 +615,12 @@ def selftest_results(netlist, plan, faults, kernel):
             for sig in values]
 
 
-def misr_detection_rate(netlist, plan, universe, workers=1):
+def misr_detection_rate(netlist, plan, universe):
     """Compaction loss: put every pre-MISR-detected fault through the
     signature path and list the ones the MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
-    stimulus = plan_stimulus(netlist, plan, workers=workers)
+    stimulus = plan_stimulus(netlist, plan)
     report = faultsim.parallel_fault_sim(netlist, universe, stimulus)
     detected = report.detected_faults()
     if not detected:

@@ -18,21 +18,10 @@ from .errors import CoreBistError, NetlistError, PlanError, ProtocolError, \
 
 REPORT_SCHEMA_VERSION = 1
 
-WORKERS_ENV = "COREBIST_WORKERS"
-
 FAULT_KINDS = ("saf", "tdf")      # --kinds
 # --granularity; diagnosis.GRANULARITIES, spelled out here so that building
 # the parser does not import diagnosis
 GRANULARITIES = ("pattern", "signature")
-
-
-def _default_workers():
-    """``COREBIST_WORKERS`` as an int, or None when it is not one (which
-    :func:`main` rejects)."""
-    try:
-        return int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        return None
 
 
 def _write_json(path, payload):
@@ -62,6 +51,7 @@ def _load_plan(args):
 def parse_pattern_file(path, netlist, plan):
     """External patterns: one vector per line, binary MSB-left, width =
     sum of block input widths in plan binding order; '#' comments."""
+    bist.check_plan(netlist, plan)
     blocks = {b.name: b for b in netlist.blocks}
     ports = [blocks[b.block].input_port for b in plan.bindings]
     total = sum(len(p) for p in ports)
@@ -95,21 +85,20 @@ def parse_pattern_file(path, netlist, plan):
     return patterns
 
 
-def _resolve_patterns(args, netlist, plan, stream=None, workers=1):
+def _resolve_patterns(args, netlist, plan, stream=None):
     """--patterns N (count) or --patterns FILE (external vectors); without
     the option, ``stream`` (the plan's own stream, built here if not
-    given). Patterns come as :func:`faultsim.kernel` builds them, with
-    ``workers``: one kernel to share between every simulation over them."""
+    given). Patterns come as :func:`faultsim.kernel` builds them: one
+    kernel to share between every simulation over them."""
     spec = getattr(args, "patterns", None)
     if spec is None:
         if stream is None:
-            stream = bist.plan_stimulus(netlist, plan, workers=workers)
+            stream = bist.plan_stimulus(netlist, plan)
         return stream, plan.pattern_count, "alfsr"
     if spec.isdigit():
         count = int(spec)
-        return bist.plan_stimulus(netlist, plan, count, workers), count, "alfsr"
-    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan),
-                                 workers)
+        return bist.plan_stimulus(netlist, plan, count), count, "alfsr"
+    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan))
     return patterns, len(patterns), os.path.basename(spec)
 
 
@@ -160,9 +149,8 @@ def cmd_bist(args):
     plan = _load_plan(args)
     # one kernel over the plan's stream serves SAF, TDF and --toggle (unless
     # --patterns asks for others), then the signatures, off the same pass
-    stream = bist.plan_stimulus(netlist, plan, workers=args.workers)
-    patterns, _, source = _resolve_patterns(args, netlist, plan, stream,
-                                            args.workers)
+    stream = bist.plan_stimulus(netlist, plan)
+    patterns, _, source = _resolve_patterns(args, netlist, plan, stream)
     tables = _coverage_tables(netlist, patterns)
     (result,) = bist.selftest_results(netlist, plan, (None,), stream)
 
@@ -214,8 +202,7 @@ def cmd_faultsim(args):
                                   f"(choose from {', '.join(FAULT_KINDS)})")
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args)
-    patterns, count, source = _resolve_patterns(args, netlist, plan,
-                                                workers=args.workers)
+    patterns, count, source = _resolve_patterns(args, netlist, plan)
     tables = _coverage_tables(netlist, patterns, kinds)
     payload = _header(netlist, plan)
     payload["pattern_source"] = source
@@ -224,8 +211,7 @@ def cmd_faultsim(args):
     payload["summary"] = {k: faultsim.coverage(r) for k, r in tables.items()}
     if args.compare:
         ext = faultsim.stimulus(netlist,
-                                parse_pattern_file(args.compare, netlist, plan),
-                                args.workers)
+                                parse_pattern_file(args.compare, netlist, plan))
         ext_tables = _coverage_tables(netlist, ext, kinds)
         payload["comparison"] = {
             "external_file": os.path.basename(args.compare),
@@ -299,8 +285,7 @@ def cmd_diagnose(args):
             raise SimulationError("--patterns FILE needs --granularity pattern: "
                                   "signatures replay the plan's ALFSR stream")
         plan = plan._replace(pattern_count=int(args.patterns), golden=None)
-    patterns, count, source = _resolve_patterns(args, netlist, plan,
-                                                workers=args.workers)
+    patterns, count, source = _resolve_patterns(args, netlist, plan)
     universe = faultsim.collapse(
         faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
     matrix = diagnosis.build_matrix(netlist, universe, patterns,
@@ -357,24 +342,16 @@ def build_parser():
                     "compaction, fault coverage, diagnosis, serial access.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fans_out=True):
+    def common(p):
         p.add_argument("netlist", help="bench-format netlist file")
         p.add_argument("--plan", help="BIST plan JSON file")
         p.add_argument("--seed", type=lambda s: int(s, 0),
                        help="override the plan's ALFSR seed "
                        "(1..2^degree-1)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"up to N fault-sim worker processes (env "
-                       f"{WORKERS_ENV}); only a sequential core's "
-                       f"fault-parallel passes fan out, and only when the "
-                       f"estimated work (gates x cycles x faults) reaches "
-                       f"{faultsim.POOL_MIN_WORK:g}, where two processes "
-                       f"were measured faster than one; a combinational "
-                       f"core and smaller jobs run in one process"
-                       if fans_out else
-                       "this command runs in one process; the option is "
-                       "accepted only for a uniform command line")
+        p.add_argument("--workers", type=int, default=1,
+                       help="every command runs in one process; the option "
+                       "is accepted (N >= 1) only for a uniform command line")
 
     p = sub.add_parser("lint", help="parse and validate a netlist")
     p.add_argument("netlist")
@@ -398,12 +375,12 @@ def build_parser():
 
     p = sub.add_parser("import", help="validate an external pattern file")
     p.add_argument("file", help="pattern file (one binary vector per line)")
-    common(p, fans_out=False)
+    common(p)
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("tap", help="replay a serial TAP trace")
     p.add_argument("trace", help="trace file: 'TCK TMS TDI' per line")
-    common(p, fans_out=False)
+    common(p)
     p.add_argument("--expect", help="golden trace with TDO column to diff")
     p.set_defaults(func=cmd_tap)
 
@@ -425,12 +402,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) is None:
-            raise SimulationError(f"{WORKERS_ENV} must be an integer, got "
-                                  f"{os.environ.get(WORKERS_ENV)!r}")
         if getattr(args, "workers", 1) < 1:
             raise SimulationError(f"--workers must be at least 1, got "
-                                  f"{args.workers} (flag or {WORKERS_ENV})")
+                                  f"{args.workers}")
         return args.func(args)
     except (NetlistError, PlanError, SimulationError, ProtocolError,
             ReportError) as e:

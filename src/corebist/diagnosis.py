@@ -92,7 +92,7 @@ def build_matrix(netlist, universe, kernel, granularity="pattern",
     (built by :func:`faultsim.stimulus` from a pattern list, if it is one).
 
     Pattern granularity takes each fault's per-pattern detection plane from
-    :func:`faultsim.detection_planes`; its little-endian bytes equal
+    the kernel's ``planes``; its little-endian bytes equal
     :meth:`Syndrome.canonical`. Signature granularity needs a ``plan``, over
     whose stream ``kernel`` must run (:func:`bist.plan_stimulus`), and takes
     each fault's signatures from :func:`bist.selftest_results`; a fault is
@@ -104,7 +104,7 @@ def build_matrix(netlist, universe, kernel, granularity="pattern",
         raise SimulationError("signature granularity needs a BIST plan")
     kernel = faultsim.stimulus(netlist, kernel)
     if granularity == "pattern":
-        planes = faultsim.detection_planes(netlist, universe.faults, kernel)
+        planes = kernel.planes(universe.faults)
         size = (len(kernel) + 7) // 8
         return DiagnosticMatrix("pattern", len(kernel), universe.faults,
                                 tuple(p.to_bytes(size, "little") for p in planes),

@@ -20,13 +20,11 @@ Stuck-at simulation paths are kept deliberately separate:
   fault-parallel: one word per net per cycle, bit 0 the fault-free machine
   and bit k+1 fault k, one pass from reset for the whole fault set.
 
-:func:`parallel_fault_sim`, :func:`tdf_sim` and :func:`detection_planes`
-run on either kernel. Given a pattern list they build their own kernel;
-given a built one they share it, and so do the self-test signatures in
-:mod:`corebist.bist`, which read :meth:`errors` off the kernel they are
-given, so one command simulates the fault-free planes once. Only a sequential
-pass fans out, to at most the ``workers`` its kernel was built with, and
-only when its work estimate reaches :data:`POOL_MIN_WORK`. Their results
+:func:`parallel_fault_sim` and :func:`tdf_sim` run on either kernel. Given
+a pattern list they build their own kernel; given a built one they share
+it, and so do the self-test signatures in :mod:`corebist.bist`, which read
+:meth:`errors` off the kernel they are given, so one command simulates the
+fault-free planes once. Every kernel runs in this process. Their results
 must be bit-identical to the serial oracle's, and that equivalence is the
 main regression property.
 
@@ -350,35 +348,6 @@ def serial_fault_sim(netlist, universe, patterns):
                           fault_blocks(netlist, faults))
 
 
-# -- worker pool -----------------------------------------------------------------
-
-# The work estimate of a sequential pass (:meth:`SequentialStimulus.work`)
-# below which ``workers`` > 1 still runs in one process. Every worker of a
-# pass repeats its per-gate interpreter work and only splits the fault bits,
-# so the pool pays only on wide passes: on a 2-vCPU host two workers were
-# 41% slower than one process at 3.0e8, 3-19% faster but not in every run
-# from 1.2e9 to 2.45e9, and faster in every run at 2.7e9 and 5.0e9 (17% and
-# 34%; CHANGES.md has the table).
-POOL_MIN_WORK = 2.5e9
-
-
-def _map_faults(fn, stim, faults):
-    """``fn(stim, chunk)`` for ``faults`` split into up to ``stim.workers``
-    chunks, each in a pool process, as a list in chunk order. None, and no
-    pool, when fewer than two processes would run or the work estimate for
-    ``faults`` is below :data:`POOL_MIN_WORK`."""
-    workers = min(stim.workers, len(faults))
-    if workers <= 1 or stim.work(faults) < POOL_MIN_WORK:
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-    size = (len(faults) + workers - 1) // workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, stim, faults[i:i + size])
-                   for i in range(0, len(faults), size)]
-        # submission order keeps the merge deterministic
-        return [fut.result() for fut in futures]
-
-
 # -- planes ----------------------------------------------------------------------
 
 # byte value -> ASCII '0'/'1' of its low bit, for packing bit columns
@@ -526,10 +495,7 @@ class FaultKernel(_Kernel):
     simulated by parallel-pattern single-fault propagation: only the gates
     of the fault site's fanout cone whose inputs differ from the fault-free
     planes are re-evaluated, and every other net reads its fault-free plane.
-    Each fault costs one cone walk, so there is no pass to share; split
-    over two pool workers that each rebuild the kernel and its cones, this
-    kernel lost to one process at every size measured (up to 33280 gates
-    and 131408 faults at 4096 patterns), so it always runs in this process.
+    Each fault costs one cone walk, so there is no pass to share.
     """
 
     def __init__(self, netlist, inputs, n):
@@ -706,61 +672,39 @@ class SequentialStimulus(_Kernel):
 
     A :meth:`planes` call that finds faults not kept runs one pass over
     them and its ``also`` faults, and an :meth:`errors` call one pass over
-    its faults, split over up to ``workers`` pool processes when that pays
-    (:func:`_map_faults`); each worker runs its own pass and sends its
-    planes back. A pickled stimulus (for a pool worker) carries only the
-    input planes.
+    its faults.
     """
 
-    def __init__(self, netlist, inputs, n, workers=1):
-        super().__init__(netlist, inputs, n)
-        self.workers = workers
-
-    def __reduce__(self):
-        return (SequentialStimulus, (self.netlist, self.inputs, self.n))
-
-    def _pass(self, faults):
-        return sequential_sim(self.netlist, pattern_rows(self.inputs, self.n),
-                              faults)
-
-    def _error_pass(self, faults):
-        return sequential_sim(self.netlist, pattern_rows(self.inputs, self.n),
-                              faults, per_net=True)
-
-    def _simulate(self, faults, run=_pass):
-        chunks = _map_faults(run, self, faults) or [run(self, faults)]
-        self._good = chunks[0][0]
-        return [p for _, c in chunks for p in c]
+    def _simulate(self, faults):
+        self._good, diffs = sequential_sim(
+            self.netlist, pattern_rows(self.inputs, self.n), faults)
+        return diffs
 
     def errors(self, faults):
-        return self._simulate(faults, SequentialStimulus._error_pass)
-
-    def work(self, faults):
-        """Work estimate for a pass over ``faults``: gates x cycles x
-        faults, every fault's bit riding every gate evaluation."""
-        return len(self.netlist.gates) * self.n * len(faults)
+        self._good, errors = sequential_sim(
+            self.netlist, pattern_rows(self.inputs, self.n), faults,
+            per_net=True)
+        return errors
 
 
-def kernel(netlist, inputs, n, workers=1):
+def kernel(netlist, inputs, n):
     """The kernel of ``netlist`` over ``n`` patterns given as one input
     plane per primary input (bit t = pattern t): a
-    :class:`SequentialStimulus` for a netlist with flops, whose passes use
-    up to ``workers`` processes, else a :class:`FaultKernel`, which runs in
-    this process. Build one per pattern set and share it between every
-    simulation over those patterns."""
+    :class:`SequentialStimulus` for a netlist with flops, else a
+    :class:`FaultKernel`. Build one per pattern set and share it between
+    every simulation over those patterns."""
     if netlist.flops:
-        return SequentialStimulus(netlist, inputs, n, workers)
+        return SequentialStimulus(netlist, inputs, n)
     return FaultKernel(netlist, inputs, n)
 
 
-def stimulus(netlist, patterns, workers=1):
+def stimulus(netlist, patterns):
     """The :func:`kernel` over a pattern list, transposed once into input
-    planes; ``patterns`` itself, with the ``workers`` it was built with,
-    when it already is a kernel."""
+    planes; ``patterns`` itself when it already is a kernel."""
     if isinstance(patterns, _Kernel):
         return patterns
     patterns = _pattern_list(netlist, patterns)
-    return kernel(netlist, _columns(patterns), len(patterns), workers)
+    return kernel(netlist, _columns(patterns), len(patterns))
 
 
 def parallel_fault_sim(netlist, universe, patterns, also=()):
@@ -778,13 +722,6 @@ def parallel_fault_sim(netlist, universe, patterns, also=()):
     firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults, also))
     return CoverageReport(len(patterns), universe.faults, firsts,
                           fault_blocks(netlist, universe.faults))
-
-
-def detection_planes(netlist, faults, patterns):
-    """Per stuck-at fault, the plane whose bit t is set iff pattern t
-    detects it: the pattern-granularity syndrome, from the netlist's
-    kernel (``patterns`` may be one)."""
-    return stimulus(netlist, patterns).planes(faults)
 
 
 # -- transition-delay faults --------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
+from corebist import bist, circuit, compactor, fixture_path, tpg
 
 
 @pytest.fixture
@@ -24,23 +24,6 @@ def seventeen():
 @pytest.fixture
 def seqmini():
     return circuit.load_netlist(fixture_path("seqmini.bench"))
-
-
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Drop the pool threshold to 0, so every sequential pass with workers
-    > 1 fans out, and record the ``max_workers`` of every process pool
-    started."""
-    from concurrent import futures
-    started = []
-
-    class Counting(futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-    monkeypatch.setattr(faultsim, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", Counting)
-    return started
 
 
 @pytest.fixture

@@ -183,7 +183,7 @@ def _sequential_core(tmp_path):
     return str(bench), str(tmp_path / "seqcli.plan.json")
 
 
-def test_workers_do_not_change_sequential_report(tmp_path, forced_pool):
+def test_workers_do_not_change_sequential_report(tmp_path, no_pool):
     bench, plan = _sequential_core(tmp_path)
     args = ["faultsim", bench, "--plan", plan]
     reports = []
@@ -192,14 +192,13 @@ def test_workers_do_not_change_sequential_report(tmp_path, forced_pool):
         out.mkdir()
         assert run(args + ["--workers", workers, "--out", str(out)]) == 0
         reports.append((out / "coverage_report.json").read_bytes())
-    assert forced_pool == [2]
     assert reports[0] == reports[1]
     assert b'"SAF"' in reports[0] and b'"TDF"' in reports[0]
 
 
 def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
                                                 no_pool):
-    # below the pool threshold --workers 2 stays in this process too
+    # --workers 2 runs in this process too
     bench, plan = _sequential_core(tmp_path)
     args = ["faultsim", bench, "--plan", plan, "--kinds", "saf,tdf"]
     passes = []
@@ -244,28 +243,26 @@ def test_sequential_bist_toggle_reads_the_pass_planes(tmp_path, monkeypatch):
     assert report["toggle_activity"] == round(frac, 4)
 
 
-def test_bist_reports_byte_identical_across_workers(tmp_path, forced_pool):
-    # a sequential core's pass goes to the pool workers, with the plan's
-    # stream and with an external pattern file plus --toggle; the
-    # combinational core and mini10 run in one process even at threshold 0
+def test_bist_reports_byte_identical_across_workers(tmp_path, no_pool):
+    # every command runs in one process: on a sequential core, the
+    # combinational core and mini10, with the plan's stream and with an
+    # external pattern file plus --toggle
     seq_bench, seq_plan = _sequential_core(tmp_path)
     ext = tmp_path / "ext.pat"
     rng = random.Random(0xB15)
     ext.write_text("".join(f"{rng.getrandbits(4):04b}\n" for _ in range(40)))
     toggle = ["--patterns", str(ext), "--toggle"]
-    for case, (netlist, plan, extra, pools) in enumerate((
-            (seq_bench, seq_plan, [], [2]),
-            (seq_bench, seq_plan, toggle, [2]),
-            (CORE, CORE_PLAN, [], []),
-            (MINI, MINI_PLAN, toggle, []))):
+    for case, (netlist, plan, extra) in enumerate((
+            (seq_bench, seq_plan, []),
+            (seq_bench, seq_plan, toggle),
+            (CORE, CORE_PLAN, []),
+            (MINI, MINI_PLAN, toggle))):
         reports = []
         for workers in ("1", "2"):
             out = tmp_path / f"{case}w{workers}"
             out.mkdir()
-            forced_pool.clear()
             assert run(["bist", netlist, "--plan", plan, "--workers", workers,
                         "--out", str(out)] + extra) == 0
-            assert forced_pool == (pools if workers == "2" else []), case
             reports.append((out / "bist_report.json").read_bytes())
         assert reports[0] == reports[1], case
         report = json.loads(reports[0])
@@ -318,6 +315,31 @@ def test_import_non_binary(tmp_path, capsys):
     pat.write_text("10x0\n")
     assert run(["import", str(pat), MINI, "--plan", MINI_PLAN]) == 1
     assert "non-binary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["import", "faultsim", "diagnose"])
+def test_pattern_file_with_a_plan_that_does_not_fit_is_an_error(
+        tmp_path, capsys, command):
+    # the plan is checked against the netlist before the file is read
+    plan = bist.BistPlan.load(CORE_PLAN)
+    partial = tmp_path / "partial.plan.json"
+    plan._replace(bindings=plan.bindings[:1], misrs=plan.misrs[:1],
+                  golden=None).save(partial)
+    pat = tmp_path / "p.pat"
+    pat.write_text("1" * plan.bindings[0].width + "\n")
+    report = {"import": "imported_patterns.json",
+              "faultsim": "coverage_report.json",
+              "diagnose": "diagnosis_report.json"}[command]
+    for netlist, plan_path, message in (
+            (MINI, CORE_PLAN, "plan binds unknown block 'BIT_NODE'"),
+            (CORE, str(partial), "primary input 'cn_i0' driven by no binding")):
+        if command == "import":
+            argv = ["import", str(pat), netlist]
+        else:
+            argv = [command, netlist, "--patterns", str(pat)]
+        assert run(argv + ["--plan", plan_path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", netlist
+        assert not (tmp_path / report).exists()
 
 
 # -- tap ----------------------------------------------------------------------------
@@ -454,9 +476,8 @@ def test_sequential_diagnose_runs_one_pass(tmp_path, monkeypatch):
                 (bench, granularity, passes)
 
 
-def test_diagnose_reports_byte_identical_across_workers(tmp_path, forced_pool):
-    # diagnose hands --workers to its one kernel, so a sequential core's
-    # pass goes to the pool workers at both granularities
+def test_diagnose_reports_byte_identical_across_workers(tmp_path, no_pool):
+    # a sequential core at both granularities, in one process
     cores = [(SEQMINI, _seqmini_plan(tmp_path)[1]), _sequential_core(tmp_path)]
     for case, (bench, plan_path) in enumerate(cores):
         for granularity in ("pattern", "signature"):
@@ -464,12 +485,9 @@ def test_diagnose_reports_byte_identical_across_workers(tmp_path, forced_pool):
             for workers in ("1", "2"):
                 out = tmp_path / f"{case}{granularity}w{workers}"
                 out.mkdir()
-                forced_pool.clear()
                 assert run(["diagnose", bench, "--plan", plan_path,
                             "--granularity", granularity, "--workers", workers,
                             "--out", str(out)]) == 0
-                assert forced_pool == ([2] if workers == "2" else []), \
-                    (case, granularity)
                 reports.append((out / "diagnosis_report.json").read_bytes())
             assert reports[0] == reports[1], (case, granularity)
             report = json.loads(reports[0])
@@ -562,31 +580,11 @@ def test_plan_seed_outside_the_alfsr_range_is_an_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
-def test_workers_below_one_is_an_error(tmp_path, capsys, monkeypatch, value):
+def test_workers_below_one_is_an_error(tmp_path, capsys, value):
     argv = ["faultsim", MINI, "--plan", MINI_PLAN, "--out", str(tmp_path)]
     assert run(argv + ["--workers", value]) == 1
     assert capsys.readouterr().err.startswith("error: --workers")
-    monkeypatch.setenv(cli.WORKERS_ENV, value)
-    assert run(argv) == 1
-    assert cli.WORKERS_ENV in capsys.readouterr().err
     assert not (tmp_path / "coverage_report.json").exists()
-
-
-def test_workers_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["faultsim", MINI])
-    assert args.workers == 3
-    # text that is not an integer is an error, not a silent single worker
-    monkeypatch.setenv(cli.WORKERS_ENV, "junk")
-    assert run(["faultsim", MINI, "--plan", MINI_PLAN,
-                "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and cli.WORKERS_ENV in err
-    assert not (tmp_path / "coverage_report.json").exists()
-    # the flag still overrides the environment
-    assert run(["faultsim", MINI, "--plan", MINI_PLAN, "--kinds", "saf",
-                "--workers", "1", "--out", str(tmp_path)]) == 0
 
 
 # -- malformed plan files -----------------------------------------------------------

@@ -204,39 +204,20 @@ def test_sequential_falls_back_to_serial(seqmini):
     assert r_p.first_detect == r_s.first_detect
 
 
-def test_workers_do_not_change_results(mini10, seqmini, forced_pool,
-                                       monkeypatch):
-    # with the threshold at 0 a sequential pass really goes through a pool,
-    # and the parent simulates nothing itself: it keeps the planes the
-    # workers send back (their calls land in their own copy of `calls`)
-    calls = []
-    sequential_sim = faultsim.sequential_sim
-    monkeypatch.setattr(faultsim, "sequential_sim",
-                        lambda *a: calls.append(a) or sequential_sim(*a))
+def test_workers_do_not_change_results(mini10, seqmini, no_pool):
+    # every kernel runs in this process, and a kernel built again over the
+    # same patterns gives the same planes
     rng = random.Random(31)
     rseq = random_sequential(rng, n_in=4, n_flops=4, n_gates=24)
-    for netlist in (seqmini, rseq):
+    for netlist in (seqmini, rseq, mini10):
         pats = random_patterns(rng, netlist, 48)
         u = faultsim.enumerate_faults(netlist)
-        r1 = faultsim.parallel_fault_sim(
-            netlist, u, faultsim.stimulus(netlist, pats, workers=1))
-        planes = faultsim.detection_planes(netlist, u.faults, pats)
-        assert forced_pool == []
-        stim = faultsim.stimulus(netlist, pats, workers=2)
-        calls.clear()
-        r2 = faultsim.parallel_fault_sim(netlist, u, stim)
-        assert forced_pool == [2], netlist.name
-        assert r1.first_detect == r2.first_detect, netlist.name
-        assert stim.planes(u.faults) == planes, netlist.name
-        assert calls == [], netlist.name
-        forced_pool.clear()
-    # the combinational kernel runs in this process whatever the threshold
-    pats = random_patterns(rng, mini10, 48)
-    u = faultsim.enumerate_faults(mini10)
-    assert faultsim.parallel_fault_sim(
-        mini10, u, faultsim.stimulus(mini10, pats, workers=2)).first_detect \
-        == faultsim.serial_fault_sim(mini10, u, pats).first_detect
-    assert forced_pool == []
+        stim = faultsim.stimulus(netlist, pats)
+        r = faultsim.parallel_fault_sim(netlist, u, stim)
+        assert r.first_detect == faultsim.serial_fault_sim(
+            netlist, u, pats).first_detect, netlist.name
+        assert stim.planes(u.faults) == \
+            faultsim.stimulus(netlist, pats).planes(u.faults), netlist.name
 
 
 def test_small_job_starts_no_pool(mini10, seqmini, no_pool):
@@ -244,9 +225,7 @@ def test_small_job_starts_no_pool(mini10, seqmini, no_pool):
     for netlist in (mini10, seqmini):
         pats = random_patterns(rng, netlist, 48)
         u = faultsim.enumerate_faults(netlist)
-        stim = faultsim.stimulus(netlist, pats, workers=2)
-        if netlist.flops:
-            assert 0 < stim.work(u.faults) < faultsim.POOL_MIN_WORK
+        stim = faultsim.stimulus(netlist, pats)
         r = faultsim.parallel_fault_sim(netlist, u, stim)
         assert r.first_detect == faultsim.serial_fault_sim(
             netlist, u, pats).first_detect, netlist.name
@@ -280,7 +259,7 @@ def test_kernel_matches_serial_and_brute_force():
         r_p = faultsim.parallel_fault_sim(n, u, pats)
         r_s = faultsim.serial_fault_sim(n, u, pats)
         assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
-        planes = faultsim.detection_planes(n, u.faults, pats)
+        planes = faultsim.stimulus(n, pats).planes(u.faults)
         brute = oracle.brute_force_detection(
             n, u.faults, pats, observe=faultsim.observation_nets(n))
         for f, first, plane in zip(u.faults, r_p.first_detect, planes):
@@ -307,7 +286,7 @@ def test_kernel_faulty_planes_match_brute_force():
 
 
 def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini,
-                                              forced_pool):
+                                              no_pool):
     rng = random.Random(0x7066)
     core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
     netlists = [mini10, seventeen, core] + [
@@ -323,12 +302,9 @@ def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini,
             want = circuit.toggle_activity(n, pats)
             frac, counts = faultsim.stimulus(n, pats).toggle_activity()
             assert (frac, counts) == want, (n.name, count)
-            # read off the fault-free planes of a pass that, on a netlist
-            # with flops, the pool workers ran
-            forced_pool.clear()
-            stim = faultsim.stimulus(n, pats, workers=2)
+            # read off the fault-free planes of a fault simulation's pass
+            stim = faultsim.stimulus(n, pats)
             faultsim.parallel_fault_sim(n, faultsim.enumerate_faults(n), stim)
-            assert forced_pool == ([2] if n.flops else []), (n.name, count)
             assert stim.toggle_activity() == want, (n.name, count)
     with pytest.raises(SimulationError, match="at least 2"):
         faultsim.stimulus(mini10, [(0, 1, 0, 1)]).toggle_activity()
@@ -369,7 +345,7 @@ def test_detection_planes_sequential_match_brute_force(seqmini):
     rng = random.Random(8)
     pats = random_patterns(rng, seqmini, 30)
     u = faultsim.enumerate_faults(seqmini)
-    planes = faultsim.detection_planes(seqmini, u.faults, pats)
+    planes = faultsim.stimulus(seqmini, pats).planes(u.faults)
     brute = oracle.brute_force_detection(
         seqmini, u.faults, pats, observe=faultsim.observation_nets(seqmini))
     assert planes == [_plane(brute[f]) for f in u.faults]
@@ -411,7 +387,7 @@ def test_sequential_kernel_matches_serial_and_brute_force():
         r_p = faultsim.parallel_fault_sim(n, u, pats)
         r_s = faultsim.serial_fault_sim(n, u, pats)
         assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
-        planes = faultsim.detection_planes(n, u.faults, pats)
+        planes = faultsim.stimulus(n, pats).planes(u.faults)
         brute = oracle.brute_force_detection(
             n, u.faults, pats, observe=faultsim.observation_nets(n))
         for f, first, plane in zip(u.faults, r_p.first_detect, planes):
@@ -422,9 +398,9 @@ def test_sequential_kernel_matches_serial_and_brute_force():
 
 
 def test_error_planes_match_oracle_and_or_to_the_detection_planes(
-        forced_pool):
+        no_pool):
     # per fault, faulty ^ fault-free at each observation net it changes,
-    # from the oracle's replay; on both kernels and through the pool
+    # from the oracle's replay; on both kernels
     rng = random.Random(0xE44)
     cases = [(n, random_patterns(rng, n, count))
              for n in (random_combinational(rng, n_in=5, n_gates=16),)
@@ -434,7 +410,7 @@ def test_error_planes_match_oracle_and_or_to_the_detection_planes(
         obs = faultsim.observation_nets(n)
         golden = oracle.run_sequence(n, pats, observe=obs)
         faults = faultsim.enumerate_faults(n).faults
-        planes = faultsim.detection_planes(n, faults, pats)
+        planes = faultsim.stimulus(n, pats).planes(faults)
         want = []
         for f in faults:
             faulty = oracle.run_sequence(n, pats, fault=oracle.fault_tuple(f),
@@ -442,18 +418,15 @@ def test_error_planes_match_oracle_and_or_to_the_detection_planes(
             want.append({net: _plane([a[j] != b[j] for a, b in
                                       zip(faulty, golden)])
                          for j, net in enumerate(obs)})
-        for workers in (1, 2):
-            forced_pool.clear()
-            stim = faultsim.stimulus(n, pats, workers)
-            for f, errors, nets, plane in zip(faults, stim.errors(faults),
-                                              want, planes):
-                assert errors == {stim.index[net]: e for net, e in nets.items()
-                                  if e}, (n.name, len(pats), f.key)
-                union = 0
-                for e in errors.values():
-                    union |= e
-                assert union == plane, (n.name, len(pats), f.key)
-            assert forced_pool == ([2] if n.flops and workers == 2 else [])
+        stim = faultsim.stimulus(n, pats)
+        for f, errors, nets, plane in zip(faults, stim.errors(faults),
+                                          want, planes):
+            assert errors == {stim.index[net]: e for net, e in nets.items()
+                              if e}, (n.name, len(pats), f.key)
+            union = 0
+            for e in errors.values():
+                union |= e
+            assert union == plane, (n.name, len(pats), f.key)
 
 
 def test_sequential_kernel_good_planes_match_oracle():
@@ -471,8 +444,8 @@ def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
     rng = random.Random(12)
     n = random_sequential(rng, n_in=3, n_flops=3, n_gates=14)
     cases = [(net, random_patterns(rng, net, 20)) for net in (seqmini, n)]
-    want = [faultsim.detection_planes(net, faultsim.enumerate_faults(net).faults,
-                                      pats) for net, pats in cases]
+    want = [faultsim.stimulus(net, pats).planes(
+                faultsim.enumerate_faults(net).faults) for net, pats in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the serial oracle used the sequential kernel")
@@ -505,7 +478,7 @@ def test_shared_sequential_stimulus_matches_separate_passes(seqmini,
         # separate passes: each call builds its own stimulus
         monkeypatch.setattr(faultsim, "sequential_sim", real)
         r_saf = faultsim.parallel_fault_sim(n, saf, pats)
-        planes = faultsim.detection_planes(n, saf.faults, pats)
+        planes = faultsim.stimulus(n, pats).planes(saf.faults)
         r_tdf = faultsim.tdf_sim(n, tdf, pats) if len(pats) > 1 else None
         assert planes == real(n, pats, saf.faults)[1]
         assert r_saf.first_detect == \
@@ -522,7 +495,7 @@ def test_shared_sequential_stimulus_matches_separate_passes(seqmini,
             stim = faultsim.stimulus(n, pats)
             assert faultsim.parallel_fault_sim(
                 n, saf, stim, also=also).first_detect == r_saf.first_detect
-            assert faultsim.detection_planes(n, saf.faults, stim) == planes
+            assert stim.planes(saf.faults) == planes
             assert passes == [set(saf.faults) | set(also)], \
                 (n.name, len(pats))
             if r_tdf is not None:
@@ -611,8 +584,8 @@ def test_tdf_detection_implies_sa_observable(mini10):
         if first is None:
             continue
         sa = "SA0" if f.kind == "STR" else "SA1"
-        [plane] = faultsim.detection_planes(
-            mini10, [faultsim.FaultDescriptor(f.net, sa)], pats)
+        [plane] = faultsim.stimulus(mini10, pats).planes(
+            [faultsim.FaultDescriptor(f.net, sa)])
         assert (plane >> first) & 1
 
 
