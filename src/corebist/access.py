@@ -169,10 +169,9 @@ def shift(wrapper, tap, tdi):
     raise ProtocolError(f"shift called in state {tap.value}")
 
 
-def execute_command(wrapper, session, word=None):
+def execute_command(wrapper, session):
     """Dispatch the WCDR update-stage command against a BIST session."""
-    if word is None:
-        word = wrapper.wcdr
+    word = wrapper.wcdr
     command = (word >> 12) & 0xF
     operand = word & 0xFFF
     if command == CMD_RESET:

@@ -10,14 +10,14 @@ Two paths produce signatures. :class:`BistSession` (with
 :func:`compute_golden` and :func:`run_selftest`) steps that cycle loop one
 scalar evaluation at a time; it is the oracle, no command reads its
 signatures, and it never touches a fault-sim kernel, the plane builder or
-the closed-form MISR. :class:`SignatureEngine` simulates the plan's whole
+the closed-form MISR. :func:`signature_values` simulates the plan's whole
 pattern stream once in the netlist's :func:`faultsim.kernel`, on a
 combinational and a sequential core alike, and reduces each MISR's folded
 output planes with :func:`compactor.signature_of_planes`; since that map
 is linear over GF(2), a faulty signature is the fault-free one XOR the
 signature of the folded error planes. :func:`selftest_results` is what the
 reports use, and TAP replay runs :class:`EngineSession`, whose START reads
-its signatures from the engine.
+its signatures from :func:`signature_values` too.
 
 The stimulus is built as whole-stream bit planes by :func:`plan_planes`
 (one integer per primary input, bit t = cycle t, straight from the ALFSR
@@ -241,27 +241,11 @@ class ControlUnitState:
 
     __slots__ = ("pattern_counter", "test_enable", "output_select", "phase")
 
-    def __init__(self, pattern_counter=0, test_enable=False, output_select=0,
-                 phase="idle"):
-        self.pattern_counter = pattern_counter
-        self.test_enable = test_enable
-        self.output_select = output_select
-        self.phase = phase
-
-    def _key(self):
-        return (self.pattern_counter, self.test_enable, self.output_select,
-                self.phase)
-
-    def __repr__(self):
-        return ("ControlUnitState(pattern_counter=%r, test_enable=%r, "
-                "output_select=%r, phase=%r)" % self._key())
-
-    def __eq__(self, other):
-        if type(other) is not ControlUnitState:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None   # mutable
+    def __init__(self):
+        self.pattern_counter = 0
+        self.test_enable = False
+        self.output_select = 0
+        self.phase = "idle"
 
 
 class BistResult(record("BistResult", "signatures passed patterns_applied")):
@@ -503,9 +487,11 @@ def plan_stimulus(netlist, plan, count=None):
     return faultsim.kernel(netlist, plan_planes(netlist, plan, n), n)
 
 
-class SignatureEngine:
-    """Self-test signatures of a netlist from its :func:`faultsim.kernel`
-    over the plan's pattern stream.
+def signature_values(netlist, plan, kernel, faults):
+    """Self-test signatures of ``netlist`` from its :func:`faultsim.kernel`
+    over the plan's pattern stream: per entry of ``faults`` (None:
+    fault-free), the signature values, one per MISR in plan order; one
+    kernel call serves every fault.
 
     Each MISR's cascade folds its block's output-port planes (port bit i
     into word bit i mod out) and :func:`compactor.signature_of_planes`
@@ -520,57 +506,50 @@ class SignatureEngine:
     ``kernel`` must be compiled over the plan's own stream
     (:func:`plan_stimulus`); it is shared, not copied.
     """
+    check_plan(netlist, plan)
+    n = plan.pattern_count
+    if len(kernel) != n:
+        raise SimulationError(f"{len(kernel)} patterns for a plan of {n}")
+    blocks = {b.name: b for b in netlist.blocks}
+    # net index -> (MISR position, folded word bit) of every port bit it feeds
+    taps = {}
+    for k, (binding, misr) in enumerate(zip(plan.bindings, plan.misrs)):
+        out = misr.cascade.out_width
+        for i, net in enumerate(blocks[binding.block].output_port):
+            taps.setdefault(kernel.index[net], []).append((k, i % out))
 
-    def __init__(self, netlist, plan, kernel):
-        check_plan(netlist, plan)
-        if len(kernel) != plan.pattern_count:
-            raise SimulationError(f"{len(kernel)} patterns for a plan of "
-                                  f"{plan.pattern_count}")
-        self.plan = plan
-        self.kernel = kernel
-        blocks = {b.name: b for b in netlist.blocks}
-        # net index -> (MISR position, folded word bit) of every port bit it feeds
-        self._taps = {}
-        for k, (binding, misr) in enumerate(zip(plan.bindings, plan.misrs)):
-            out = misr.cascade.out_width
-            for i, net in enumerate(blocks[binding.block].output_port):
-                self._taps.setdefault(kernel.index[net], []).append((k, i % out))
-
-    def _signatures(self, planes):
+    def signature_of(planes):
         """One signature per MISR of the folded ``{net index: plane}``;
         nets no MISR reads are skipped."""
-        words = [[0] * m.cascade.out_width for m in self.plan.misrs]
+        words = [[0] * m.cascade.out_width for m in plan.misrs]
         for net, plane in planes.items():
-            for k, j in self._taps.get(net, ()):
+            for k, j in taps.get(net, ()):
                 words[k][j] ^= plane
-        n = self.plan.pattern_count
         return tuple(compactor.signature_of_planes(m.polynomial, w, n)
-                     if any(w) else 0 for m, w in zip(self.plan.misrs, words))
+                     if any(w) else 0 for m, w in zip(plan.misrs, words))
 
-    def signatures(self, faults):
-        """Per entry of ``faults`` (None: fault-free), the signature values,
-        one per MISR in plan order; one kernel call serves every fault."""
-        run = [f for f in dict.fromkeys(faults) if f is not None]
-        errors = self.kernel.errors(run) if run else ()
-        good = self.kernel.good  # after the error pass, which gives it on flops
-        values = {None: self._signatures({i: good[i] for i in self._taps})}
-        for fault, planes in zip(run, errors):
-            values[fault] = tuple(g ^ e for g, e in
-                                  zip(values[None], self._signatures(planes)))
-        return [values[f] for f in faults]
+    run = [f for f in dict.fromkeys(faults) if f is not None]
+    errors = kernel.errors(run) if run else ()
+    good = kernel.good  # after the error pass, which gives it on flops
+    values = {None: signature_of({i: good[i] for i in taps})}
+    for fault, planes in zip(run, errors):
+        values[fault] = tuple(g ^ e for g, e in
+                              zip(values[None], signature_of(planes)))
+    return [values[f] for f in faults]
 
 
 class EngineSession(BistSession):
     """A :class:`BistSession` whose :meth:`run` reads the signatures from
-    :class:`SignatureEngine`; TAP replay uses it.
+    :func:`signature_values`; TAP replay uses it.
 
     Only :meth:`reset` and :meth:`run` move a session. So after ``start``
     cycles its ALFSR stands ``start`` steps past the seed, its MISRs at the
     signatures of the plan's first ``start`` patterns, and a flop core's
     state at the state those patterns reach from reset. The scalar loop,
     continued up to the pattern count n, thus ends with the MISRs at the
-    signatures of the plan's first n patterns: one engine run from reset
-    over them. TAP never reads ``dut_state``, which this run leaves alone.
+    signatures of the plan's first n patterns: one :func:`signature_values`
+    call from reset over them. TAP never reads ``dut_state``, which this run
+    leaves alone.
     """
 
     def run(self):
@@ -580,9 +559,9 @@ class EngineSession(BistSession):
         start = self.control.pattern_counter
         if start < n:
             plan = self.plan._replace(pattern_count=n, golden=None)
-            engine = SignatureEngine(self.netlist, plan,
-                                     plan_stimulus(self.netlist, plan))
-            (golden,) = engine.signatures((None,))
+            (golden,) = signature_values(self.netlist, plan,
+                                         plan_stimulus(self.netlist, plan),
+                                         (None,))
             self.misrs = {m.block: compactor.MisrState(m.polynomial, value)
                           for m, value in zip(self.plan.misrs, golden)}
             poly = self.alfsr.polynomial
@@ -601,12 +580,12 @@ def selftest_results(netlist, plan, faults, kernel):
 
     Pass/fail is judged against the plan's stored golden signatures, or the
     fault-free ones when none are stored. The signatures come from
-    :class:`SignatureEngine` on ``kernel``, which must be compiled over the
+    :func:`signature_values` on ``kernel``, which must be compiled over the
     plan's stream (:func:`plan_stimulus`).
     """
     n = plan.pattern_count
-    engine = SignatureEngine(netlist, plan, kernel)
-    reference, *values = engine.signatures((None, *faults))
+    reference, *values = signature_values(netlist, plan, kernel,
+                                          (None, *faults))
     if plan.golden is not None:
         reference = tuple(s.value for s in plan.golden)
     return [BistResult(tuple(compactor.Signature(m.block, m.polynomial, v, n)

@@ -85,21 +85,29 @@ def parse_pattern_file(path, netlist, plan):
     return patterns
 
 
+def _pattern_count(spec):
+    """The count ``--patterns`` gives, or None when it names a pattern file.
+    ``int`` reads every string ``str.isdecimal`` accepts; ``str.isdigit``
+    also accepts superscript digits, which ``int`` refuses."""
+    return int(spec) if spec.isdecimal() else None
+
+
 def _resolve_patterns(args, netlist, plan, stream=None):
     """--patterns N (count) or --patterns FILE (external vectors); without
     the option, ``stream`` (the plan's own stream, built here if not
-    given). Patterns come as :func:`faultsim.kernel` builds them: one
-    kernel to share between every simulation over them."""
+    given). Returns the patterns as :func:`faultsim.kernel` builds them (one
+    kernel to share between every simulation over them; ``len`` is their
+    count) and their source for the report."""
     spec = getattr(args, "patterns", None)
     if spec is None:
         if stream is None:
             stream = bist.plan_stimulus(netlist, plan)
-        return stream, plan.pattern_count, "alfsr"
-    if spec.isdigit():
-        count = int(spec)
-        return bist.plan_stimulus(netlist, plan, count), count, "alfsr"
-    patterns = faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan))
-    return patterns, len(patterns), os.path.basename(spec)
+        return stream, "alfsr"
+    count = _pattern_count(spec)
+    if count is not None:
+        return bist.plan_stimulus(netlist, plan, count), "alfsr"
+    return (faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan)),
+            os.path.basename(spec))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -150,7 +158,7 @@ def cmd_bist(args):
     # one kernel over the plan's stream serves SAF, TDF and --toggle (unless
     # --patterns asks for others), then the signatures, off the same pass
     stream = bist.plan_stimulus(netlist, plan)
-    patterns, _, source = _resolve_patterns(args, netlist, plan, stream)
+    patterns, source = _resolve_patterns(args, netlist, plan, stream)
     tables = _coverage_tables(netlist, patterns)
     (result,) = bist.selftest_results(netlist, plan, (None,), stream)
 
@@ -202,7 +210,8 @@ def cmd_faultsim(args):
                                   f"(choose from {', '.join(FAULT_KINDS)})")
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args)
-    patterns, count, source = _resolve_patterns(args, netlist, plan)
+    patterns, source = _resolve_patterns(args, netlist, plan)
+    count = len(patterns)
     tables = _coverage_tables(netlist, patterns, kinds)
     payload = _header(netlist, plan)
     payload["pattern_source"] = source
@@ -281,11 +290,12 @@ def cmd_diagnose(args):
     netlist = circuit.load_netlist(args.netlist)
     plan = _load_plan(args)
     if args.granularity == "signature" and args.patterns is not None:
-        if not args.patterns.isdigit():
+        count = _pattern_count(args.patterns)
+        if count is None:
             raise SimulationError("--patterns FILE needs --granularity pattern: "
                                   "signatures replay the plan's ALFSR stream")
-        plan = plan._replace(pattern_count=int(args.patterns), golden=None)
-    patterns, count, source = _resolve_patterns(args, netlist, plan)
+        plan = plan._replace(pattern_count=count, golden=None)
+    patterns, source = _resolve_patterns(args, netlist, plan)
     universe = faultsim.collapse(
         faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
     matrix = diagnosis.build_matrix(netlist, universe, patterns,
@@ -296,7 +306,7 @@ def cmd_diagnose(args):
 
     payload = _header(netlist, plan)
     payload["pattern_source"] = source
-    payload["pattern_count"] = count
+    payload["pattern_count"] = len(patterns)
     payload["overall"] = report.to_dict()
     payload["per_block"] = {b: r.to_dict() for b, r in per_block.items()}
     out = os.path.join(args.out, "diagnosis_report.json")

@@ -10,7 +10,7 @@ whole compactor is linear over GF(2).
 
 Signatures can be computed two ways. :func:`misr_absorb` steps the register
 one word at a time; the scalar self-test session in :mod:`corebist.bist`,
-the oracle, does this for every cycle. The signature engine there knows
+the oracle, does this for every cycle. ``bist.signature_values`` knows
 the whole response up front as bit planes (one integer per folded output
 bit, bit t = cycle t), on a combinational and a sequential core alike, and
 :func:`signature_of_planes` reduces them in closed form over GF(2), with a
@@ -25,7 +25,7 @@ import random
 
 from .errors import PlanError, SimulationError
 from .records import record
-from .tpg import Polynomial, lfsr_next
+from .tpg import DEFAULT_POLYNOMIALS, Polynomial, lfsr_next
 
 
 class XorCascade(record("XorCascade", "in_width out_width")):
@@ -93,9 +93,10 @@ def select_output(signatures, sel):
     return signatures[sel]
 
 
-def signature_of_stream(poly, words, init=0):
-    """Signature of a word stream (ints) from ``init``; linearity helper."""
-    register = init
+def signature_of_stream(poly, words):
+    """Signature of a word stream (ints) from the all-zero register;
+    linearity helper."""
+    register = 0
     for w in words:
         register = lfsr_next(poly, register) ^ w
     return register
@@ -156,29 +157,26 @@ def signature_of_planes(poly, planes, n):
     return int(format(window, f"0{d}b")[::-1], 2)
 
 
-def aliasing_estimate(width, trials, stream_len=4, rng=None,
-                      polynomial=None):
-    """Monte-Carlo aliasing rate of a ``width``-bit MISR.
+def aliasing_estimate(width, trials, rng=None):
+    """Monte-Carlo aliasing rate of a ``width``-bit MISR over the default
+    polynomial of that width.
 
-    Each trial corrupts a stream of ``stream_len`` words with uniform random
-    error words (all-zero error streams are redrawn); by linearity the trial
-    aliases iff the error stream's own signature is zero. Expected rate is
-    about 2^-width.
+    Each trial corrupts a stream of 4 words with uniform random error words
+    (all-zero error streams are redrawn); by linearity the trial aliases iff
+    the error stream's own signature is zero. Expected rate is about
+    2^-width.
     """
     if trials < 10_000:
         raise SimulationError("aliasing estimate needs >= 10^4 trials")
     rng = rng or random.Random(0)
-    if polynomial is None:
-        from .tpg import DEFAULT_POLYNOMIALS
-        polynomial = Polynomial.parse(DEFAULT_POLYNOMIALS[width])
-    mask = polynomial.tap_mask
+    mask = Polynomial.parse(DEFAULT_POLYNOMIALS[width]).tap_mask
     regmask = (1 << width) - 1
     top = 1 << width
     aliased = 0
     randrange = rng.randrange
     for _ in range(trials):
         while True:
-            words = [randrange(top) for _ in range(stream_len)]
+            words = [randrange(top) for _ in range(4)]
             if any(words):
                 break
         s = 0

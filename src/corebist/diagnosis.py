@@ -69,8 +69,8 @@ class ClassReport(record("ClassReport", "granularity pattern_count classes "
             return 0.0
         return sum(len(c) for c in total) / len(total)
 
-    def to_dict(self, faults=None):
-        d = {
+    def to_dict(self):
+        return {
             "granularity": self.granularity,
             "pattern_count": self.pattern_count,
             "fault_count": self.fault_count,
@@ -80,10 +80,6 @@ class ClassReport(record("ClassReport", "granularity pattern_count classes "
             "mean_size_with_undetected": round(self.mean_size_with_undetected, 4),
             "undetected": len(self.undetected),
         }
-        if faults is not None:
-            d["classes"] = [[faults[i].key for i in c] for c in self.classes]
-            d["undetected_faults"] = [faults[i].key for i in self.undetected]
-        return d
 
 
 def build_matrix(netlist, universe, kernel, granularity="pattern",

@@ -270,19 +270,6 @@ class CoverageReport(record("CoverageReport",
             row["coverage"] = row["detected"] / row["faults"] if row["faults"] else 0.0
         return table
 
-    def to_dict(self):
-        return {
-            "pattern_count": self.pattern_count,
-            "faults": len(self.faults),
-            "detected": self.detected,
-            "coverage": self.coverage,
-            "per_block": self.per_block(),
-            "per_fault": [
-                {"site": f.site, "kind": f.kind, "first_detect": d}
-                for f, d in zip(self.faults, self.first_detect)
-            ],
-        }
-
 
 def fault_blocks(netlist, faults):
     """Block of each fault: the first block whose cone holds its net, or None."""

@@ -124,22 +124,20 @@ def alfsr_step(state):
     return AlfsrState(state.polynomial, lfsr_next(state.polynomial, state.register))
 
 
-def alfsr_period(state, limit=None):
-    """Orbit length of ``state`` under repeated stepping (exhaustive)."""
+def alfsr_period(state):
+    """Orbit length of ``state`` under repeated stepping (exhaustive, at most
+    2^degree steps)."""
     poly = state.polynomial
     mask = poly.tap_mask
     regmask = (1 << poly.degree) - 1
     start = state.register
     r = start
-    n = 0
-    limit = limit if limit is not None else 1 << poly.degree
-    while n < limit:
+    for n in range(1, (1 << poly.degree) + 1):
         fb = (r & mask).bit_count() & 1
         r = ((r << 1) | fb) & regmask
-        n += 1
         if r == start:
             return n
-    raise SimulationError("orbit longer than limit")
+    raise SimulationError("orbit longer than 2^degree")
 
 
 class ConstraintProgram(record("ConstraintProgram", "port_width schedule cyclic")):

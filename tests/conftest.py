@@ -26,16 +26,6 @@ def seqmini():
     return circuit.load_netlist(fixture_path("seqmini.bench"))
 
 
-@pytest.fixture
-def no_pool(monkeypatch):
-    """A process pool that fails the test if anything starts one."""
-    from concurrent import futures
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
-
-
 def seqmini_plan(count=20):
     """A ``count``-pattern plan for seqmini: its 2-bit MAIN port driven
     from a 4-bit ALFSR, its 2-bit output into a 2-bit MISR."""

@@ -427,8 +427,8 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, seqmini,
     monkeypatch.setattr(faultsim, "FaultKernel", refuse)
     monkeypatch.setattr(faultsim, "SequentialStimulus", refuse)
     monkeypatch.setattr(faultsim, "sequential_sim", refuse)
-    # nor the engine or the plane builder
-    monkeypatch.setattr(bist, "SignatureEngine", refuse)
+    # nor the signature path or the plane builder
+    monkeypatch.setattr(bist, "signature_values", refuse)
     monkeypatch.setattr(bist, "plan_planes", refuse)
     monkeypatch.setattr(compactor, "signature_of_planes", refuse)
     for netlist, plan in ((mini10, mini_plan),

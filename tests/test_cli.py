@@ -183,7 +183,7 @@ def _sequential_core(tmp_path):
     return str(bench), str(tmp_path / "seqcli.plan.json")
 
 
-def test_workers_do_not_change_sequential_report(tmp_path, no_pool):
+def test_workers_do_not_change_sequential_report(tmp_path):
     bench, plan = _sequential_core(tmp_path)
     args = ["faultsim", bench, "--plan", plan]
     reports = []
@@ -196,8 +196,7 @@ def test_workers_do_not_change_sequential_report(tmp_path, no_pool):
     assert b'"SAF"' in reports[0] and b'"TDF"' in reports[0]
 
 
-def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch,
-                                                no_pool):
+def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch):
     # --workers 2 runs in this process too
     bench, plan = _sequential_core(tmp_path)
     args = ["faultsim", bench, "--plan", plan, "--kinds", "saf,tdf"]
@@ -243,7 +242,7 @@ def test_sequential_bist_toggle_reads_the_pass_planes(tmp_path, monkeypatch):
     assert report["toggle_activity"] == round(frac, 4)
 
 
-def test_bist_reports_byte_identical_across_workers(tmp_path, no_pool):
+def test_bist_reports_byte_identical_across_workers(tmp_path):
     # every command runs in one process: on a sequential core, the
     # combinational core and mini10, with the plan's stream and with an
     # external pattern file plus --toggle
@@ -341,6 +340,34 @@ def test_pattern_file_with_a_plan_that_does_not_fit_is_an_error(
         assert capsys.readouterr().err == f"error: {message}\n", netlist
         assert not (tmp_path / report).exists()
 
+
+@pytest.mark.parametrize("command, report", [
+    (["bist"], "bist_report.json"),
+    (["faultsim"], "coverage_report.json"),
+    (["diagnose", "--granularity", "pattern"], "diagnosis_report.json"),
+    (["diagnose", "--granularity", "signature"], "diagnosis_report.json"),
+], ids=["bist", "faultsim", "diagnose-pattern", "diagnose-signature"])
+def test_superscript_pattern_count_is_a_file_name(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  report):
+    # '²'.isdigit() holds but int() refuses it: it names a file
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], MINI, "--plan", MINI_PLAN, *command[1:],
+            "--patterns", "²", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    if "signature" in command:
+        assert err.startswith("error: --patterns FILE needs --granularity "
+                              "pattern"), err
+    else:
+        assert err == "error: [Errno 2] No such file or directory: " \
+                      "'²'\n", err
+    assert not (tmp_path / report).exists()
+    if "signature" not in command:
+        (tmp_path / "²").write_text("0101\n1010\n")
+        assert run(argv) == 0
+        payload = json.loads((tmp_path / report).read_text())
+        assert payload["pattern_source"] == "²"
 
 # -- tap ----------------------------------------------------------------------------
 
@@ -476,7 +503,7 @@ def test_sequential_diagnose_runs_one_pass(tmp_path, monkeypatch):
                 (bench, granularity, passes)
 
 
-def test_diagnose_reports_byte_identical_across_workers(tmp_path, no_pool):
+def test_diagnose_reports_byte_identical_across_workers(tmp_path):
     # a sequential core at both granularities, in one process
     cores = [(SEQMINI, _seqmini_plan(tmp_path)[1]), _sequential_core(tmp_path)]
     for case, (bench, plan_path) in enumerate(cores):
@@ -786,8 +813,8 @@ print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
-# what the dataclass machinery would drag in
-_RECORD_BUILDERS = {"dataclasses", "inspect"}
+# what the dataclass machinery would drag in, and a process pool
+_UNWANTED = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
 
 
 def _fresh_python(*args):
@@ -808,10 +835,12 @@ def _fresh_python(*args):
 ])
 def test_each_command_imports_only_what_it_runs(tmp_path, command, loads,
                                                 skips):
-    out = _fresh_python("-c", _LOADED, *command, "--out", str(tmp_path)).stdout
+    # --workers 2 still runs in one process
+    out = _fresh_python("-c", _LOADED, *command, "--workers", "2",
+                        "--out", str(tmp_path)).stdout
     loaded = set(json.loads(out.splitlines()[-1]))
     assert loads in loaded
-    unwanted = (skips | _RECORD_BUILDERS) & loaded
+    unwanted = (skips | _UNWANTED) & loaded
     assert not unwanted, unwanted
 
 

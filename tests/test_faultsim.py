@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from corebist import circuit, faultsim, fixture_path, tpg
+from corebist import bist, circuit, faultsim, fixture_path, tpg
 from corebist.errors import SimulationError
 
 import oracle
 from conftest import (exhaustive_patterns, random_combinational,
-                      random_patterns, random_sequential)
+                      random_patterns, random_sequential, seqmini_plan)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -96,6 +96,33 @@ def test_collapsing_is_a_partition(seventeen):
     for f, rep in collapsed.collapse_map.items():
         assert rep in reps
         assert collapsed.collapse_map[rep] == rep
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "collapse merges an input-pin fault into the gate's output fault when "
+    "the input net has one gate reader, even if that net is also observed; "
+    "perfbench/reference.py collapsed() has the same rule and "
+    "perfbench/selfcheck.py compares the two, so both change together"))
+def test_collapse_keeps_observed_inputs_apart(seqmini):
+    # every fault must be detected by the patterns that detect its class
+    # representative; a net that is observed shows its own fault directly
+    obs = circuit.parse_netlist(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(y)\ny = AND(a, b)\n",
+        name="observed_input")
+    cases = [(obs, [(1, 0), (0, 1)]),
+             (seqmini, bist.plan_patterns(seqmini, seqmini_plan(20)))]
+    mismatched = []
+    for n, pats in cases:
+        full = faultsim.enumerate_faults(n)
+        report = faultsim.serial_fault_sim(n, full, pats)
+        first = dict(zip(report.faults, report.first_detect))
+        mismatched += [(n.name, f.key, rep.key) for f, rep in
+                       faultsim.collapse(full, n).collapse_map.items()
+                       if first[f] != first[rep]]
+    # the observed input's class hides b:SA0 and y:SA0 (4 of 6 detected, the
+    # collapsed set reports 4 of 4); seqmini's q1:SA0 (first detect 1) sits
+    # in b:SA0's class (first detect 6)
+    assert not mismatched, mismatched
 
 
 def test_fault_records_keep_their_value_contract():
@@ -204,9 +231,9 @@ def test_sequential_falls_back_to_serial(seqmini):
     assert r_p.first_detect == r_s.first_detect
 
 
-def test_workers_do_not_change_results(mini10, seqmini, no_pool):
-    # every kernel runs in this process, and a kernel built again over the
-    # same patterns gives the same planes
+def test_kernel_matches_serial_and_a_rebuilt_kernel(mini10, seqmini):
+    # SAF first detects equal the serial oracle's, and a kernel built again
+    # over the same patterns gives the same planes
     rng = random.Random(31)
     rseq = random_sequential(rng, n_in=4, n_flops=4, n_gates=24)
     for netlist in (seqmini, rseq, mini10):
@@ -218,17 +245,6 @@ def test_workers_do_not_change_results(mini10, seqmini, no_pool):
             netlist, u, pats).first_detect, netlist.name
         assert stim.planes(u.faults) == \
             faultsim.stimulus(netlist, pats).planes(u.faults), netlist.name
-
-
-def test_small_job_starts_no_pool(mini10, seqmini, no_pool):
-    rng = random.Random(32)
-    for netlist in (mini10, seqmini):
-        pats = random_patterns(rng, netlist, 48)
-        u = faultsim.enumerate_faults(netlist)
-        stim = faultsim.stimulus(netlist, pats)
-        r = faultsim.parallel_fault_sim(netlist, u, stim)
-        assert r.first_detect == faultsim.serial_fault_sim(
-            netlist, u, pats).first_detect, netlist.name
 
 
 # -- compiled kernel against the oracle ------------------------------------------
@@ -285,8 +301,7 @@ def test_kernel_faulty_planes_match_brute_force():
                 assert i not in faulty or faulty[i] != kernel.good[i]
 
 
-def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini,
-                                              no_pool):
+def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini):
     rng = random.Random(0x7066)
     core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
     netlists = [mini10, seventeen, core] + [
@@ -397,8 +412,7 @@ def test_sequential_kernel_matches_serial_and_brute_force():
     assert {"branch", "input", "Q", "D"} <= sites
 
 
-def test_error_planes_match_oracle_and_or_to_the_detection_planes(
-        no_pool):
+def test_error_planes_match_oracle_and_or_to_the_detection_planes():
     # per fault, faulty ^ fault-free at each observation net it changes,
     # from the oracle's replay; on both kernels
     rng = random.Random(0xE44)
