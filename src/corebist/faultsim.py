@@ -65,27 +65,14 @@ class FaultDescriptor(record("FaultDescriptor", "net kind gate pin",
 
 class FaultUniverse:
     """A fault list; ``collapse_map`` (fault -> representative fault) is
-    kept by :func:`collapse`. ``len(universe)`` is the fault count."""
+    kept by :func:`collapse`. ``len(universe)`` is the fault count;
+    universes compare and hash by identity."""
 
     __slots__ = ("faults", "collapse_map")
 
     def __init__(self, faults, collapse_map=None):
         self.faults = faults
         self.collapse_map = collapse_map
-
-    def _key(self):
-        return self.faults, self.collapse_map
-
-    def __repr__(self):
-        return "FaultUniverse(faults=%r, collapse_map=%r)" % self._key()
-
-    def __eq__(self, other):
-        if type(other) is not FaultUniverse:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def counts(self):

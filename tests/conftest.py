@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corebist import bist, circuit, compactor, fixture_path, tpg
+from corebist import access, bist, circuit, compactor, fixture_path, tpg
 
 
 @pytest.fixture
@@ -103,3 +103,91 @@ def random_sequential(rng, n_in=3, n_flops=3, n_gates=12, name="rseq"):
 def random_patterns(rng, netlist, count):
     return [tuple(rng.randint(0, 1) for _ in netlist.primary_inputs)
             for _ in range(count)]
+
+
+MISR_POLYS = ("x^2+x+1", "x^3+x+1", "x^4+x+1", "x^5+x^2+1")
+
+
+def random_plan(rng, base, count, n_blocks):
+    """``base`` cut into ``n_blocks`` blocks, with a random plan over them:
+    CG-driven input bits, cascades with in % out != 0, MISR widths 2-5.
+    Each block reads a slice of the primary inputs and any nets as its
+    output port (on a flop core, Q nets too). Returns the re-blocked
+    netlist and the plan, its golden signatures from the scalar session."""
+    pis = list(base.primary_inputs)
+    n_in = len(pis)
+    cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
+    in_ports = [pis[a:b] for a, b in zip([0] + cuts, cuts + [n_in])]
+    polys = [tpg.Polynomial.parse(rng.choice(MISR_POLYS))
+             for _ in range(n_blocks)]
+    out_ports = [rng.sample(base.nets, rng.randint(p.degree, min(
+        len(base.nets), 3 * p.degree + 1))) for p in polys]
+    pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
+               for k, (i, o) in enumerate(zip(in_ports, out_ports))]
+    bench = [line for line in base.to_bench().splitlines()
+             if not line.startswith("#@block")]
+    netlist = circuit.parse_netlist("\n".join(pragmas + bench),
+                                    name=base.name)
+    alfsr = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8])
+    bindings, misrs = [], []
+    for k, (port, poly) in enumerate(zip(in_ports, polys)):
+        cg, cg_bits = None, ()
+        if rng.random() < 0.5:
+            cg_bits = tuple(rng.sample(range(len(port)),
+                                       rng.randint(1, len(port))))
+            width = len(cg_bits)
+            cg = tpg.ConstraintProgram(
+                width, tuple((rng.randrange(1 << width), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 4))),
+                rng.random() < 0.5)
+        bindings.append(tpg.modular_binding(f"B{k}", len(port), 8, cg, cg_bits))
+        misrs.append(bist.MisrAssignment(
+            f"B{k}", poly,
+            compactor.XorCascade(len(out_ports[k]), poly.degree)))
+    plan = bist.BistPlan(alfsr, rng.randrange(1, 256), tuple(bindings),
+                         tuple(misrs), pattern_count=count)
+    return netlist, bist.compute_golden(netlist, plan)
+
+
+def random_plan_case(rng, count, name, flops=0):
+    """Random netlist cut into 1-4 blocks, with a random plan
+    (:func:`random_plan`). With ``flops``, a :func:`random_sequential` core
+    with that many flops."""
+    n_blocks = rng.randint(1, 4)
+    n_in = rng.randint(n_blocks, 9)
+    n_gates = rng.randint(8, 30)
+    if flops:
+        base = random_sequential(rng, n_in=n_in, n_flops=flops,
+                                 n_gates=n_gates, name=name)
+    else:
+        base = random_combinational(rng, n_in=n_in, n_gates=n_gates, name=name)
+    return random_plan(rng, base, count, n_blocks)
+
+
+def tap_script(rng, plan):
+    """WCDR commands (command, operand) covering RESET, SET_COUNT with operand
+    0 (the full counter range), START twice, a smaller count after START, a
+    larger count then START without RESET, SELECT and READ_STATUS."""
+    full = 1 << plan.counter_width
+    small = rng.randint(1, 40)
+    script = [(access.CMD_RESET, 0), (access.CMD_SET_COUNT, small),
+              (access.CMD_START, 0), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, rng.randint(1, small)), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, small + rng.randint(1, 60)),
+              (access.CMD_START, 0), (access.CMD_READ_STATUS, 0),
+              (access.CMD_SET_COUNT, 0), (access.CMD_START, 0),
+              (access.CMD_READ_STATUS, 0)]
+    commands = [access.CMD_RESET, access.CMD_SET_COUNT, access.CMD_START,
+                access.CMD_SELECT, access.CMD_READ_STATUS]
+    for _ in range(12):
+        command = rng.choice(commands)
+        operand = 0
+        if command == access.CMD_SET_COUNT:
+            operand = rng.choice((0, rng.randint(1, 200), rng.randrange(full)))
+        elif command == access.CMD_SELECT:
+            operand = rng.randrange(len(plan.misrs))
+        script.insert(rng.randrange(len(script) + 1), (command, operand))
+    return script
+

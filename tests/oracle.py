@@ -101,6 +101,75 @@ def brute_force_detection(netlist, faults, patterns, observe=None):
     return out
 
 
+def plane(bits):
+    """Sequence of truth values -> int with bit t = item t."""
+    return sum(1 << t for t, hit in enumerate(bits) if hit)
+
+
+def transpose(patterns, width):
+    """Pattern tuples -> one plane per input position, bit t = pattern t."""
+    return [sum(p[i] << t for t, p in enumerate(patterns)) for i in range(width)]
+
+
+def tdf_brute(netlist, faults, patterns, observe):
+    """Pairwise brute force applying the launch-on-capture definition on a
+    combinational netlist: fault -> first detect (the capture pattern)."""
+    values = [eval_recursive(netlist, dict(zip(netlist.primary_inputs, p)))
+              for p in patterns]
+    result = {}
+    for f in faults:
+        launch, sa = ((0, 1), 0) if f.kind == "STR" else ((1, 0), 1)
+        first = None
+        for i in range(len(patterns) - 1):
+            if values[i][f.net] != launch[0] or values[i + 1][f.net] != launch[1]:
+                continue
+            clean = values[i + 1]
+            faulty = eval_recursive(
+                netlist, dict(zip(netlist.primary_inputs, patterns[i + 1])),
+                fault=(f.net, sa))
+            if any(clean[n] != faulty[n] for n in observe):
+                first = i + 1
+                break
+        result[f] = first
+    return result
+
+
+def sequential_tdf_brute(netlist, faults, patterns, observe):
+    """Launch-on-capture by definition: the fault-free run (flop Q pre-edge)
+    launches the transition, the stem stuck-at replay from reset detects
+    it. One first detect per fault, in order."""
+    values = run_sequence(netlist, patterns, observe=netlist.nets)
+    column = {n: [v[i] for v in values] for i, n in enumerate(netlist.nets)}
+    golden = run_sequence(netlist, patterns, observe=observe)
+    firsts = []
+    for f in faults:
+        launch, sa = ([0, 1], 0) if f.kind == "STR" else ([1, 0], 1)
+        vec = [a != b for a, b in zip(run_sequence(
+            netlist, patterns, fault=(f.net, sa), observe=observe), golden)]
+        col = column[f.net]
+        firsts.append(next((t for t in range(1, len(patterns))
+                            if col[t - 1:t + 1] == launch and vec[t]), None))
+    return tuple(firsts)
+
+
+def pairwise_classes(matrix):
+    """O(n^2) partition of a diagnostic matrix by direct row comparison:
+    the classes of detected faults and the undetected faults, by index."""
+    classes = []
+    undetected = []
+    for i in range(len(matrix.faults)):
+        if not matrix.detected[i]:
+            undetected.append(i)
+            continue
+        for c in classes:
+            if matrix.rows[c[0]] == matrix.rows[i]:
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    return [tuple(c) for c in classes], tuple(undetected)
+
+
 def misr_stepwise(taps, degree, words):
     """Stage-by-stage list-based MISR; words are LSB-first bit lists."""
     reg = [0] * degree

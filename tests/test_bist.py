@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from corebist import access, bist, circuit, compactor, faultsim, fixture_path, tpg
+from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
 from corebist.errors import PlanError, SimulationError
 
 import oracle
-from conftest import random_combinational, random_sequential, seqmini_plan
+from conftest import random_plan_case, seqmini_plan
+from test_equivalence import cells
 
 
 @pytest.fixture
@@ -237,9 +238,11 @@ def _assert_same_results(netlist, plan, faults, label=""):
         assert got.patterns_applied == want.patterns_applied
 
 
-def test_linear_signatures_match_session_mini10(mini10, mini_plan):
-    u = faultsim.collapse(faultsim.enumerate_faults(mini10), mini10)
-    _assert_same_results(mini10, mini_plan, (None,) + u.faults)
+# The equivalence matrix (test_equivalence.py) holds the kernel-vs-oracle
+# cases; a test that calls `cells` runs the cells that took over its own.
+
+def test_linear_signatures_match_session_mini10():
+    cells("selftest", ["mini10"], [64])
 
 
 def test_linear_signatures_match_session_core_sample(core, core_plan):
@@ -257,77 +260,16 @@ def test_linear_signatures_match_session_core_sample(core, core_plan):
         assert got.passed == want.passed, f.key
 
 
-_MISR_POLYS = ("x^2+x+1", "x^3+x+1", "x^4+x+1", "x^5+x^2+1")
-
-
-def _random_plan_case(rng, count, name, flops=0):
-    """Random netlist cut into 1-4 blocks, with a random plan: CG-driven
-    input bits, cascades with in % out != 0, MISR widths 2-5. With
-    ``flops``, a :func:`random_sequential` core with that many flops, whose
-    Q nets output ports may read."""
-    n_blocks = rng.randint(1, 4)
-    n_in = rng.randint(n_blocks, 9)
-    n_gates = rng.randint(8, 30)
-    if flops:
-        base = random_sequential(rng, n_in=n_in, n_flops=flops,
-                                 n_gates=n_gates, name=name)
-    else:
-        base = random_combinational(rng, n_in=n_in, n_gates=n_gates, name=name)
-    pis = list(base.primary_inputs)
-    cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
-    in_ports = [pis[a:b] for a, b in zip([0] + cuts, cuts + [n_in])]
-    polys = [tpg.Polynomial.parse(rng.choice(_MISR_POLYS))
-             for _ in range(n_blocks)]
-    out_ports = [rng.sample(base.nets, rng.randint(p.degree, min(
-        len(base.nets), 3 * p.degree + 1))) for p in polys]
-    pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
-               for k, (i, o) in enumerate(zip(in_ports, out_ports))]
-    bench = [line for line in base.to_bench().splitlines()
-             if not line.startswith("#@block")]
-    netlist = circuit.parse_netlist("\n".join(pragmas + bench), name=name)
-    alfsr = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8])
-    bindings, misrs = [], []
-    for k, (port, poly) in enumerate(zip(in_ports, polys)):
-        cg, cg_bits = None, ()
-        if rng.random() < 0.5:
-            cg_bits = tuple(rng.sample(range(len(port)),
-                                       rng.randint(1, len(port))))
-            width = len(cg_bits)
-            cg = tpg.ConstraintProgram(
-                width, tuple((rng.randrange(1 << width), rng.randint(1, 5))
-                             for _ in range(rng.randint(1, 4))),
-                rng.random() < 0.5)
-        bindings.append(tpg.modular_binding(f"B{k}", len(port), 8, cg, cg_bits))
-        misrs.append(bist.MisrAssignment(
-            f"B{k}", poly,
-            compactor.XorCascade(len(out_ports[k]), poly.degree)))
-    plan = bist.BistPlan(alfsr, rng.randrange(1, 256), tuple(bindings),
-                         tuple(misrs), pattern_count=count)
-    return netlist, bist.compute_golden(netlist, plan)
-
-
 def test_linear_signatures_match_session_random_plans():
-    rng = random.Random(0x51C)
-    misr_counts, uneven, cg = set(), 0, 0
-    for trial in range(4):
-        for count in (1, 15, 16, 17, 64):
-            netlist, plan = _random_plan_case(rng, count, f"sig{trial}")
-            misr_counts.add(len(plan.misrs))
-            uneven += sum(m.cascade.in_width % m.cascade.out_width != 0
-                          for m in plan.misrs)
-            cg += sum(b.cg is not None for b in plan.bindings)
-            u = faultsim.enumerate_faults(netlist)   # stems and branches
-            _assert_same_results(netlist, plan, (None,) + u.faults,
-                                 (trial, count))
-    assert len(misr_counts) > 2 and uneven and cg
+    cells("selftest", ["seventeen", "rcomb"])
 
 
 def test_misr_detection_rate_matches_session():
     rng = random.Random(0xA11A5)
     checked = 0
     for trial in range(4):
-        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
-                                          f"rate{trial}")
+        netlist, plan = random_plan_case(rng, rng.choice((16, 17, 64)),
+                                         f"rate{trial}")
         u = faultsim.enumerate_faults(netlist)
         try:
             rate, aliased = bist.misr_detection_rate(netlist, plan, u)
@@ -362,33 +304,8 @@ def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
         for r in _scalar(mini10, stale, u.faults))
 
 
-def test_linear_signatures_match_session_sequential_cores(seqmini):
-    for count in (1, 2, 20, 63, 64, 65):
-        u = faultsim.enumerate_faults(seqmini)
-        _assert_same_results(seqmini, seqmini_plan(count), (None,) + u.faults,
-                             ("seqmini", count))
-    rng = random.Random(0x5E9)
-    misr_counts, uneven, cg, q_ports = set(), 0, 0, 0
-    for trial in range(3):
-        for count in (1, 2, 63, 64, 65):
-            netlist, plan = _random_plan_case(rng, count, f"seqsig{trial}",
-                                              flops=rng.randint(1, 4))
-            misr_counts.add(len(plan.misrs))
-            uneven += sum(m.cascade.in_width % m.cascade.out_width != 0
-                          for m in plan.misrs)
-            cg += sum(b.cg is not None for b in plan.bindings)
-            qs = {f.q for f in netlist.flops}
-            q_ports += sum(bool(qs & set(b.output_port))
-                           for b in netlist.blocks)
-            u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
-            _assert_same_results(netlist, plan, (None,) + u.faults,
-                                 (trial, count))
-            if count == 65:       # a stored golden that is not the plan's
-                stale = plan._replace(golden=tuple(
-                    s._replace(value=s.value ^ 1) for s in plan.golden))
-                _assert_same_results(netlist, stale, (None,) + u.faults,
-                                     (trial, "stale"))
-    assert len(misr_counts) > 1 and uneven and cg and q_ports
+def test_linear_signatures_match_session_sequential_cores():
+    cells("selftest", ["seqmini", "rseq", "seqbench"])
 
 
 def test_signature_paths_never_step_the_session(seqmini, mini10, mini_plan,
@@ -447,33 +364,17 @@ def test_session_oracle_never_calls_the_kernel(mini10, mini_plan, seqmini,
 
 # -- one kernel from the plan's planes ------------------------------------------------
 
-def _transposed_kernel(netlist, planes, n):
-    """The kernel of the same patterns handed over as tuples."""
-    rows = [tuple(p >> t & 1 for p in planes) for t in range(n)]
-    return faultsim.stimulus(netlist, rows)
-
-
-def _assert_same_kernel(netlist, a, b, label):
-    assert len(a) == len(b) and a.good == b.good, label
-    u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
-    for f in u.faults:
-        assert a.faulty(f) == b.faulty(f), (label, f.key)
-        assert a.planes((f,))[0] == b.planes((f,))[0], (label, f.key)
-
-
-def test_kernel_from_plan_planes_matches_kernel_from_tuples(mini10, seventeen,
-                                                            core, core_plan,
-                                                            mini_plan):
-    for netlist, plan in ((mini10, mini_plan), (core, core_plan)):
-        n = plan.pattern_count
-        kernel = bist.plan_stimulus(netlist, plan)
-        _assert_same_kernel(netlist, kernel, _transposed_kernel(
-            netlist, bist.plan_planes(netlist, plan), n), netlist.name)
-    rng = random.Random(0x17)
-    for n in (1, 2, 64, 65, 300):
-        planes = [rng.getrandbits(n) for _ in seventeen.primary_inputs]
-        _assert_same_kernel(seventeen, faultsim.FaultKernel(seventeen, planes, n),
-                            _transposed_kernel(seventeen, planes, n), n)
+def test_kernel_from_plan_planes_matches_kernel_from_tuples(core, core_plan):
+    # the case-study core; the matrix's plan_planes row holds the small cores
+    a = bist.plan_stimulus(core, core_plan)
+    planes = bist.plan_planes(core, core_plan)
+    b = faultsim.stimulus(core, [tuple(p >> t & 1 for p in planes)
+                                 for t in range(len(a))])
+    assert len(a) == len(b) and a.good == b.good
+    for f in faultsim.collapse(faultsim.enumerate_faults(core), core).faults:
+        assert a.faulty(f) == b.faulty(f), f.key
+        assert a.planes((f,))[0] == b.planes((f,))[0], f.key
+    cells("plan_planes", ["mini10", "seventeen"])
 
 
 def test_tdf_on_a_shared_kernel_matches_tdf_from_patterns(mini10, mini_plan,
@@ -534,10 +435,6 @@ def _random_stimulus_case(rng, degree, count):
     return netlist, plan
 
 
-def _transpose(patterns, width):
-    return [sum(p[i] << t for t, p in enumerate(patterns)) for i in range(width)]
-
-
 def test_plan_planes_match_pattern_stream_random_plans():
     rng = random.Random(0x91A7E)
     counts = (1, 2, 63, 64, 65, 4096)
@@ -552,7 +449,7 @@ def test_plan_planes_match_pattern_stream_random_plans():
                 seen["replicated"] += len(set(values)) < len(values)
             want = bist.BistSession(netlist, plan).pattern_stream()
             width = len(netlist.primary_inputs)
-            assert bist.plan_planes(netlist, plan) == _transpose(want, width), \
+            assert bist.plan_planes(netlist, plan) == oracle.transpose(want, width), \
                 (degree, count)
             assert bist.plan_patterns(netlist, plan) == want, (degree, count)
     assert all(seen.values()), seen
@@ -565,7 +462,7 @@ def test_plan_planes_count_prefix_matches_set_count(core, core_plan):
         want = session.pattern_stream()
         assert bist.plan_patterns(core, core_plan, count=count) == want
         assert bist.plan_planes(core, core_plan, count=count) == \
-            _transpose(want, len(core.primary_inputs))
+            oracle.transpose(want, len(core.primary_inputs))
     with pytest.raises(PlanError, match="counter range"):
         bist.plan_planes(core, core_plan, count=0)
 
@@ -587,91 +484,13 @@ def test_alfsr_source_out_of_range_rejected_on_both_paths(mini10, mini_plan, src
 
 # -- TAP START through the signature engine -----------------------------------------
 
-def _tap_script(rng, plan):
-    """WCDR commands (command, operand) covering RESET, SET_COUNT with operand
-    0 (the full counter range), START twice, a smaller count after START, a
-    larger count then START without RESET, SELECT and READ_STATUS."""
-    full = 1 << plan.counter_width
-    small = rng.randint(1, 40)
-    script = [(access.CMD_RESET, 0), (access.CMD_SET_COUNT, small),
-              (access.CMD_START, 0), (access.CMD_START, 0),
-              (access.CMD_READ_STATUS, 0),
-              (access.CMD_SET_COUNT, rng.randint(1, small)), (access.CMD_START, 0),
-              (access.CMD_READ_STATUS, 0),
-              (access.CMD_SET_COUNT, small + rng.randint(1, 60)),
-              (access.CMD_START, 0), (access.CMD_READ_STATUS, 0),
-              (access.CMD_SET_COUNT, 0), (access.CMD_START, 0),
-              (access.CMD_READ_STATUS, 0)]
-    commands = [access.CMD_RESET, access.CMD_SET_COUNT, access.CMD_START,
-                access.CMD_SELECT, access.CMD_READ_STATUS]
-    for _ in range(12):
-        command = rng.choice(commands)
-        operand = 0
-        if command == access.CMD_SET_COUNT:
-            operand = rng.choice((0, rng.randint(1, 200), rng.randrange(full)))
-        elif command == access.CMD_SELECT:
-            operand = rng.randrange(len(plan.misrs))
-        script.insert(rng.randrange(len(script) + 1), (command, operand))
-    return script
-
-
-def _session_state(session, wrapper):
-    return (session.signatures(), session.alfsr.register,
-            session.control.pattern_counter, session.control.phase,
-            session.control.test_enable, session.control.output_select,
-            wrapper.status, wrapper.wdr)
-
-
-def _assert_engine_session_matches(netlist, plan, script, label):
-    scalar = access.TapSession(bist.BistSession(netlist, plan))
-    engine = access.TapSession(bist.EngineSession(netlist, plan))
-    for tap in (scalar, engine):
-        tap.tap_reset()
-    for i, (command, operand) in enumerate(script):
-        rec = access.TraceRecorder(scalar)
-        rec.write_wcdr(command, operand)
-        if command == access.CMD_READ_STATUS:
-            rec.read_wdr()
-        got = access.drive_trace(engine, access.SerialTrace(tuple(rec.samples)))
-        where = (label, i, command, operand)
-        assert got == rec.tdo, where
-        assert _session_state(engine.bist, engine.wrapper) == \
-            _session_state(scalar.bist, scalar.wrapper), where
-
-
-def test_engine_session_matches_scalar_session_mini10(mini10, mini_plan):
-    rng = random.Random(0x7A9)
-    for trial in range(3):
-        _assert_engine_session_matches(mini10, mini_plan,
-                                       _tap_script(rng, mini_plan),
-                                       trial)
+def test_engine_session_matches_scalar_session_mini10():
+    cells("engine", ["mini10"])
 
 
 def test_engine_session_matches_scalar_session_random_plans():
-    rng = random.Random(0x5E55)
-    misr_counts = set()
-    for trial in range(4):
-        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
-                                          f"tap{trial}")
-        misr_counts.add(len(plan.misrs))
-        _assert_engine_session_matches(netlist, plan,
-                                       _tap_script(rng, plan), trial)
-    assert len(misr_counts) > 1
+    cells("engine", ["seventeen", "rcomb"])
 
 
-def test_engine_session_matches_scalar_session_sequential_cores(seqmini):
-    # START after START, or after a smaller count, continues from the state
-    # the scalar session's core holds: the state of the plan's prefix
-    rng = random.Random(0x5E56)
-    plan = bist.compute_golden(seqmini, seqmini_plan())
-    _assert_engine_session_matches(seqmini, plan, _tap_script(rng, plan),
-                                   "seqmini")
-    misr_counts = {len(plan.misrs)}
-    for trial in range(3):
-        netlist, plan = _random_plan_case(rng, rng.choice((16, 17, 64)),
-                                          f"seqtap{trial}",
-                                          flops=rng.randint(1, 4))
-        misr_counts.add(len(plan.misrs))
-        _assert_engine_session_matches(netlist, plan,
-                                       _tap_script(rng, plan), trial)
-    assert len(misr_counts) > 1
+def test_engine_session_matches_scalar_session_sequential_cores():
+    cells("engine", ["seqmini", "rseq", "seqbench"])

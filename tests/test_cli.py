@@ -463,6 +463,32 @@ def test_sequential_commands_take_the_engine(tmp_path, capsys, monkeypatch):
     assert report["overall"]["undetected"] == undetected
 
 
+def test_commands_never_run_the_oracle(tmp_path, monkeypatch):
+    # every report comes from the kernels: no command evaluates a pattern
+    # through the scalar evaluator, the serial fault simulator or the
+    # scalar session
+    _, seq_plan = _seqmini_plan(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command ran the oracle")
+    for owner, name in ((circuit, "evaluate"), (circuit, "run_patterns"),
+                        (circuit, "toggle_activity"),
+                        (faultsim, "serial_fault_sim"), (bist, "run_selftest"),
+                        (bist, "compute_golden"), (bist.BistSession, "run"),
+                        (bist.BistSession, "step"),
+                        (bist.BistSession, "pattern_stream")):
+        monkeypatch.setattr(owner, name, refuse)
+    out = ["--out", str(tmp_path)]
+    for bench, plan in ((MINI, MINI_PLAN), (SEQMINI, seq_plan)):
+        assert run(["bist", bench, "--plan", plan, "--toggle", *out]) == 0
+        assert run(["faultsim", bench, "--plan", plan, *out]) == 0
+        for granularity in ("pattern", "signature"):
+            assert run(["diagnose", bench, "--plan", plan, "--granularity",
+                        granularity, *out]) == 0
+    assert run(["tap", TRACE, CORE, "--plan", CORE_PLAN, "--expect", TRACE,
+                *out]) == 0
+
+
 def test_sequential_bist_and_tdf_run_one_pass(tmp_path, monkeypatch):
     # bist reads the golden signatures off the coverage pass, and TDF asks
     # for its stem planes before the fault-free ones

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -8,8 +7,8 @@ from corebist import (bist, circuit, cli, compactor, diagnosis, faultsim,
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import (exhaustive_patterns, random_combinational,
-                      random_patterns, seqmini_plan)
+from conftest import exhaustive_patterns, seqmini_plan
+from test_equivalence import cells
 
 MINI = str(fixture_path("mini10.bench"))
 MINI_PLAN = str(fixture_path("mini10.plan.json"))
@@ -44,48 +43,19 @@ def test_and_equivalent_sa0_rows_identical(and2):
     assert m.rows[0] == m.rows[1] == m.rows[2]
 
 
-def test_matrix_rows_match_replay_oracle(seventeen):
-    pats = _alfsr_patterns(seventeen, 64)
-    u = faultsim.collapse(faultsim.enumerate_faults(seventeen), seventeen)
-    m = diagnosis.build_matrix(seventeen, u, pats)
-    brute = oracle.brute_force_detection(
-        seventeen, u.faults, pats,
-        observe=faultsim.observation_nets(seventeen))
-    for f, row, det in zip(m.faults, m.rows, m.detected):
-        s = diagnosis.Syndrome(f, tuple(brute[f]), "pattern")
-        assert row == s.canonical(), f.key
-        assert det == any(brute[f])
+# The equivalence matrix (test_equivalence.py) holds the matrix-vs-oracle
+# cases; a test that calls `cells` runs the cells that took over its own.
+
+def test_matrix_rows_match_replay_oracle():
+    cells("matrix_pattern", ["seventeen"], [64])
 
 
 def test_matrix_rows_match_oracle_on_random_netlists():
-    rng = random.Random(0xD1A6)
-    for trial in range(2):
-        n = random_combinational(rng, n_in=rng.randint(3, 7),
-                                 n_gates=rng.randint(8, 30),
-                                 name=f"diag{trial}")
-        for count in (1, 63, 64, 65, 200):
-            pats = random_patterns(rng, n, count)
-            u = faultsim.enumerate_faults(n)
-            m = diagnosis.build_matrix(n, u, pats)
-            brute = oracle.brute_force_detection(
-                n, u.faults, pats, observe=faultsim.observation_nets(n))
-            for f, row, det in zip(m.faults, m.rows, m.detected):
-                s = diagnosis.Syndrome(f, tuple(brute[f]), "pattern")
-                assert row == s.canonical(), (n.name, count, f.key)
-                assert det == any(brute[f])
+    cells("matrix_pattern", ["rcomb"])
 
 
-def test_matrix_sequential_circuit(seqmini):
-    rng = random.Random(3)
-    pats = random_patterns(rng, seqmini, 30)
-    u = faultsim.enumerate_faults(seqmini)
-    m = diagnosis.build_matrix(seqmini, u, pats)
-    brute = oracle.brute_force_detection(
-        seqmini, u.faults, pats,
-        observe=faultsim.observation_nets(seqmini))
-    for f, row in zip(m.faults, m.rows):
-        assert row == diagnosis.Syndrome(f, tuple(brute[f]),
-                                         "pattern").canonical(), f.key
+def test_matrix_sequential_circuit():
+    cells("matrix_pattern", ["seqmini"])
 
 
 def test_unknown_granularity(and2):
@@ -96,29 +66,12 @@ def test_unknown_granularity(and2):
 
 # -- classification -----------------------------------------------------------------
 
-def _pairwise_oracle(matrix):
-    """O(n^2) partition by direct row comparison."""
-    classes = []
-    undetected = []
-    for i in range(len(matrix.faults)):
-        if not matrix.detected[i]:
-            undetected.append(i)
-            continue
-        for c in classes:
-            if matrix.rows[c[0]] == matrix.rows[i]:
-                c.append(i)
-                break
-        else:
-            classes.append([i])
-    return [tuple(c) for c in classes], tuple(undetected)
-
-
 def test_classify_matches_pairwise_oracle(seventeen):
     pats = _alfsr_patterns(seventeen, 48)
     u = faultsim.collapse(faultsim.enumerate_faults(seventeen), seventeen)
     m = diagnosis.build_matrix(seventeen, u, pats)
     report = diagnosis.classify(m)
-    classes, undetected = _pairwise_oracle(m)
+    classes, undetected = oracle.pairwise_classes(m)
     assert sorted(report.classes) == sorted(classes)
     assert report.undetected == undetected
     covered = [i for c in report.classes for i in c] + list(report.undetected)
@@ -255,24 +208,11 @@ def test_signature_cli_honours_pattern_count(tmp_path, mini10):
 
 
 def test_signature_rows_on_a_pattern_count_plan_match_session(mini10, seqmini):
-    # the kernel diagnose --patterns N builds: the plan cut to N patterns
+    cells("matrix_signature", ["mini10", "seqmini"])
+    # a kernel over another pattern count is refused
     for netlist, plan in ((mini10, bist.BistPlan.load(MINI_PLAN)),
                           (seqmini, seqmini_plan())):
         u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
-        for count in (1, 9, 16):
-            cut = plan._replace(pattern_count=count, golden=None)
-            m = diagnosis.build_matrix(netlist, u,
-                                       bist.plan_stimulus(netlist, plan, count),
-                                       granularity="signature", plan=cut)
-            assert m.pattern_count == count
-            golden = bist.compute_golden(netlist, cut).golden
-            for f, row, det in zip(u.faults, m.rows, m.detected):
-                sigs = bist.run_selftest(netlist, cut, injected=f,
-                                         require_golden=False).signatures
-                assert row == b"".join(s.value.to_bytes(8, "little")
-                                       for s in sigs), (netlist.name, count, f.key)
-                assert det == (sigs != golden), (netlist.name, count, f.key)
-        # a kernel over another pattern count is refused
         with pytest.raises(SimulationError, match="patterns for a plan"):
             diagnosis.build_matrix(netlist, u, bist.plan_stimulus(netlist, plan, 9),
                                    granularity="signature",

@@ -6,8 +6,9 @@ from corebist import bist, circuit, faultsim, fixture_path, tpg
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import (exhaustive_patterns, random_combinational,
-                      random_patterns, random_sequential, seqmini_plan)
+from conftest import (exhaustive_patterns, random_patterns, random_sequential,
+                      seqmini_plan)
+from test_equivalence import COUNTS, cells, matrix_case, tdf_firsts
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -125,15 +126,15 @@ def test_collapse_keeps_observed_inputs_apart(seqmini):
     assert not mismatched, mismatched
 
 
-def test_fault_records_keep_their_value_contract():
+def test_fault_records_keep_their_value_contract(and2):
     f = faultsim.FaultDescriptor("a", "SA0")
     assert repr(f) == "FaultDescriptor(net='a', kind='SA0', gate=None, pin=None)"
     assert f == faultsim.FaultDescriptor("a", "SA0", None, None)
     assert hash(f) == hash(faultsim.FaultDescriptor("a", "SA0"))
     assert f != faultsim.FaultDescriptor("a", "SA0", "y", 0)
-    u = faultsim.FaultUniverse((f,))
-    assert repr(u) == f"FaultUniverse(faults=({f!r},), collapse_map=None)"
-    assert u == faultsim.FaultUniverse((f,)) and len(u) == 1
+    assert len(faultsim.FaultUniverse((f,))) == 1
+    # a collapsed universe, whose collapse map is a dict, hashes (by identity)
+    hash(faultsim.collapse(faultsim.enumerate_faults(and2), and2))
 
 
 # -- serial simulation ---------------------------------------------------------------
@@ -184,13 +185,11 @@ def test_sequential_fault_sim_matches_oracle(seqmini):
 
 # -- parallel simulation -----------------------------------------------------------
 
-def test_parallel_equals_serial_on_fixture(seventeen):
-    pats = exhaustive_patterns(seventeen)
-    u = faultsim.collapse(faultsim.enumerate_faults(seventeen), seventeen)
-    r_s = faultsim.serial_fault_sim(seventeen, u, pats)
-    r_p = faultsim.parallel_fault_sim(seventeen, u, pats)
-    assert r_s.first_detect == r_p.first_detect
-    assert r_s.faults == r_p.faults
+# The equivalence matrix (test_equivalence.py) holds the kernel-vs-oracle
+# cases; a test that calls `cells` runs the cells that took over its own.
+
+def test_parallel_equals_serial_on_fixture():
+    cells("planes", ["seventeen"], [64])
 
 
 def test_parallel_rejects_empty_patterns(seventeen):
@@ -199,130 +198,36 @@ def test_parallel_rejects_empty_patterns(seventeen):
         faultsim.parallel_fault_sim(seventeen, u, [])
 
 
-def test_parallel_handles_word_tail(mini10):
-    # 67 = 64 + 3 patterns: one past a 64-bit machine word
-    rng = random.Random(13)
-    pats = random_patterns(rng, mini10, 67)
-    u = faultsim.enumerate_faults(mini10)
-    r_s = faultsim.serial_fault_sim(mini10, u, pats)
-    r_p = faultsim.parallel_fault_sim(mini10, u, pats)
-    assert r_s.first_detect == r_p.first_detect
+def test_parallel_handles_word_tail():
+    cells("planes", ["mini10"], [65, 97])
 
 
-def test_parallel_equals_serial_on_random_netlists():
-    rng = random.Random(2024)
-    for trial in range(20):
-        n = random_combinational(rng, n_in=rng.randint(2, 8),
-                                 n_gates=rng.randint(4, 40),
-                                 name=f"rand{trial}")
-        pats = random_patterns(rng, n, rng.choice([8, 33, 64, 100]))
-        u = faultsim.collapse(faultsim.enumerate_faults(n), n)
-        r_s = faultsim.serial_fault_sim(n, u, pats)
-        r_p = faultsim.parallel_fault_sim(n, u, pats)
-        assert r_s.first_detect == r_p.first_detect, n.name
-
-
-def test_sequential_falls_back_to_serial(seqmini):
-    rng = random.Random(5)
-    pats = random_patterns(rng, seqmini, 20)
-    u = faultsim.enumerate_faults(seqmini)
-    r_p = faultsim.parallel_fault_sim(seqmini, u, pats)
-    r_s = faultsim.serial_fault_sim(seqmini, u, pats)
-    assert r_p.first_detect == r_s.first_detect
-
-
-def test_kernel_matches_serial_and_a_rebuilt_kernel(mini10, seqmini):
-    # SAF first detects equal the serial oracle's, and a kernel built again
-    # over the same patterns gives the same planes
-    rng = random.Random(31)
-    rseq = random_sequential(rng, n_in=4, n_flops=4, n_gates=24)
-    for netlist in (seqmini, rseq, mini10):
-        pats = random_patterns(rng, netlist, 48)
-        u = faultsim.enumerate_faults(netlist)
-        stim = faultsim.stimulus(netlist, pats)
-        r = faultsim.parallel_fault_sim(netlist, u, stim)
-        assert r.first_detect == faultsim.serial_fault_sim(
-            netlist, u, pats).first_detect, netlist.name
-        assert stim.planes(u.faults) == \
-            faultsim.stimulus(netlist, pats).planes(u.faults), netlist.name
+def test_kernel_matches_serial_and_a_rebuilt_kernel():
+    cells("planes", ["seqmini", "rseq", "mini10"])
 
 
 # -- compiled kernel against the oracle ------------------------------------------
 
-# around the 64-bit machine word, plus a single pattern and a long run
-KERNEL_COUNTS = (1, 63, 64, 65, 200)
-
-
-def _kernel_cases(seed, netlists=3):
-    rng = random.Random(seed)
-    for trial in range(netlists):
-        n = random_combinational(rng, n_in=rng.randint(2, 7),
-                                 n_gates=rng.randint(6, 30),
-                                 name=f"kernel{trial}")
-        for count in KERNEL_COUNTS:
-            yield n, random_patterns(rng, n, count)
-
-
-def _plane(vec):
-    return sum(1 << t for t, hit in enumerate(vec) if hit)
-
-
 def test_kernel_matches_serial_and_brute_force():
-    branches = 0
-    for n, pats in _kernel_cases(0x5EED):
-        u = faultsim.enumerate_faults(n)   # stems and branches, uncollapsed
-        branches += sum(1 for f in u.faults if f.pin is not None)
-        r_p = faultsim.parallel_fault_sim(n, u, pats)
-        r_s = faultsim.serial_fault_sim(n, u, pats)
-        assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
-        planes = faultsim.stimulus(n, pats).planes(u.faults)
-        brute = oracle.brute_force_detection(
-            n, u.faults, pats, observe=faultsim.observation_nets(n))
-        for f, first, plane in zip(u.faults, r_p.first_detect, planes):
-            vec = brute[f]
-            assert plane == _plane(vec), (n.name, len(pats), f.key)
-            assert first == (vec.index(True) if True in vec else None)
-    assert branches > 0
+    cells("planes", ["rcomb"])
 
 
 def test_kernel_faulty_planes_match_brute_force():
-    # every net's faulty plane, not just the observed ones
-    for n, pats in _kernel_cases(0xFA17, netlists=2):
-        kernel = faultsim.stimulus(n, pats)
-        for f in faultsim.enumerate_faults(n).faults:
-            faulty = kernel.faulty(f)
-            per_pattern = [oracle.eval_recursive(
-                n, dict(zip(n.primary_inputs, p)), fault=oracle.fault_tuple(f))
-                for p in pats]
-            for net in n.nets:
-                i = kernel.index[net]
-                plane = _plane([memo[net] for memo in per_pattern])
-                assert faulty.get(i, kernel.good[i]) == plane, (f.key, net)
-                assert i not in faulty or faulty[i] != kernel.good[i]
+    cells("faulty", ["mini10", "seventeen", "rcomb"])
 
 
-def test_kernel_toggle_activity_matches_scalar(mini10, seventeen, seqmini):
-    rng = random.Random(0x7066)
+def test_kernel_toggle_activity_matches_scalar():
+    # the case-study core; the matrix's toggle row holds the small cores
     core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
-    netlists = [mini10, seventeen, core] + [
-        random_combinational(rng, n_in=rng.randint(2, 7),
-                             n_gates=rng.randint(6, 30), name=f"tog{k}")
-        for k in range(3)]
-    netlists += [seqmini] + [random_sequential(rng, n_in=4, n_flops=4,
-                                               n_gates=24, name=f"stog{k}")
-                             for k in range(2)]
-    for n in netlists:
-        for count in (2, 63, 64, 65):
-            pats = random_patterns(rng, n, count)
-            want = circuit.toggle_activity(n, pats)
-            frac, counts = faultsim.stimulus(n, pats).toggle_activity()
-            assert (frac, counts) == want, (n.name, count)
-            # read off the fault-free planes of a fault simulation's pass
-            stim = faultsim.stimulus(n, pats)
-            faultsim.parallel_fault_sim(n, faultsim.enumerate_faults(n), stim)
-            assert stim.toggle_activity() == want, (n.name, count)
-    with pytest.raises(SimulationError, match="at least 2"):
-        faultsim.stimulus(mini10, [(0, 1, 0, 1)]).toggle_activity()
+    rng = random.Random(0x7066)
+    for count in (2, 63, 64, 65):
+        pats = random_patterns(rng, core, count)
+        want = circuit.toggle_activity(core, pats)
+        assert faultsim.stimulus(core, pats).toggle_activity() == want, count
+        # read off the fault-free planes of a fault simulation's pass
+        stim = faultsim.stimulus(core, pats)
+        faultsim.parallel_fault_sim(core, faultsim.enumerate_faults(core), stim)
+        assert stim.toggle_activity() == want, count
 
 
 def test_also_on_fault_kernel_keeps_the_tdf_stems(monkeypatch):
@@ -356,102 +261,22 @@ def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
         faultsim.FaultKernel(mini10, [0, 1], 1)
 
 
-def test_detection_planes_sequential_match_brute_force(seqmini):
-    rng = random.Random(8)
-    pats = random_patterns(rng, seqmini, 30)
-    u = faultsim.enumerate_faults(seqmini)
-    planes = faultsim.stimulus(seqmini, pats).planes(u.faults)
-    brute = oracle.brute_force_detection(
-        seqmini, u.faults, pats, observe=faultsim.observation_nets(seqmini))
-    assert planes == [_plane(brute[f]) for f in u.faults]
+def test_detection_planes_sequential_match_brute_force():
+    cells("planes", ["seqmini"])
 
 
 # -- fault-parallel sequential kernel against the oracle ----------------------------
 
-# a single pattern, one launch/capture pair, and around the 64-bit machine word
-SEQUENTIAL_COUNTS = (1, 2, 63, 64, 65)
-
-
-def _sequential_cases(seed, netlists=3):
-    rng = random.Random(seed)
-    for trial in range(netlists):
-        n = random_sequential(rng, n_in=rng.randint(2, 5),
-                              n_flops=rng.randint(1, 4),
-                              n_gates=rng.randint(6, 24), name=f"seq{trial}")
-        for count in SEQUENTIAL_COUNTS:
-            yield n, random_patterns(rng, n, count)
-
-
-def _site(netlist, fault):
-    if fault.pin is not None:
-        return "branch"
-    if fault.net in netlist.primary_inputs:
-        return "input"
-    if any(fault.net == f.q for f in netlist.flops):
-        return "Q"
-    if any(fault.net == f.d for f in netlist.flops):
-        return "D"
-    return "gate"
-
-
 def test_sequential_kernel_matches_serial_and_brute_force():
-    sites = set()
-    for n, pats in _sequential_cases(0x5E0):
-        u = faultsim.enumerate_faults(n)   # stems and branches, uncollapsed
-        sites.update(_site(n, f) for f in u.faults)
-        r_p = faultsim.parallel_fault_sim(n, u, pats)
-        r_s = faultsim.serial_fault_sim(n, u, pats)
-        assert r_p.first_detect == r_s.first_detect, (n.name, len(pats))
-        planes = faultsim.stimulus(n, pats).planes(u.faults)
-        brute = oracle.brute_force_detection(
-            n, u.faults, pats, observe=faultsim.observation_nets(n))
-        for f, first, plane in zip(u.faults, r_p.first_detect, planes):
-            vec = brute[f]
-            assert plane == _plane(vec), (n.name, len(pats), f.key)
-            assert first == (vec.index(True) if True in vec else None)
-    assert {"branch", "input", "Q", "D"} <= sites
+    cells("planes", ["rseq", "seqbench"])
 
 
 def test_error_planes_match_oracle_and_or_to_the_detection_planes():
-    # per fault, faulty ^ fault-free at each observation net it changes,
-    # from the oracle's replay; on both kernels
-    rng = random.Random(0xE44)
-    cases = [(n, random_patterns(rng, n, count))
-             for n in (random_combinational(rng, n_in=5, n_gates=16),)
-             for count in (1, 64, 65)]
-    cases += list(_sequential_cases(0xE45, netlists=2))
-    for n, pats in cases:
-        obs = faultsim.observation_nets(n)
-        golden = oracle.run_sequence(n, pats, observe=obs)
-        faults = faultsim.enumerate_faults(n).faults
-        planes = faultsim.stimulus(n, pats).planes(faults)
-        want = []
-        for f in faults:
-            faulty = oracle.run_sequence(n, pats, fault=oracle.fault_tuple(f),
-                                         observe=obs)
-            want.append({net: _plane([a[j] != b[j] for a, b in
-                                      zip(faulty, golden)])
-                         for j, net in enumerate(obs)})
-        stim = faultsim.stimulus(n, pats)
-        for f, errors, nets, plane in zip(faults, stim.errors(faults),
-                                          want, planes):
-            assert errors == {stim.index[net]: e for net, e in nets.items()
-                              if e}, (n.name, len(pats), f.key)
-            union = 0
-            for e in errors.values():
-                union |= e
-            assert union == plane, (n.name, len(pats), f.key)
+    cells("errors", ["rcomb", "rseq", "seqbench"])
 
 
 def test_sequential_kernel_good_planes_match_oracle():
-    # bit 0 of every net's word is the fault-free machine, flop Q pre-edge
-    for n, pats in _sequential_cases(0x600D, netlists=2):
-        good, diffs = faultsim.sequential_sim(
-            n, pats, faultsim.enumerate_faults(n).faults[:5])
-        values = oracle.run_sequence(n, pats, observe=n.nets)
-        assert good == [_plane([v[i] for v in values])
-                        for i in range(len(n.nets))]
-        assert len(diffs) == min(5, len(faultsim.enumerate_faults(n)))
+    cells("good", ["rseq", "seqbench"])
 
 
 def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
@@ -474,19 +299,17 @@ def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
                                     cases[0][1])
 
 
-def test_shared_sequential_stimulus_matches_separate_passes(seqmini,
-                                                           monkeypatch):
-    rng = random.Random(0x5A5)
-    cases = [(seqmini, random_patterns(rng, seqmini, c))
-             for c in SEQUENTIAL_COUNTS]
-    cases += list(_sequential_cases(0x5A6, netlists=2))
+def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
+    cases = [(core, count) for core in ("seqmini", "rseq", "seqbench")
+             for count in COUNTS]
     passes = []
     real = faultsim.sequential_sim
 
     def counting(netlist, patterns, faults):
         passes.append(set(faults))
         return real(netlist, patterns, faults)
-    for n, pats in cases:
+    for core, count in cases:
+        n, _, pats = matrix_case(core, count)
         saf = faultsim.collapse(faultsim.enumerate_faults(n), n)
         tdf = faultsim.enumerate_faults(n, ("STR", "STF"))
         # separate passes: each call builds its own stimulus
@@ -498,8 +321,8 @@ def test_shared_sequential_stimulus_matches_separate_passes(seqmini,
         assert r_saf.first_detect == \
             faultsim.serial_fault_sim(n, saf, pats).first_detect
         if r_tdf is not None:
-            assert r_tdf.first_detect == _sequential_tdf_brute(
-                n, tdf.faults, pats), (n.name, len(pats))
+            assert r_tdf.first_detect == tdf_firsts(core, count), \
+                (n.name, len(pats))
         # one shared stimulus: SAF, TDF and the planes off a single pass,
         # which carries the stems TDF reads only when asked to
         monkeypatch.setattr(faultsim, "sequential_sim", counting)
@@ -552,41 +375,8 @@ def test_tdf_needs_two_patterns(and2):
         faultsim.tdf_sim(and2, u, [(1, 1)])
 
 
-def _tdf_brute(netlist, faults, pats):
-    """Pairwise brute force applying the launch-on-capture definition."""
-    values = [oracle.eval_recursive(netlist, dict(zip(netlist.primary_inputs, p)))
-              for p in pats]
-    obs = faultsim.observation_nets(netlist)
-    result = {}
-    for f in faults:
-        launch, sa = ((0, 1), 0) if f.kind == "STR" else ((1, 0), 1)
-        first = None
-        for i in range(len(pats) - 1):
-            if values[i][f.net] != launch[0] or values[i + 1][f.net] != launch[1]:
-                continue
-            clean = values[i + 1]
-            faulty = oracle.eval_recursive(
-                netlist, dict(zip(netlist.primary_inputs, pats[i + 1])),
-                fault=(f.net, sa))
-            if any(clean[n] != faulty[n] for n in obs):
-                first = i + 1
-                break
-        result[f] = first
-    return result
-
-
-def test_tdf_matches_pairwise_brute_force(mini10):
-    poly = tpg.Polynomial.parse("x^4+x+1")
-    st = tpg.seed_int(poly, 0x6)
-    pats = []
-    for _ in range(64):
-        pats.append(st.bits)
-        st = tpg.alfsr_step(st)
-    u = faultsim.enumerate_faults(mini10, ("STR", "STF"))
-    r = faultsim.tdf_sim(mini10, u, pats)
-    brute = _tdf_brute(mini10, u.faults, pats)
-    for f, first in zip(r.faults, r.first_detect):
-        assert first == brute[f], f.key
+def test_tdf_matches_pairwise_brute_force():
+    cells("tdf", ["mini10"], [64])
 
 
 def test_tdf_detection_implies_sa_observable(mini10):
@@ -604,69 +394,15 @@ def test_tdf_detection_implies_sa_observable(mini10):
 
 
 def test_tdf_kernel_matches_pairwise_brute_force():
-    for n, pats in _kernel_cases(0x7DF, netlists=3):
-        if len(pats) < 2:
-            continue
-        u = faultsim.enumerate_faults(n, ("STR", "STF"))
-        r = faultsim.tdf_sim(n, u, pats)
-        brute = _tdf_brute(n, u.faults, pats)
-        assert r.first_detect == tuple(brute[f] for f in u.faults), \
-            (n.name, len(pats))
+    cells("tdf", ["rcomb"])
 
 
-def test_sequential_tdf_matches_brute_force(seqmini):
-    rng = random.Random(21)
-    pats = random_patterns(rng, seqmini, 40)
-    u = faultsim.enumerate_faults(seqmini, ("STR", "STF"))
-    r = faultsim.tdf_sim(seqmini, u, pats)
-    # every net's fault-free value per pattern (flop Q pre-edge)
-    values = oracle.run_sequence(seqmini, pats, observe=seqmini.nets)
-    column = {n: [v[i] for v in values] for i, n in enumerate(seqmini.nets)}
-    sa = {f: faultsim.FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
-          for f in u.faults}
-    brute = oracle.brute_force_detection(
-        seqmini, list(sa.values()), pats,
-        observe=faultsim.observation_nets(seqmini))
-    for f, first in zip(r.faults, r.first_detect):
-        launch = [0, 1] if f.kind == "STR" else [1, 0]
-        col = column[f.net]
-        expected = next((t for t in range(1, len(pats))
-                         if col[t - 1:t + 1] == launch and brute[sa[f]][t]),
-                        None)
-        assert first == expected, f.key
-    assert any(d is not None for d in r.first_detect)
-
-
-def _sequential_tdf_brute(netlist, faults, pats):
-    """Launch-on-capture by definition: the fault-free run (flop Q pre-edge)
-    launches the transition, the stem stuck-at replay from reset detects it."""
-    values = oracle.run_sequence(netlist, pats, observe=netlist.nets)
-    column = {n: [v[i] for v in values] for i, n in enumerate(netlist.nets)}
-    obs = faultsim.observation_nets(netlist)
-    firsts = []
-    for f in faults:
-        launch, sa = ([0, 1], 0) if f.kind == "STR" else ([1, 0], 1)
-        detect = oracle.brute_force_detection(
-            netlist, [faultsim.FaultDescriptor(f.net, f"SA{sa}")], pats,
-            observe=obs)
-        vec = next(iter(detect.values()))
-        col = column[f.net]
-        firsts.append(next((t for t in range(1, len(pats))
-                            if col[t - 1:t + 1] == launch and vec[t]), None))
-    return tuple(firsts)
+def test_sequential_tdf_matches_brute_force():
+    cells("tdf", ["seqmini"])
 
 
 def test_sequential_tdf_random_netlists_match_brute_force():
-    detected = 0
-    for n, pats in _sequential_cases(0x7D5):
-        if len(pats) < 2:
-            continue
-        u = faultsim.enumerate_faults(n, ("STR", "STF"))
-        r = faultsim.tdf_sim(n, u, pats)
-        assert r.first_detect == _sequential_tdf_brute(n, u.faults, pats), \
-            (n.name, len(pats))
-        detected += r.detected
-    assert detected > 0
+    cells("tdf", ["rseq", "seqbench"])
 
 
 # -- coverage ---------------------------------------------------------------------
