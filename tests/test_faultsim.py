@@ -202,6 +202,15 @@ def test_parallel_handles_word_tail():
     cells("planes", ["mini10"], [65, 97])
 
 
+def test_parallel_equals_serial_on_random_netlists():
+    cells("planes", ["rcomb"], [63, 64, 65, 97])
+
+
+def test_sequential_falls_back_to_serial():
+    # sequential cores now run the kernel; it must still equal the serial oracle
+    cells("planes", ["seqmini"], [63, 64, 65, 97])
+
+
 def test_kernel_matches_serial_and_a_rebuilt_kernel():
     cells("planes", ["seqmini", "rseq", "mini10"])
 
