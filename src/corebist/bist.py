@@ -15,9 +15,10 @@ pattern stream once in the netlist's :func:`faultsim.kernel`, on a
 combinational and a sequential core alike, and reduces each MISR's folded
 output planes with :func:`compactor.signature_of_planes`; since that map
 is linear over GF(2), a faulty signature is the fault-free one XOR the
-signature of the folded error planes. :func:`selftest_results` is what the
-reports use, and TAP replay runs :class:`EngineSession`, whose START reads
-its signatures from :func:`signature_values` too.
+signature of the error planes the kernel folds into the same word bits.
+:func:`selftest_results` is what the reports use, and TAP replay runs
+:class:`EngineSession`, whose START reads its signatures from
+:func:`signature_values` too.
 
 The stimulus is built as whole-stream bit planes by :func:`plan_planes`
 (one integer per primary input, bit t = cycle t, straight from the ALFSR
@@ -496,12 +497,12 @@ def signature_values(netlist, plan, kernel, faults):
     Each MISR's cascade folds its block's output-port planes (port bit i
     into word bit i mod out) and :func:`compactor.signature_of_planes`
     reduces the folded planes to the fault-free signature in closed form.
-    Under a stuck-at fault the kernel's error planes (faulty ^ fault-free,
-    :meth:`faultsim._Kernel.errors`) fold the same way, and since the
-    closed form is linear the faulty signature is the fault-free one XOR
-    the signature of the folded error planes. On a core with flops one
-    fault-parallel pass from reset gives them for every fault, and the
-    fault-free planes with them.
+    Under a stuck-at fault the kernel folds the error planes (faulty ^
+    fault-free) into the same word bits (:meth:`faultsim._Kernel.folded`),
+    and since the closed form is linear the faulty signature is the
+    fault-free one XOR the signature of the folded error planes. On a core
+    with flops one fault-parallel pass from reset gives them for every
+    fault, and the fault-free planes with them.
 
     ``kernel`` must be compiled over the plan's own stream
     (:func:`plan_stimulus`); it is shared, not copied.
@@ -511,28 +512,30 @@ def signature_values(netlist, plan, kernel, faults):
     if len(kernel) != n:
         raise SimulationError(f"{len(kernel)} patterns for a plan of {n}")
     blocks = {b.name: b for b in netlist.blocks}
-    # net index -> (MISR position, folded word bit) of every port bit it feeds
-    taps = {}
-    for k, (binding, misr) in enumerate(zip(plan.bindings, plan.misrs)):
+    # net index -> the folded word bits it feeds, numbered across the MISRs
+    # in plan order, and each MISR's polynomial and slice of those bits
+    taps, spans, width = {}, [], 0
+    for binding, misr in zip(plan.bindings, plan.misrs):
         out = misr.cascade.out_width
         for i, net in enumerate(blocks[binding.block].output_port):
-            taps.setdefault(kernel.index[net], []).append((k, i % out))
+            taps.setdefault(kernel.index[net], []).append(width + i % out)
+        spans.append((misr.polynomial, slice(width, width + out)))
+        width += out
 
-    def signature_of(planes):
-        """One signature per MISR of the folded ``{net index: plane}``;
-        nets no MISR reads are skipped."""
-        words = [[0] * m.cascade.out_width for m in plan.misrs]
-        for net, plane in planes.items():
-            for k, j in taps.get(net, ()):
-                words[k][j] ^= plane
-        return tuple(compactor.signature_of_planes(m.polynomial, w, n)
-                     if any(w) else 0 for m, w in zip(plan.misrs, words))
+    def signature_of(words):
+        """One signature per MISR of the folded word planes."""
+        return tuple(compactor.signature_of_planes(poly, words[bits], n)
+                     if any(words[bits]) else 0 for poly, bits in spans)
 
     run = [f for f in dict.fromkeys(faults) if f is not None]
-    errors = kernel.errors(run) if run else ()
+    folded = kernel.folded(run, taps, width) if run else ()
     good = kernel.good  # after the error pass, which gives it on flops
-    values = {None: signature_of({i: good[i] for i in taps})}
-    for fault, planes in zip(run, errors):
+    words = [0] * width
+    for i, bits in taps.items():
+        for bit in bits:
+            words[bit] ^= good[i]
+    values = {None: signature_of(words)}
+    for fault, planes in zip(run, folded):
         values[fault] = tuple(g ^ e for g, e in
                               zip(values[None], signature_of(planes)))
     return [values[f] for f in faults]

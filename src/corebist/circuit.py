@@ -75,20 +75,9 @@ class Netlist:
     # -- structure ---------------------------------------------------------
 
     def _collect_nets(self):
-        seen = []
-        have = set()
-        for n in self.primary_inputs:
-            seen.append(n)
-            have.add(n)
-        for f in self.flops:
-            if f.q not in have:
-                seen.append(f.q)
-                have.add(f.q)
-        for g in self.gates:
-            if g.output not in have:
-                seen.append(g.output)
-                have.add(g.output)
-        return tuple(seen)
+        # every net has one driver (:meth:`_validate`), so none repeats
+        return (self.primary_inputs + tuple(f.q for f in self.flops)
+                + tuple(g.output for g in self.gates))
 
     def _validate(self):
         drivers = {}

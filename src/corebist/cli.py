@@ -92,6 +92,12 @@ def _pattern_count(spec):
     return int(spec) if spec.isdecimal() else None
 
 
+def seed(text):
+    """``--seed``: an integer in Python literal syntax (``43``, ``0x2b``);
+    argparse names the option's type after this function."""
+    return int(text, 0)
+
+
 def _resolve_patterns(args, netlist, plan, stream=None):
     """--patterns N (count) or --patterns FILE (external vectors); without
     the option, ``stream`` (the plan's own stream, built here if not
@@ -355,7 +361,7 @@ def build_parser():
     def common(p):
         p.add_argument("netlist", help="bench-format netlist file")
         p.add_argument("--plan", help="BIST plan JSON file")
-        p.add_argument("--seed", type=lambda s: int(s, 0),
+        p.add_argument("--seed", type=seed,
                        help="override the plan's ALFSR seed "
                        "(1..2^degree-1)")
         p.add_argument("--out", default=".", help="output directory")

@@ -16,7 +16,8 @@ bit, bit t = cycle t), on a combinational and a sequential core alike, and
 :func:`signature_of_planes` reduces them in closed form over GF(2), with a
 few shift-XORs per tap instead of one register step per word. Being linear,
 it also gives a faulty signature as the fault-free one XOR the signature of
-the error planes (Bardell, McAnney & Savir, 1987).
+the error planes, which the fault-sim kernel folds into the MISR's word
+bits first (Bardell, McAnney & Savir, 1987).
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ Stuck-at simulation paths are kept deliberately separate:
   them; :func:`stimulus` transposes a pattern list once. Both kernels have
   ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults,
   also=())`` (one detection plane per stuck-at fault, kept once computed),
-  ``errors(faults)`` (their per-net parts) and ``toggle_activity()``.
+  ``folded(faults, taps, width)`` (per fault, its error planes XOR-folded
+  into MISR word bits) and ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
   the whole pattern set, and each fault re-evaluates only the gates of its
   fanout cone whose inputs differ from the fault-free planes
@@ -23,7 +24,7 @@ Stuck-at simulation paths are kept deliberately separate:
 :func:`parallel_fault_sim` and :func:`tdf_sim` run on either kernel. Given
 a pattern list they build their own kernel; given a built one they share
 it, and so do the self-test signatures in :mod:`corebist.bist`, which read
-:meth:`errors` off the kernel they are given, so one command simulates the
+:meth:`folded` off the kernel they are given, so one command simulates the
 fault-free planes once. Every kernel runs in this process. Their results
 must be bit-identical to the serial oracle's, and that equivalence is the
 main regression property.
@@ -186,18 +187,8 @@ def collapse(universe, netlist):
 
 def observation_nets(netlist):
     """Primary outputs plus every block output net, deduplicated in order."""
-    seen = set()
-    obs = []
-    for n in netlist.primary_outputs:
-        if n not in seen:
-            obs.append(n)
-            seen.add(n)
-    for b in netlist.blocks:
-        for n in b.output_port:
-            if n not in seen:
-                obs.append(n)
-                seen.add(n)
-    return tuple(obs)
+    ports = (n for b in netlist.blocks for n in b.output_port)
+    return tuple(dict.fromkeys([*netlist.primary_outputs, *ports]))
 
 
 def _block_cones(netlist):
@@ -405,10 +396,11 @@ class _Kernel:
     primary input, the op table of :func:`_op_table` (``index`` is its net
     index), and the fault-free (:attr:`good`) and detection planes, kept
     once computed. ``len(kernel)`` is the pattern count. A subclass sets
-    ``_good``, simulates faults in ``_simulate`` and has
-    ``errors(faults)``: per fault, ``{net index: faulty ^ fault-free
-    plane}`` at the observation nets it changes, whose OR is its
-    :meth:`planes` entry."""
+    ``_good``, simulates faults in ``_simulate`` and has ``folded(faults,
+    taps, width)``: ``taps`` maps a net index to the word bits 0..width-1
+    it feeds (a net listed twice on one bit cancels), and per fault it
+    gives ``width`` planes, each the XOR of ``faulty ^ fault-free`` over
+    the nets that feed that bit."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -532,25 +524,32 @@ class FaultKernel(_Kernel):
                 faulty[out] = value
         return faulty
 
-    def errors(self, faults):
-        """Lazily, one cone walk per fault (the contract: :class:`_Kernel`)."""
-        good, obs = self._good, self._obs
-        return ({net: value ^ good[net] for net, value in
-                 self.faulty(fault).items() if net in obs} for fault in faults)
+    def folded(self, faults, taps, width):
+        """Lazily, one cone walk per fault (the contract: :class:`_Kernel`);
+        only the nets the fault changes are looked up in ``taps``."""
+        good = self._good
+        for fault in faults:
+            words = [0] * width
+            for net, value in self.faulty(fault).items():
+                for bit in taps.get(net, ()):
+                    words[bit] ^= value ^ good[net]
+            yield words
 
     def _simulate(self, faults):
+        good, obs = self._good, self._obs
         diffs = []
-        for errors in self.errors(faults):
+        for fault in faults:
             diff = 0
-            for plane in errors.values():
-                diff |= plane
+            for net, value in self.faulty(fault).items():
+                if net in obs:
+                    diff |= value ^ good[net]
             diffs.append(diff)
         return diffs
 
 
 # -- fault-parallel sequential kernel -----------------------------------------
 
-def sequential_sim(netlist, patterns, faults, per_net=False):
+def sequential_sim(netlist, patterns, faults, taps, width):
     """Fault-parallel simulation of a netlist with flops from reset, in the
     style of PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992): the
     fault-free machine and every stuck-at fault of ``faults`` in one pass
@@ -563,13 +562,16 @@ def sequential_sim(netlist, patterns, faults, per_net=False):
     edge, and a Q net's stem masks apply again every cycle, so a stuck Q net
     stays stuck before the edge.
 
-    Returns ``(good, diffs)``: ``good[i]`` is net i's fault-free plane (bit
-    t = its value in cycle t, flop Q nets pre-edge) and ``diffs[k]`` is
-    fault k's detection plane, bit t set iff cycle t's observed outputs
-    differ from the fault-free ones (the contract of :meth:`planes`). With
-    ``per_net``, ``diffs[k]`` is instead fault k's error planes (the
-    contract of :meth:`_Kernel.errors`): only then does the pass keep each
-    observation net's word per cycle and transpose it.
+    Returns ``(good, diffs, folded)``: ``good[i]`` is net i's fault-free
+    plane (bit t = its value in cycle t, flop Q nets pre-edge),
+    ``diffs[k]`` is fault k's detection plane, bit t set iff cycle t's
+    observed outputs differ from the fault-free ones (the contract of
+    :meth:`planes`), and ``folded[k]`` is fault k's ``width`` folded error
+    planes over ``taps`` (the contract of :meth:`_Kernel.folded`; with
+    ``width`` 0, ``folded`` is empty). Each cycle XORs the words of the
+    nets that feed a bit into one word ``x``, whose bit 0 is the
+    fault-free XOR, so its error is ``x ^ full`` if ``x & 1`` else ``x``;
+    the pass keeps ``width`` words per cycle.
     """
     patterns = _pattern_list(netlist, patterns)
     index, gates, driver, obs = _op_table(netlist)
@@ -595,6 +597,7 @@ def sequential_sim(netlist, patterns, faults, per_net=False):
         ops.append((kind, out, ins, forced if any(forced) else None,
                     stems.pop(out, None)))
     sources = list(stems.items())   # stem masks on inputs and Q nets
+    taps = list(taps.items())
 
     v = [0] * len(index)
     state = [full if f.init else 0 for f in netlist.flops]
@@ -619,46 +622,42 @@ def sequential_sim(netlist, patterns, faults, per_net=False):
             w = v[i]
             diff |= w ^ full if w & 1 else w
         words.append(diff)
-        if per_net:
-            kept.append([v[i] for i in obs])
+        xor = [0] * width
+        for i, bits in taps:
+            for bit in bits:
+                xor[bit] ^= v[i]
+        kept.append([x ^ full if x & 1 else x for x in xor])
         rows.append(bytes(w & 1 for w in v))
         state = [v[d] for _, d in flops]
-    width = len(faults) + 1
 
     def machines(cycles):     # per-cycle words -> one plane per fault
-        return _columns(format(w, f"0{width}b")[::-1].encode()
+        return _columns(format(w, f"0{len(faults) + 1}b")[::-1].encode()
                         for w in cycles)[1:]
-    if not per_net:
-        return _columns(rows), machines(words)
-    errors = [{} for _ in faults]
-    for i, column in zip(obs, zip(*kept)):
-        for k, plane in enumerate(machines(w ^ full if w & 1 else w
-                                           for w in column)):
-            if plane:
-                errors[k][i] = plane
-    return _columns(rows), errors
+    bits = [machines(column) for column in zip(*kept)]
+    return _columns(rows), machines(words), [list(p) for p in zip(*bits)]
 
 
 class SequentialStimulus(_Kernel):
     """The kernel of a netlist with flops, as :func:`kernel` builds it: its
-    fault-free and detection planes come from :func:`sequential_sim`
-    passes over the patterns, the fault-free ones from the first pass.
+    fault-free, detection and folded error planes come from
+    :func:`sequential_sim` passes over the patterns, the fault-free ones
+    from the first pass.
 
     A :meth:`planes` call that finds faults not kept runs one pass over
-    them and its ``also`` faults, and an :meth:`errors` call one pass over
+    them and its ``also`` faults, and a :meth:`folded` call one pass over
     its faults.
     """
 
     def _simulate(self, faults):
-        self._good, diffs = sequential_sim(
-            self.netlist, pattern_rows(self.inputs, self.n), faults)
+        self._good, diffs, _ = sequential_sim(
+            self.netlist, pattern_rows(self.inputs, self.n), faults, {}, 0)
         return diffs
 
-    def errors(self, faults):
-        self._good, errors = sequential_sim(
-            self.netlist, pattern_rows(self.inputs, self.n), faults,
-            per_net=True)
-        return errors
+    def folded(self, faults, taps, width):
+        self._good, _, folded = sequential_sim(
+            self.netlist, pattern_rows(self.inputs, self.n), faults, taps,
+            width)
+        return folded
 
 
 def kernel(netlist, inputs, n):

@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -35,6 +38,17 @@ def seqmini_plan(count=20):
         (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^2+x+1"),
                              compactor.XorCascade(2, 2)),),
         pattern_count=count)
+
+
+@functools.cache
+def gen_inputs():
+    """The benchmark's input generator ``perfbench/gen_inputs.py``,
+    imported, not copied."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "gen_inputs.py"
+    spec = importlib.util.spec_from_file_location("gen_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def exhaustive_patterns(netlist):

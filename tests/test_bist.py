@@ -6,7 +6,7 @@ from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
 from corebist.errors import PlanError, SimulationError
 
 import oracle
-from conftest import random_plan_case, seqmini_plan
+from conftest import gen_inputs, random_plan_case, seqmini_plan
 from test_equivalence import cells
 
 
@@ -306,6 +306,35 @@ def test_stale_stored_golden_keeps_meaning(mini10, mini_plan):
 
 def test_linear_signatures_match_session_sequential_cores():
     cells("selftest", ["seqmini", "rseq", "seqbench"])
+
+
+def test_sequential_signatures_transpose_only_the_folded_bits(monkeypatch):
+    # the benchmark's sequential core folds its 24 outputs into 16 MISR
+    # bits: the signature pass transposes the fault-free planes, the
+    # detection planes and one plane set per folded bit, not one per
+    # observation net
+    g = gen_inputs()
+    s = g.SEQ_SHAPE
+    rng = random.Random("folded-bits")
+    netlist = circuit.parse_netlist(g.seq_bench(
+        rng, s["inputs"], s["outputs"], s["gates"], s["flops"]))
+    plan = bist.BistPlan.from_dict(g.plan_dict(
+        "SEQ", s["inputs"], s["outputs"], 0x5EED, s["patterns"]))
+    width = plan.misrs[0].cascade.out_width
+    assert (len(faultsim.observation_nets(netlist)), width) == (24, 16)
+    faults = faultsim.collapse(faultsim.enumerate_faults(netlist),
+                               netlist).faults
+    kernel = bist.plan_stimulus(netlist, plan)
+    calls = []
+    real = faultsim._columns
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+    monkeypatch.setattr(faultsim, "_columns", counting)
+    values = bist.signature_values(netlist, plan, kernel, (None, *faults))
+    assert len(calls) <= width + 2
+    assert any(v != values[0] for v in values[1:])
 
 
 def test_signature_paths_never_step_the_session(seqmini, mini10, mini_plan,

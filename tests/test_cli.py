@@ -203,9 +203,9 @@ def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch):
     passes = []
     real = faultsim.sequential_sim
 
-    def counting(netlist, patterns, faults):
+    def counting(netlist, patterns, faults, *fold):
         passes.append(len(faults))
-        return real(netlist, patterns, faults)
+        return real(netlist, patterns, faults, *fold)
     monkeypatch.setattr(faultsim, "sequential_sim", counting)
     reports = []
     for workers in ("1", "2"):
@@ -613,18 +613,30 @@ def test_report_bad_file_is_an_error(tmp_path, capsys, content):
     assert len(err) == 1 and err[0].startswith(f"error: {f}: "), err
 
 
-@pytest.mark.parametrize("seed", ["0x0", "-0x1", "0x100", "0x100001"])
+@pytest.mark.parametrize("seed", ["0x0", "-0x1", "0x100", "0x100001", "abc"])
 def test_plan_seed_outside_the_alfsr_range_is_an_error(tmp_path, capsys,
                                                        seed):
-    # mini10's plan has a degree-8 ALFSR: seeds run 1..0xff
+    # mini10's plan has a degree-8 ALFSR: seeds run 1..0xff; 'abc' is no
+    # integer, which argparse reports as a usage error naming the option
     plan = json.loads(open(MINI_PLAN).read())
     plan["alfsr"]["seed"] = seed
     bad = tmp_path / "bad.plan.json"
     bad.write_text(json.dumps(plan))
-    message = f"error: ALFSR seed {int(seed, 0):#x} outside 1..2^8-1\n"
-    for argv in (["--plan", str(bad)], ["--plan", MINI_PLAN, f"--seed={seed}"]):
+    if seed == "abc":
+        message = ("error: alfsr.seed: invalid literal for int() with "
+                   "base 0: 'abc'\n")
+        with pytest.raises(SystemExit) as exit_:
+            run(["bist", MINI, "--plan", MINI_PLAN, "--seed", seed])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: invalid seed value: 'abc'\n")
+    else:
+        message = f"error: ALFSR seed {int(seed, 0):#x} outside 1..2^8-1\n"
+        argv = ["--plan", MINI_PLAN, f"--seed={seed}"]
         assert run(["bist", MINI, "--out", str(tmp_path)] + argv) == 1
         assert capsys.readouterr().err == message, argv
+    assert run(["bist", MINI, "--out", str(tmp_path), "--plan", str(bad)]) == 1
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "bist_report.json").exists()
     # the range's ends run
     for seed in ("0x1", "0xff"):

@@ -18,8 +18,6 @@ adds one row.
 """
 
 import functools
-import importlib.util
-import pathlib
 import random
 
 import pytest
@@ -29,8 +27,8 @@ from corebist import (access, bist, circuit, compactor, diagnosis, faultsim,
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import (random_combinational, random_patterns, random_plan,
-                      random_sequential, seqmini_plan, tap_script)
+from conftest import (gen_inputs, random_combinational, random_patterns,
+                      random_plan, random_sequential, seqmini_plan, tap_script)
 
 # core -> the blocks the plan builder cuts it into (None: its own plan)
 CORE_BLOCKS = {"mini10": None, "seventeen": 4, "seqmini": None, "rcomb": 3,
@@ -56,12 +54,8 @@ def matrix_core(name):
         base = random_combinational(rng, n_in=6, n_gates=20, name=name)
     elif name == "rseq":
         base = random_sequential(rng, n_in=4, n_flops=4, n_gates=20, name=name)
-    else:   # imported from the benchmark's generator, not copied
-        path = pathlib.Path(__file__).parents[1] / "perfbench" / "gen_inputs.py"
-        spec = importlib.util.spec_from_file_location("gen_inputs", path)
-        gen_inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_inputs)
-        base = circuit.parse_netlist(gen_inputs.seq_bench(rng, 6, 6, 30, 4),
+    else:   # from the benchmark's generator
+        base = circuit.parse_netlist(gen_inputs().seq_bench(rng, 6, 6, 30, 4),
                                      name=name)
     return random_plan(rng, base, 64, CORE_BLOCKS[name])
 
@@ -227,21 +221,34 @@ def faulty(core, count):
 
 @row
 def errors(core, count):
-    """``errors`` -> the replay's faulty ^ fault-free planes at the
-    observation nets; their OR is the fault's ``planes`` entry."""
+    """The error planes ``folded`` gives -> the replay's faulty ^ fault-free
+    planes XOR-folded over ``taps``: one bit per observation net, whose OR
+    is the fault's ``planes`` entry, the first net also on a second bit, a
+    net listed twice on one bit (it cancels) and a bit no net feeds."""
     netlist, _, patterns = matrix_case(core, count)
     faults = faultsim.enumerate_faults(netlist).faults
     planes = faultsim.stimulus(netlist, patterns).planes(faults)
     good, want, _ = replay(core, count)
     kernel = faultsim.stimulus(netlist, patterns)
     obs = [kernel.index[n] for n in faultsim.observation_nets(netlist)]
-    for f, got, plane in zip(faults, kernel.errors(faults), planes):
-        assert got == {i: want[f][i] ^ good[i] for i in obs
-                       if want[f][i] != good[i]}, f.key
+    m = len(obs)
+    taps = {i: [bit] for bit, i in enumerate(obs)}
+    taps[obs[0]].append(m)
+    taps.setdefault(len(netlist.nets) - 1, []).extend([m + 1, m + 1])
+    width = m + 3
+    for f, got, plane in zip(faults, kernel.folded(faults, taps, width),
+                             planes, strict=True):
+        expect = [0] * width
+        for i, bits in taps.items():
+            for bit in bits:
+                expect[bit] ^= want[f][i] ^ good[i]
+        assert got == expect, f.key
+        assert got[m] == got[0] and got[m + 1] == got[m + 2] == 0, f.key
         union = 0
-        for e in got.values():
+        for e in got[:m]:
             union |= e
         assert union == plane, f.key
+    assert kernel.good == good
 
 
 @row
@@ -252,8 +259,10 @@ def good(core, count):
     assert faultsim.stimulus(netlist, patterns).good == want
     if netlist.flops:
         faults = faultsim.enumerate_faults(netlist).faults[:5]
-        got, diffs = faultsim.sequential_sim(netlist, patterns, faults)
+        got, diffs, folded = faultsim.sequential_sim(netlist, patterns,
+                                                     faults, {}, 0)
         assert got == want and len(diffs) == len(faults)
+        assert folded == []
 
 
 @row

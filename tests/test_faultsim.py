@@ -314,9 +314,9 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
     passes = []
     real = faultsim.sequential_sim
 
-    def counting(netlist, patterns, faults):
+    def counting(netlist, patterns, faults, *fold):
         passes.append(set(faults))
-        return real(netlist, patterns, faults)
+        return real(netlist, patterns, faults, *fold)
     for core, count in cases:
         n, _, pats = matrix_case(core, count)
         saf = faultsim.collapse(faultsim.enumerate_faults(n), n)
@@ -326,7 +326,7 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
         r_saf = faultsim.parallel_fault_sim(n, saf, pats)
         planes = faultsim.stimulus(n, pats).planes(saf.faults)
         r_tdf = faultsim.tdf_sim(n, tdf, pats) if len(pats) > 1 else None
-        assert planes == real(n, pats, saf.faults)[1]
+        assert planes == real(n, pats, saf.faults, {}, 0)[1]
         assert r_saf.first_detect == \
             faultsim.serial_fault_sim(n, saf, pats).first_detect
         if r_tdf is not None:
@@ -357,9 +357,9 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
 
 def test_sequential_kernel_rejects_empty_and_width(seqmini):
     with pytest.raises(SimulationError, match="no patterns"):
-        faultsim.sequential_sim(seqmini, [], [])
+        faultsim.sequential_sim(seqmini, [], [], {}, 0)
     with pytest.raises(SimulationError, match="width"):
-        faultsim.sequential_sim(seqmini, [(0, 1, 1)], [])
+        faultsim.sequential_sim(seqmini, [(0, 1, 1)], [], {}, 0)
 
 
 # -- transition-delay faults ----------------------------------------------------------
