@@ -67,12 +67,21 @@ def _get(obj, key, kind, path="", default=_MISSING):
 
 
 def _at(path, build, *args):
-    """``build(*args)``, a ValueError or PlanError re-raised as a
-    :class:`PlanError` naming the field ``path``."""
+    """``build(*args)``, a PlanError re-raised naming the field ``path``."""
     try:
         return build(*args)
-    except (ValueError, PlanError) as e:
+    except PlanError as e:
         raise PlanError(f"{path}: {e}") from None
+
+
+def _literal(text, base):
+    """``int(text, base)``, or a :class:`PlanError` naming the literal's
+    expected form (base 0 takes any Python integer literal)."""
+    try:
+        return int(text, base)
+    except ValueError:
+        form = {0: "an integer", 2: "a binary", 10: "a decimal"}[base]
+        raise PlanError(f"expected {form} literal, got {text!r}") from None
 
 
 class MisrAssignment(record("MisrAssignment", "block polynomial cascade")):
@@ -161,7 +170,7 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
             raise PlanError(f"unsupported plan schema {version!r}")
         alfsr = _get(d, "alfsr", dict)
         poly = _at("alfsr.poly", tpg.Polynomial.parse, _get(alfsr, "poly", str, "alfsr"))
-        seed_val = _at("alfsr.seed", int, _get(alfsr, "seed", str, "alfsr"), 0)
+        seed_val = _at("alfsr.seed", _literal, _get(alfsr, "seed", str, "alfsr"), 0)
         bindings = []
         for i, e in enumerate(_get(d, "bindings", list)):
             path = f"bindings[{i}]"
@@ -176,7 +185,7 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
                     if not isinstance(step, list) or len(step) != 2:
                         raise PlanError(f"{spath}: expected a [value, hold] pair")
                     value = _expect(step[0], str, f"{spath}[0]")
-                    schedule.append((_at(f"{spath}[0]", int, value, 2),
+                    schedule.append((_at(f"{spath}[0]", _literal, value, 2),
                                      _expect(step[1], int, f"{spath}[1]")))
                 cg = _at(cpath, tpg.ConstraintProgram,
                          _get(c, "port_width", int, cpath), tuple(schedule),
@@ -186,7 +195,7 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
             alfsr_slice = {}
             for k, v in _get(e, "alfsr_slice", dict, path).items():
                 kpath = f"{path}.alfsr_slice.{k}"
-                alfsr_slice[_at(kpath, int, k)] = _expect(v, int, kpath)
+                alfsr_slice[_at(kpath, _literal, k, 10)] = _expect(v, int, kpath)
             bindings.append(_at(path, tpg.PortBinding, _get(e, "block", str, path),
                                 _get(e, "width", int, path), alfsr_slice, cg, cg_bits))
         misrs = []
@@ -212,7 +221,7 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
                     raise PlanError(f"{path}.block: no MISR for block {block!r}")
                 golden.append(compactor.Signature(
                     block, by_block[block].polynomial,
-                    _at(f"{path}.value", int, _get(g, "value", str, path), 0),
+                    _at(f"{path}.value", _literal, _get(g, "value", str, path), 0),
                     _get(g, "pattern_count", int, path)))
             golden = tuple(golden)
         return cls(poly, seed_val, tuple(bindings), tuple(misrs),
@@ -327,29 +336,29 @@ class BistSession:
         self.control.output_select = code
 
     def assemble_inputs(self, cycle):
-        """Full primary-input assignment for this cycle from all bindings."""
+        """This cycle's pattern from all bindings: one bit per primary
+        input, in ``netlist.primary_inputs`` order."""
         assignment = {}
         for binding in self.plan.bindings:
             word = tpg.assemble_pattern(binding, self.alfsr, cycle)
             port = self.blocks[binding.block].input_port
             for net, bit in zip(port, word):
                 assignment[net] = bit
-        return assignment
+        # via a list: tuple(genexpr) resizes, which fills CPython's tuple free list
+        return tuple([assignment[n] for n in self.netlist.primary_inputs])
 
     def step(self, inject=None):
         """One test cycle: apply pattern, settle, fold and absorb, advance."""
         cycle = self.control.pattern_counter
-        inputs = self.assemble_inputs(cycle)
-        seen = circuit_mod.pre_edge_q(self.netlist, self.dut_state, inject)
-        nxt = circuit_mod.evaluate(self.netlist, self.dut_state, inputs,
-                                   fault=inject)
+        values, self.dut_state = circuit_mod.evaluate(
+            self.netlist, self.dut_state, self.assemble_inputs(cycle),
+            fault=inject)
         for binding, misr in zip(self.plan.bindings, self.plan.misrs):
             port = self.blocks[binding.block].output_port
-            word = tuple(seen[n] if n in seen else nxt[n] for n in port)
+            word = tuple(values[n] for n in port)
             folded = compactor.fold(misr.cascade, word)
             self.misrs[misr.block] = compactor.misr_absorb(
                 self.misrs[misr.block], folded)
-        self.dut_state = nxt
         self.alfsr = tpg.alfsr_step(self.alfsr)
         self.control.pattern_counter = cycle + 1
 
@@ -377,10 +386,8 @@ class BistSession:
         saved = self.alfsr
         self.alfsr = tpg.seed_int(self.plan.alfsr_poly, self.plan.alfsr_seed)
         patterns = []
-        order = self.netlist.primary_inputs
         for cycle in range(self._pattern_count):
-            a = self.assemble_inputs(cycle)
-            patterns.append(tuple(a[n] for n in order))
+            patterns.append(self.assemble_inputs(cycle))
             self.alfsr = tpg.alfsr_step(self.alfsr)
         self.alfsr = saved
         return patterns
@@ -394,7 +401,7 @@ def _cg_planes(program, n):
     values = [tpg.cg_step(program, t) for t in range(period)]
     planes = []
     for j in range(program.port_width):
-        plane = int("".join("1" if v >> j & 1 else "0" for v in reversed(values)), 2)
+        plane = faultsim.plane([v >> j & 1 for v in values])
         if program.cyclic:
             span = period
             while span < n:
@@ -433,9 +440,9 @@ def plan_planes(netlist, plan, count=None):
     head = sum((register >> (top - k) & 1) << k for k in range(top))
     steps = []
     for _ in range(n):
-        steps.append("1" if register & 1 else "0")
+        steps.append(register & 1)
         register = tpg.lfsr_next(poly, register)
-    sequence = int("".join(reversed(steps)), 2) << top | head
+    sequence = faultsim.plane(steps) << top | head
     mask = (1 << n) - 1
     blocks = {b.name: b for b in netlist.blocks}
     planes = {}

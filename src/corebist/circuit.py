@@ -168,8 +168,8 @@ class Netlist:
 
 
 def initial_state(netlist):
-    """Reset state as a dict net -> bit: flops at their declared init
-    values; every other net is absent (X) until the first evaluation."""
+    """Reset flop state as a dict Q net -> bit: each flop at its declared
+    init value."""
     return {f.q: f.init for f in netlist.flops}
 
 
@@ -186,26 +186,21 @@ _EVAL = {
 
 
 def evaluate(netlist, state, inputs, fault=None):
-    """One clock cycle: settle combinational nets, then update flops once.
+    """One clock cycle: settle combinational nets, then clock the flops.
 
-    ``inputs`` assigns every primary input (dict name -> bit, or a bit tuple
-    aligned with ``netlist.primary_inputs``); ``state`` is a dict net -> bit
-    as :func:`initial_state` or an earlier call gives it. Returns a new
-    dict with every net settled and flop Q nets at their post-edge value.
-    ``fault`` optionally injects a stuck-at fault (see faultsim); this
-    single scalar path is shared by golden and faulty runs.
+    ``inputs`` holds one bit per primary input, in
+    ``netlist.primary_inputs`` order; ``state`` is the flop state (Q net ->
+    bit) as :func:`initial_state` or an earlier call leaves it. Returns
+    ``(values, state)``: ``values`` holds every net as the cycle shows it,
+    flop Q nets at the value the logic read (a stuck Q net at its stuck
+    value), and ``state`` is the flop state the edge leaves, Q net -> the
+    settled D value. ``fault`` optionally injects a stuck-at fault (see
+    faultsim); this single scalar path is shared by golden and faulty runs.
     """
     pis = netlist.primary_inputs
-    if isinstance(inputs, dict):
-        vals = {}
-        for n in pis:
-            if n not in inputs:
-                raise SimulationError(f"unassigned primary input {n!r}")
-            vals[n] = inputs[n] & 1
-    else:
-        if len(inputs) != len(pis):
-            raise SimulationError("input vector width mismatch")
-        vals = {n: b & 1 for n, b in zip(pis, inputs)}
+    if len(inputs) != len(pis):
+        raise SimulationError("input vector width mismatch")
+    vals = {n: b & 1 for n, b in zip(pis, inputs)}
     for f in netlist.flops:
         q = state.get(f.q)
         if q is None:
@@ -258,34 +253,18 @@ def evaluate(netlist, state, inputs, fault=None):
             v = vals[g.inputs[0]]
         vals[g.output] = v
 
-    # combinational nets keep settled values; flop Q reflects the new edge
-    edge = [(f.q, vals[f.d]) for f in netlist.flops]
-    vals.update(edge)
-    return vals
-
-
-def pre_edge_q(netlist, state, fault=None):
-    """Flop Q net -> the value the combinational logic sees in the cycle
-    that starts from ``state``: the stored Q value, except that a stem
-    fault on a Q net holds it at the stuck value (a stuck Q net stays stuck
-    before the edge, whatever the last edge stored)."""
-    seen = {f.q: state.get(f.q) for f in netlist.flops}
-    if fault is not None and fault.pin is None and fault.net in seen:
-        seen[fault.net] = 1 if fault.kind == "SA1" else 0
-    return seen
+    return vals, {f.q: vals[f.d] for f in netlist.flops}
 
 
 def run_patterns(netlist, patterns, fault=None):
-    """Apply a pattern sequence from reset; yield the observed state per cycle
-    as a dict: combinational nets settled for the pattern, flop Q nets
-    pre-edge (:func:`pre_edge_q`).
+    """Apply a pattern sequence from reset; yield each cycle's values as
+    :func:`evaluate` gives them: combinational nets settled for the
+    pattern, flop Q nets pre-edge.
     """
     state = initial_state(netlist)
     for p in patterns:
-        seen = pre_edge_q(netlist, state, fault)
-        nxt = evaluate(netlist, state, p, fault=fault)
-        yield {**nxt, **seen}
-        state = nxt
+        values, state = evaluate(netlist, state, p, fault=fault)
+        yield values
 
 
 def toggle_activity(netlist, patterns):

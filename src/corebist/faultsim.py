@@ -285,13 +285,9 @@ def coverage(report):
 
 def _serial_detect(netlist, patterns, obs, golden, fault):
     """First pattern index whose observed outputs differ from ``golden``."""
-    state = circuit.initial_state(netlist)
-    for i, p in enumerate(patterns):
-        seen = circuit.pre_edge_q(netlist, state, fault)
-        nxt = circuit.evaluate(netlist, state, p, fault=fault)
-        if tuple(seen[n] if n in seen else nxt[n] for n in obs) != golden[i]:
+    for i, values in enumerate(circuit.run_patterns(netlist, patterns, fault)):
+        if tuple(values[n] for n in obs) != golden[i]:
             return i
-        state = nxt
     return None
 
 
@@ -321,7 +317,7 @@ _BIT_CHARS = bytes(48 + (b & 1) for b in range(256))
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _plane(bits):
+def plane(bits):
     """Sequence of bits -> int with bit t = item t."""
     return int(bytes(bits)[::-1].translate(_BIT_CHARS), 2)
 
@@ -329,7 +325,7 @@ def _plane(bits):
 def _columns(rows):
     """Rows of bits (or of ASCII '0'/'1') -> one plane per column, bit t =
     row t: a bit-matrix transpose."""
-    return [_plane(col) for col in zip(*rows)]
+    return [plane(col) for col in zip(*rows)]
 
 
 def pattern_rows(planes, n):

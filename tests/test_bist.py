@@ -157,10 +157,8 @@ def test_pattern_stream_matches_stepping(mini10, mini_plan):
     assert len(stream) == mini_plan.pattern_count
     # replay by stepping and recording assembled inputs
     session.reset()
-    order = mini10.primary_inputs
     for i, pat in enumerate(stream):
-        a = session.assemble_inputs(i)
-        assert tuple(a[n] for n in order) == pat
+        assert session.assemble_inputs(i) == pat
         session.step()
 
 

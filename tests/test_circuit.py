@@ -78,8 +78,8 @@ def test_and_truth_table(and2):
     st = circuit.initial_state(and2)
     for a in (0, 1):
         for b in (0, 1):
-            out = circuit.evaluate(and2, st, {"a": a, "b": b})
-            assert out["y"] == (a & b)
+            values, _ = circuit.evaluate(and2, st, (a, b))
+            assert values["y"] == (a & b)
 
 
 def test_xor_chain_parity():
@@ -87,13 +87,13 @@ def test_xor_chain_parity():
         "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n"
         "t = XOR(a,b)\ny = XOR(t,c)")
     st = circuit.initial_state(n)
-    assert circuit.evaluate(n, st, (1, 0, 1))["y"] == 0
-    assert circuit.evaluate(n, st, (1, 1, 1))["y"] == 1
+    assert circuit.evaluate(n, st, (1, 0, 1))[0]["y"] == 0
+    assert circuit.evaluate(n, st, (1, 1, 1))[0]["y"] == 1
 
 
 def test_unassigned_input_rejected(and2):
-    with pytest.raises(SimulationError, match="unassigned primary input"):
-        circuit.evaluate(and2, circuit.initial_state(and2), {"a": 1})
+    with pytest.raises(SimulationError, match="input vector width mismatch"):
+        circuit.evaluate(and2, circuit.initial_state(and2), (1,))
 
 
 def test_mini10_matches_truth_table_oracle(mini10):
@@ -102,8 +102,8 @@ def test_mini10_matches_truth_table_oracle(mini10):
     st = circuit.initial_state(mini10)
     for _ in range(100):
         bits = tuple(rng.randint(0, 1) for _ in mini10.primary_inputs)
-        out = circuit.evaluate(mini10, st, bits)
-        assert tuple(out[o] for o in mini10.primary_outputs) == table[bits]
+        values, _ = circuit.evaluate(mini10, st, bits)
+        assert tuple(values[o] for o in mini10.primary_outputs) == table[bits]
 
 
 def test_random_netlists_match_truth_tables():
@@ -114,8 +114,8 @@ def test_random_netlists_match_truth_tables():
         table = oracle.truth_table(n)
         st = circuit.initial_state(n)
         for bits, expected in table.items():
-            out = circuit.evaluate(n, st, bits)
-            assert tuple(out[o] for o in n.primary_outputs) == expected
+            values, _ = circuit.evaluate(n, st, bits)
+            assert tuple(values[o] for o in n.primary_outputs) == expected
 
 
 def test_faulted_evaluation_matches_oracle(seqmini):
@@ -131,25 +131,25 @@ def test_faulted_evaluation_matches_oracle(seqmini):
         flop_q = {f.q: st[f.q] for f in n.flops}
         for f in faultsim.enumerate_faults(n).faults:
             for bits in random_patterns(rng, n, 4):
-                got = circuit.evaluate(n, st, bits, fault=f)
+                values, state = circuit.evaluate(n, st, bits, fault=f)
                 memo = oracle.eval_recursive(
                     n, dict(zip(n.primary_inputs, bits)),
                     fault=oracle.fault_tuple(f), flop_q=dict(flop_q))
                 for net in n.nets:
-                    if net not in flop_q:
-                        assert got[net] == memo[net], (f.key, net)
-                for fl in n.flops:
-                    assert got[fl.q] == memo[fl.d], (f.key, fl.q)
+                    assert values[net] == memo[net], (f.key, net)
+                assert state == {fl.q: memo[fl.d] for fl in n.flops}, f.key
 
 
 def test_sequential_evaluation_updates_flops(seqmini):
     st = circuit.initial_state(seqmini)
     assert st["q1"] == 0
-    nxt = circuit.evaluate(seqmini, st, {"a": 1, "b": 1})
-    # n1 = a xor q0 = 1; q0' = 1
-    assert nxt["q0"] == 1
-    nxt2 = circuit.evaluate(seqmini, nxt, {"a": 1, "b": 1})
-    assert nxt2["n1"] == 0  # a xor q0' = 1 xor 1
+    values, nxt = circuit.evaluate(seqmini, st, (1, 1))
+    # n1 = a xor q0 = 1; q0 reads 0 before the edge and holds 1 after it
+    assert values["n1"] == 1
+    assert values["q0"] == 0 and nxt["q0"] == 1
+    values, _ = circuit.evaluate(seqmini, nxt, (1, 1))
+    assert values["q0"] == 1
+    assert values["n1"] == 0  # a xor q0' = 1 xor 1
 
 
 def test_sequential_matches_oracle(seqmini):

@@ -623,8 +623,7 @@ def test_plan_seed_outside_the_alfsr_range_is_an_error(tmp_path, capsys,
     bad = tmp_path / "bad.plan.json"
     bad.write_text(json.dumps(plan))
     if seed == "abc":
-        message = ("error: alfsr.seed: invalid literal for int() with "
-                   "base 0: 'abc'\n")
+        message = "error: alfsr.seed: expected an integer literal, got 'abc'\n"
         with pytest.raises(SystemExit) as exit_:
             run(["bist", MINI, "--plan", MINI_PLAN, "--seed", seed])
         assert exit_.value.code == 2
@@ -676,6 +675,31 @@ def test_plan_field_of_wrong_type_is_named(tmp_path, capsys):
     assert run(["bist", MINI, "--plan", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == \
         "error: bindings[0].width: expected an integer, got a string\n"
+
+
+@pytest.mark.parametrize("path, literal, form", [
+    (("alfsr", "seed"), "beef1", "an integer"),
+    (("bindings", 0, "cg", "schedule", 1, 0), "01x1", "a binary"),
+    (("bindings", 0, "alfsr_slice", "0x0a"), "0x0a", "a decimal"),
+    (("golden", 1, "value"), "4b6f", "an integer"),
+], ids=["alfsr.seed", "cg.schedule", "alfsr_slice", "golden.value"])
+def test_plan_integer_literal_names_its_form(tmp_path, capsys, path, literal,
+                                              form):
+    # on the core's plan; an alfsr_slice key is itself the literal, so the
+    # key "10" is renamed
+    plan = json.loads(open(CORE_PLAN).read())
+    parent = plan
+    for key in path[:-1]:
+        parent = parent[key]
+    if path[-2] == "alfsr_slice":
+        parent[literal] = parent.pop("10")
+    else:
+        parent[path[-1]] = literal
+    bad = tmp_path / "bad.plan.json"
+    bad.write_text(json.dumps(plan))
+    assert run(["bist", CORE, "--plan", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"error: {_field_path(path)}: expected "
+                                       f"{form} literal, got '{literal}'\n")
 
 
 # fields a plan may leave out (list indices as None); the core's CG
