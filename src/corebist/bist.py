@@ -312,8 +312,6 @@ class BistSession:
         self.netlist = netlist
         self.plan = plan
         self.blocks = {b.name: b for b in netlist.blocks}
-        self.control = ControlUnitState()
-        self._pattern_count = plan.pattern_count
         self.reset()
 
     def reset(self):
@@ -609,6 +607,8 @@ def misr_detection_rate(netlist, plan, universe):
     signature path and list the ones the MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
+    if any(f.kind not in faultsim.SA_KINDS for f in universe.faults):
+        raise SimulationError("misr_detection_rate handles stuck-at faults only")
     stimulus = plan_stimulus(netlist, plan)
     report = faultsim.parallel_fault_sim(netlist, universe, stimulus)
     detected = report.detected_faults()

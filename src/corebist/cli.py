@@ -18,7 +18,7 @@ from .errors import CoreBistError, NetlistError, PlanError, ProtocolError, \
 
 REPORT_SCHEMA_VERSION = 1
 
-FAULT_KINDS = ("saf", "tdf")      # --kinds
+FAULT_KINDS = {"saf": faultsim.SA_KINDS, "tdf": faultsim.TDF_KINDS}  # --kinds
 # --granularity; diagnosis.GRANULARITIES, spelled out here so that building
 # the parser does not import diagnosis
 GRANULARITIES = ("pattern", "signature")
@@ -131,19 +131,13 @@ def cmd_lint(args):
 
 
 def _coverage_tables(netlist, patterns, kinds=FAULT_KINDS):
-    out = {}
-    tdf = (faultsim.enumerate_faults(netlist, ("STR", "STF"))
-           if "tdf" in kinds else None)
-    if "saf" in kinds:
-        universe = faultsim.collapse(
-            faultsim.enumerate_faults(netlist, ("SA0", "SA1")), netlist)
-        # the stuck-at run also carries the stems TDF reads next
-        also = faultsim.tdf_stems(tdf.faults) if tdf else ()
-        out["SAF"] = faultsim.parallel_fault_sim(netlist, universe, patterns,
-                                                 also=also)
-    if tdf:
-        out["TDF"] = faultsim.tdf_sim(netlist, tdf, patterns)
-    return out
+    """The "SAF" and "TDF" reports that ``kinds`` asks for, in that order,
+    split from one simulation of both."""
+    asked = {k.upper(): v for k, v in FAULT_KINDS.items() if k in kinds}
+    universe = faultsim.collapse(faultsim.enumerate_faults(
+        netlist, [k for ks in asked.values() for k in ks]), netlist)
+    report = faultsim.parallel_fault_sim(netlist, universe, patterns)
+    return {name: report.of_kinds(k) for name, k in asked.items()}
 
 
 def _coverage_json(tables):
@@ -248,16 +242,15 @@ def cmd_import(args):
     patterns = parse_pattern_file(args.file, netlist, plan)
     print(f"OK: {len(patterns)} patterns, width "
           f"{len(netlist.primary_inputs)} primary inputs")
-    if args.out:
-        out = os.path.join(args.out, "imported_patterns.json")
-        _write_json(out, {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "source": os.path.basename(args.file),
-            "pattern_count": len(patterns),
-            "primary_inputs": list(netlist.primary_inputs),
-            "patterns": ["".join(str(b) for b in reversed(p)) for p in patterns],
-        })
-        print(f"normalized patterns written to {out}")
+    out = os.path.join(args.out, "imported_patterns.json")
+    _write_json(out, {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "source": os.path.basename(args.file),
+        "pattern_count": len(patterns),
+        "primary_inputs": list(netlist.primary_inputs),
+        "patterns": ["".join(str(b) for b in reversed(p)) for p in patterns],
+    })
+    print(f"normalized patterns written to {out}")
     return 0
 
 

@@ -9,8 +9,8 @@ Stuck-at simulation paths are kept deliberately separate:
 * :func:`kernel` builds the kernel that fits the netlist from one input
   plane per primary input (bit t = pattern t), as the BIST plan builds
   them; :func:`stimulus` transposes a pattern list once. Both kernels have
-  ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults,
-  also=())`` (one detection plane per stuck-at fault, kept once computed),
+  ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults)``
+  (one detection plane per stuck-at or transition fault),
   ``folded(faults, taps, width)`` (per fault, its error planes XOR-folded
   into MISR word bits) and ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
@@ -21,13 +21,14 @@ Stuck-at simulation paths are kept deliberately separate:
   fault-parallel: one word per net per cycle, bit 0 the fault-free machine
   and bit k+1 fault k, one pass from reset for the whole fault set.
 
-:func:`parallel_fault_sim` and :func:`tdf_sim` run on either kernel. Given
-a pattern list they build their own kernel; given a built one they share
-it, and so do the self-test signatures in :mod:`corebist.bist`, which read
-:meth:`folded` off the kernel they are given, so one command simulates the
-fault-free planes once. Every kernel runs in this process. Their results
-must be bit-identical to the serial oracle's, and that equivalence is the
-main regression property.
+:func:`parallel_fault_sim` (any fault kinds) and :func:`tdf_sim` run on
+either kernel. Given a pattern list they build their own kernel; given a
+built one they share it, and so do the self-test signatures in
+:mod:`corebist.bist`, which read :meth:`folded` off the kernel they are
+given, so one command simulates the fault-free planes once, and its
+stuck-at and transition faults ride one :meth:`planes` call. Every kernel
+runs in this process. Their results must be bit-identical to the serial
+oracle's, and that equivalence is the main regression property.
 
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
@@ -233,6 +234,14 @@ class CoverageReport(record("CoverageReport",
             raise SimulationError("empty fault universe")
         return self.detected / len(self.faults)
 
+    def of_kinds(self, kinds):
+        """The report restricted to the faults of ``kinds``, in order."""
+        keep = [i for i, f in enumerate(self.faults) if f.kind in kinds]
+        return CoverageReport(self.pattern_count,
+                              *(tuple(column[i] for i in keep) for column in
+                                (self.faults, self.first_detect,
+                                 self.fault_blocks)))
+
     def detected_faults(self):
         return tuple(f for f, d in zip(self.faults, self.first_detect)
                      if d is not None)
@@ -390,13 +399,13 @@ def _op_table(netlist):
 class _Kernel:
     """What both kernels share: ``n`` patterns given as one input plane per
     primary input, the op table of :func:`_op_table` (``index`` is its net
-    index), and the fault-free (:attr:`good`) and detection planes, kept
-    once computed. ``len(kernel)`` is the pattern count. A subclass sets
-    ``_good``, simulates faults in ``_simulate`` and has ``folded(faults,
-    taps, width)``: ``taps`` maps a net index to the word bits 0..width-1
-    it feeds (a net listed twice on one bit cancels), and per fault it
-    gives ``width`` planes, each the XOR of ``faulty ^ fault-free`` over
-    the nets that feed that bit."""
+    index), the fault-free planes (:attr:`good`, kept once computed) and
+    the detection planes. ``len(kernel)`` is the pattern count. A subclass
+    sets ``_good``, simulates faults in ``_simulate`` and has
+    ``folded(faults, taps, width)``: ``taps`` maps a net index to the word
+    bits 0..width-1 it feeds (a net listed twice on one bit cancels), and
+    per fault it gives ``width`` planes, each the XOR of ``faulty ^
+    fault-free`` over the nets that feed that bit."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -410,7 +419,6 @@ class _Kernel:
         self.inputs = [plane & mask for plane in inputs]
         self.index, self._ops, self._driver, self._obs = _op_table(netlist)
         self._good = None
-        self._diffs = {}
 
     def __len__(self):
         return self.n
@@ -419,23 +427,35 @@ class _Kernel:
     def good(self):
         """Every net's fault-free plane, in ``netlist.nets`` order."""
         if self._good is None:
-            self.planes(())
+            self._simulate(())
         return self._good
 
-    def planes(self, faults, also=()):
-        """Detection plane of each stuck-at fault of ``faults``: bit t is
-        set iff pattern t's observed outputs differ from the fault-free
-        ones. Faults not kept yet are simulated together with the faults of
-        ``also`` not kept either, which are kept but not returned: a caller
-        that runs transition-delay simulation next passes the stem faults
-        it will read (:func:`tdf_stems`), so one pass serves both, as in
-        PROOFS."""
-        diffs = self._diffs
-        run = [f for f in dict.fromkeys(faults) if f not in diffs]
-        if run or self._good is None:
-            run = list(dict.fromkeys(run + [f for f in also if f not in diffs]))
-            diffs.update(zip(run, self._simulate(run)))
-        return [diffs[f] for f in faults]
+    def planes(self, faults):
+        """Detection plane of each fault of ``faults``: bit t is set iff
+        pattern t detects it. A stuck-at fault is detected when the
+        observed outputs differ from the fault-free ones. A slow-to-rise
+        (slow-to-fall) fault on net n is detected launch-on-capture at
+        pattern t >= 1 when n rises (falls) from pattern t-1 to t and n
+        stuck-at-0 (stuck-at-1) is detected at t. One simulation covers the
+        stuck-at faults and the stems the transition faults read, so on a
+        core with flops one pass serves both, as in PROOFS."""
+        stems = {f: FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
+                 for f in faults if f.kind in TDF_KINDS}
+        if stems and self.n < 2:
+            raise SimulationError(
+                "transition fault simulation needs >= 2 patterns")
+        run = list(dict.fromkeys(stems.get(f, f) for f in faults))
+        diffs = dict(zip(run, self._simulate(run)))
+        good, full = self.good, self.mask & ~1
+        out = []
+        for f in faults:
+            plane = diffs[stems.get(f, f)]
+            if f in stems:
+                v = good[self.index[f.net]]
+                edge = (~v << 1) & v if f.kind == "STR" else (v << 1) & ~v
+                plane &= edge & full
+            out.append(plane)
+        return out
 
     def toggle_activity(self):
         """:func:`circuit.toggle_activity` over the kernel's patterns, read
@@ -639,9 +659,9 @@ class SequentialStimulus(_Kernel):
     :func:`sequential_sim` passes over the patterns, the fault-free ones
     from the first pass.
 
-    A :meth:`planes` call that finds faults not kept runs one pass over
-    them and its ``also`` faults, and a :meth:`folded` call one pass over
-    its faults.
+    A :meth:`planes` call runs one pass over its stuck-at faults and the
+    stems its transition faults read, and a :meth:`folded` call one pass
+    over its faults.
     """
 
     def _simulate(self, faults):
@@ -676,19 +696,15 @@ def stimulus(netlist, patterns):
     return kernel(netlist, _columns(patterns), len(patterns))
 
 
-def parallel_fault_sim(netlist, universe, patterns, also=()):
-    """Stuck-at simulation on the netlist's kernel (``patterns``: a pattern
-    list or a kernel from :func:`stimulus` or :func:`kernel` to share);
-    first detect is each detection plane's lowest set bit. The stuck-at
-    faults ``also`` are simulated with the universe and kept in the
-    kernel, but not reported (:meth:`planes`). The report is
+def parallel_fault_sim(netlist, universe, patterns):
+    """Fault simulation of stuck-at and transition faults on the netlist's
+    kernel (``patterns``: a pattern list or a kernel from :func:`stimulus`
+    or :func:`kernel` to share); first detect is each detection plane's
+    lowest set bit (:meth:`_Kernel.planes`). Its stuck-at entries are
     bit-identical to :func:`serial_fault_sim`.
     """
-    for f in universe.faults:
-        if f.kind not in SA_KINDS:
-            raise SimulationError("parallel_fault_sim handles stuck-at faults only")
     patterns = stimulus(netlist, patterns)
-    firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults, also))
+    firsts = tuple(_lowest(p) for p in patterns.planes(universe.faults))
     return CoverageReport(len(patterns), universe.faults, firsts,
                           fault_blocks(netlist, universe.faults))
 
@@ -702,36 +718,9 @@ def tdf_sim(netlist, universe, patterns):
     (p_i, p_i+1) iff the fault-free run drives n 0 -> 1 across the pair and
     n stuck-at-0 is observable at an output under p_i+1 (dual for
     slow-to-fall). First detection is recorded at the capture pattern.
-    The kernel keeps the planes a stuck-at run on it computed, so the stem
-    planes it already holds are read, not simulated again; pass
-    :func:`tdf_stems` as the stuck-at run's ``also`` to have it hold all
-    of them. Asked for before the fault-free planes, they come with them
-    from one pass on a core with flops.
+    This is :func:`parallel_fault_sim` over transition faults only.
     """
-    faults = universe.faults
-    for f in faults:
+    for f in universe.faults:
         if f.kind not in TDF_KINDS:
             raise SimulationError("tdf_sim handles transition faults only")
-    patterns = stimulus(netlist, patterns)
-    if len(patterns) < 2:
-        raise SimulationError("transition fault simulation needs >= 2 patterns")
-    detect = patterns.planes(tdf_stems(faults))
-    full = patterns.mask
-    value = dict(zip(netlist.nets, patterns.good))
-    firsts = []
-    for f, plane in zip(faults, detect):
-        v = value[f.net]
-        if f.kind == "STR":
-            capture = (~v << 1) & v & full & ~1
-        else:
-            capture = (v << 1) & ~v & full & ~1
-        firsts.append(_lowest(plane & capture))
-    return CoverageReport(len(patterns), faults, tuple(firsts),
-                          fault_blocks(netlist, faults))
-
-
-def tdf_stems(faults):
-    """Per transition fault, the stem stuck-at fault that holds its
-    pre-transition value, whose detection plane :func:`tdf_sim` reads."""
-    return [FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
-            for f in faults]
+    return parallel_fault_sim(netlist, universe, patterns)

@@ -302,6 +302,16 @@ def test_import_valid_file(tmp_path, capsys):
     assert report["patterns"] == ["1010", "0101"]
 
 
+def test_import_without_out_writes_to_the_working_directory(tmp_path,
+                                                           monkeypatch):
+    pat = tmp_path / "p.pat"
+    pat.write_text("1010\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(["import", str(pat), MINI, "--plan", MINI_PLAN]) == 0
+    report = json.loads((tmp_path / "imported_patterns.json").read_text())
+    assert report["patterns"] == ["1010"]
+
+
 def test_import_wrong_width(tmp_path, capsys):
     pat = tmp_path / "p.pat"
     pat.write_text("10100\n")
@@ -400,16 +410,6 @@ def test_tap_bad_trace_file(tmp_path, capsys):
     bad.write_text("0 1 0\n")
     assert run(["tap", str(bad), CORE, "--plan", CORE_PLAN,
                 "--out", str(tmp_path)]) == 1
-
-
-def test_tap_on_a_combinational_core_takes_the_engine(tmp_path, capsys,
-                                                     monkeypatch):
-    def refuse(self, inject=None):
-        raise AssertionError("TAP START stepped the scalar session")
-    monkeypatch.setattr(bist.BistSession, "run", refuse)
-    assert run(["tap", TRACE, CORE, "--plan", CORE_PLAN,
-                "--expect", TRACE, "--out", str(tmp_path)]) == 0
-    assert "TDO matches golden trace" in capsys.readouterr().out
 
 
 SEQMINI = str(fixture_path("seqmini.bench"))

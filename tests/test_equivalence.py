@@ -267,15 +267,26 @@ def good(core, count):
 
 @row
 def tdf(core, count):
-    """``tdf_sim`` -> the pairwise or the sequential brute force."""
+    """``tdf_sim``, and the transition faults of ``parallel_fault_sim`` over
+    stuck-at and transition faults -> the pairwise or the sequential brute
+    force; that run's stuck-at faults -> the stuck-at run's."""
     netlist, _, patterns = matrix_case(core, count)
     u = faultsim.enumerate_faults(netlist, ("STR", "STF"))
+    mixed = faultsim.collapse(faultsim.enumerate_faults(
+        netlist, faultsim.SA_KINDS + faultsim.TDF_KINDS), netlist)
     if count < 2:
-        with pytest.raises(SimulationError, match=">= 2 patterns"):
-            faultsim.tdf_sim(netlist, u, patterns)
+        for sim, faults in ((faultsim.tdf_sim, u),
+                            (faultsim.parallel_fault_sim, mixed)):
+            with pytest.raises(SimulationError, match=">= 2 patterns"):
+                sim(netlist, faults, patterns)
         return
-    assert faultsim.tdf_sim(netlist, u, patterns).first_detect == \
-        tdf_firsts(core, count)
+    want = faultsim.tdf_sim(netlist, u, patterns)
+    assert want.first_detect == tdf_firsts(core, count)
+    report = faultsim.parallel_fault_sim(netlist, mixed, patterns)
+    assert report.of_kinds(faultsim.TDF_KINDS) == want
+    saf = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
+    assert report.of_kinds(faultsim.SA_KINDS) == \
+        faultsim.parallel_fault_sim(netlist, saf, patterns)
 
 
 @row

@@ -239,22 +239,35 @@ def test_kernel_toggle_activity_matches_scalar():
         assert stim.toggle_activity() == want, count
 
 
+def _stems(tdf):
+    """The stem stuck-at fault each transition fault of ``tdf`` reads."""
+    return {faultsim.FaultDescriptor(f.net, "SA0" if f.kind == "STR" else "SA1")
+            for f in tdf.faults}
+
+
 def test_also_on_fault_kernel_keeps_the_tdf_stems(monkeypatch):
+    # one planes call over stuck-at and transition faults walks one cone per
+    # distinct stuck-at fault: the SAF faults and the stems TDF reads
     core = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
     pats = random_patterns(random.Random(0xA150), core, 200)
     saf = faultsim.collapse(faultsim.enumerate_faults(core), core)
     tdf = faultsim.enumerate_faults(core, ("STR", "STF"))
-    stems = faultsim.tdf_stems(tdf.faults)
-    assert set(stems) - set(saf.faults)
+    stems = _stems(tdf)
+    assert stems & set(saf.faults) and stems - set(saf.faults)
     want = faultsim.tdf_sim(core, tdf, pats)
-    kernel = faultsim.stimulus(core, pats)
-    assert faultsim.parallel_fault_sim(core, saf, kernel, also=stems) == \
-        faultsim.parallel_fault_sim(core, saf, pats)
+    walked = []
+    real = faultsim.FaultKernel.faulty
 
-    def refuse(self, fault):
-        raise AssertionError(f"{fault.key} simulated again")
-    monkeypatch.setattr(faultsim.FaultKernel, "faulty", refuse)
-    assert faultsim.tdf_sim(core, tdf, kernel) == want
+    def counting(self, fault):
+        walked.append(fault)
+        return real(self, fault)
+    kernel = faultsim.stimulus(core, pats)
+    monkeypatch.setattr(faultsim.FaultKernel, "faulty", counting)
+    planes = kernel.planes(saf.faults + tdf.faults)
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(saf.faults) | stems
+    assert tuple((p & -p).bit_length() - 1 if p else None
+                 for p in planes[len(saf):]) == want.first_detect
 
 
 def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
@@ -332,27 +345,20 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
         if r_tdf is not None:
             assert r_tdf.first_detect == tdf_firsts(core, count), \
                 (n.name, len(pats))
-        # one shared stimulus: SAF, TDF and the planes off a single pass,
-        # which carries the stems TDF reads only when asked to
+        # one shared stimulus: SAF and TDF off a single pass over the
+        # stuck-at faults and the stems TDF reads
         monkeypatch.setattr(faultsim, "sequential_sim", counting)
-        stems = faultsim.tdf_stems(tdf.faults)
-        for also in ((), stems):
-            passes.clear()
-            stim = faultsim.stimulus(n, pats)
-            assert faultsim.parallel_fault_sim(
-                n, saf, stim, also=also).first_detect == r_saf.first_detect
-            assert stim.planes(saf.faults) == planes
-            assert passes == [set(saf.faults) | set(also)], \
-                (n.name, len(pats))
-            if r_tdf is not None:
-                assert faultsim.tdf_sim(n, tdf, stim).first_detect == \
-                    r_tdf.first_detect
-                if also:
-                    assert len(passes) == 1, (n.name, len(pats))
-                else:   # one more pass at most, over stems SAF did not hold
-                    assert len(passes) <= 2, (n.name, len(pats))
-                    assert all(p <= set(stems) - set(saf.faults)
-                               for p in passes[1:]), (n.name, len(pats))
+        tdf_kinds = faultsim.TDF_KINDS if r_tdf is not None else ()
+        mixed = faultsim.collapse(
+            faultsim.enumerate_faults(n, faultsim.SA_KINDS + tdf_kinds), n)
+        passes.clear()
+        report = faultsim.parallel_fault_sim(n, mixed,
+                                             faultsim.stimulus(n, pats))
+        stems = _stems(tdf) if r_tdf is not None else set()
+        assert passes == [set(saf.faults) | stems], (n.name, len(pats))
+        assert report.of_kinds(faultsim.SA_KINDS) == r_saf
+        if r_tdf is not None:
+            assert report.of_kinds(faultsim.TDF_KINDS) == r_tdf
 
 
 def test_sequential_kernel_rejects_empty_and_width(seqmini):
