@@ -604,11 +604,10 @@ def selftest_results(netlist, plan, faults, kernel):
 
 def misr_detection_rate(netlist, plan, universe):
     """Compaction loss: put every pre-MISR-detected fault through the
-    signature path and list the ones the MISRs alias away."""
+    signature path, which refuses transition faults, and list the ones the
+    MISRs alias away."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
-    if any(f.kind not in faultsim.SA_KINDS for f in universe.faults):
-        raise SimulationError("misr_detection_rate handles stuck-at faults only")
     stimulus = plan_stimulus(netlist, plan)
     report = faultsim.parallel_fault_sim(netlist, universe, stimulus)
     detected = report.detected_faults()

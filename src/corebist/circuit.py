@@ -146,26 +146,6 @@ class Netlist:
                     stack.pop()
         return tuple(order)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_bench(self):
-        lines = [f"# {self.name}"]
-        for b in self.blocks:
-            lines.append(f"#@block {b.name} in: {','.join(b.input_port)} "
-                         f"out: {','.join(b.output_port)}")
-        for f in self.flops:
-            if f.init:
-                lines.append(f"#@init {f.q} 1")
-        for n in self.primary_inputs:
-            lines.append(f"INPUT({n})")
-        for n in self.primary_outputs:
-            lines.append(f"OUTPUT({n})")
-        for f in self.flops:
-            lines.append(f"{f.q} = DFF({f.d})")
-        for g in self.gates:
-            lines.append(f"{g.output} = {g.kind}({', '.join(g.inputs)})")
-        return "\n".join(lines) + "\n"
-
 
 def initial_state(netlist):
     """Reset flop state as a dict Q net -> bit: each flop at its declared

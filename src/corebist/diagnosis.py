@@ -11,31 +11,12 @@ logical equivalence.
 
 from __future__ import annotations
 
-import json
-
 from . import bist as bist_mod
 from . import faultsim
 from .errors import SimulationError
 from .records import record
 
 GRANULARITIES = ("pattern", "signature")
-
-
-class Syndrome(record("Syndrome", "fault observations granularity")):
-    """A :class:`faultsim.FaultDescriptor`'s observations at one
-    granularity."""
-
-    __slots__ = ()
-
-    def canonical(self):
-        """Platform-independent bytes used as the classification key."""
-        if self.granularity == "pattern":
-            bits = 0
-            for i, b in enumerate(self.observations):
-                bits |= int(bool(b)) << i
-            n = (len(self.observations) + 7) // 8
-            return bits.to_bytes(n, "little")
-        return b"".join(v.to_bytes(8, "little") for v in self.observations)
 
 
 class DiagnosticMatrix(record("DiagnosticMatrix",
@@ -88,11 +69,12 @@ def build_matrix(netlist, universe, kernel, granularity="pattern",
     (built by :func:`faultsim.stimulus` from a pattern list, if it is one).
 
     Pattern granularity takes each fault's per-pattern detection plane from
-    the kernel's ``planes``; its little-endian bytes equal
-    :meth:`Syndrome.canonical`. Signature granularity needs a ``plan``, over
-    whose stream ``kernel`` must run (:func:`bist.plan_stimulus`), and takes
-    each fault's signatures from :func:`bist.selftest_results`; a fault is
-    detected when they differ from the plan's golden signatures.
+    the kernel's ``planes``; the row is its ``ceil(n / 8)`` little-endian
+    bytes, so row bit t is pattern t. Signature granularity needs a
+    ``plan``, over whose stream ``kernel`` must run
+    (:func:`bist.plan_stimulus`), and takes each fault's signatures from
+    :func:`bist.selftest_results`; a fault is detected when they differ from
+    the plan's golden signatures.
     """
     if granularity not in GRANULARITIES:
         raise SimulationError(f"unknown granularity {granularity!r}")
@@ -133,26 +115,6 @@ def classify(matrix):
     return _classes(matrix, range(len(matrix.faults)))
 
 
-def refine(matrix, netlist, universe, extra_patterns):
-    """Extend the observation set with more patterns; classes can only split.
-
-    Returns (before report, after report, combined matrix).
-    """
-    if matrix.granularity != "pattern":
-        raise SimulationError("refine works on pattern-granularity matrices")
-    before = classify(matrix)
-    extended = build_matrix(netlist, universe, list(extra_patterns), "pattern")
-    if extended.faults != matrix.faults:
-        raise SimulationError("refine needs the same fault universe")
-    rows = tuple(a + b for a, b in zip(matrix.rows, extended.rows))
-    detected = tuple(a or b for a, b in zip(matrix.detected, extended.detected))
-    combined = DiagnosticMatrix("pattern",
-                                matrix.pattern_count + extended.pattern_count,
-                                matrix.faults, rows, detected)
-    after = classify(combined)
-    return before, after, combined
-
-
 def classify_per_block(matrix, fault_blocks):
     """Per-block class statistics (the per-component rows of the report).
 
@@ -165,19 +127,3 @@ def classify_per_block(matrix, fault_blocks):
         if block is not None:
             members.setdefault(block, []).append(i)
     return {block: _classes(matrix, idx) for block, idx in members.items()}
-
-
-def export_matrix(matrix, path):
-    """Packed binary rows with a JSON header (fault dictionary + metadata)."""
-    header = {
-        "granularity": matrix.granularity,
-        "pattern_count": matrix.pattern_count,
-        "faults": [f.key for f in matrix.faults],
-        "row_bytes": len(matrix.rows[0]) if matrix.rows else 0,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        for row in matrix.rows:
-            fh.write(row)

@@ -11,8 +11,9 @@ Stuck-at simulation paths are kept deliberately separate:
   them; :func:`stimulus` transposes a pattern list once. Both kernels have
   ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults)``
   (one detection plane per stuck-at or transition fault),
-  ``folded(faults, taps, width)`` (per fault, its error planes XOR-folded
-  into MISR word bits) and ``toggle_activity()``.
+  ``folded(faults, taps, width)`` (per stuck-at fault, its error planes
+  XOR-folded into MISR word bits; a transition fault is refused) and
+  ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
   the whole pattern set, and each fault re-evaluates only the gates of its
   fanout cone whose inputs differ from the fault-free planes
@@ -75,13 +76,6 @@ class FaultUniverse:
     def __init__(self, faults, collapse_map=None):
         self.faults = faults
         self.collapse_map = collapse_map
-
-    @property
-    def counts(self):
-        c = {}
-        for f in self.faults:
-            c[f.kind] = c.get(f.kind, 0) + 1
-        return c
 
     def __len__(self):
         return len(self.faults)
@@ -274,9 +268,8 @@ def fault_blocks(netlist, faults):
 
 
 def coverage(report):
-    """Summary table over a report; an empty universe is an error, not 100%."""
-    if not report.faults:
-        raise SimulationError("empty fault universe")
+    """Summary table over a report; an empty universe is an error, not 100%
+    (:attr:`CoverageReport.coverage` raises it)."""
     summary = {"total": {"faults": len(report.faults),
                          "detected": report.detected,
                          "coverage": report.coverage}}
@@ -516,6 +509,8 @@ class FaultKernel(_Kernel):
         nets whose plane differs from the fault-free one."""
         good = self._good
         mask = self.mask
+        if fault.kind not in SA_KINDS:
+            raise SimulationError("FaultKernel.faulty handles stuck-at faults only")
         stuck = mask if fault.kind == "SA1" else 0
         if fault.pin is None:
             site, value = self.index[fault.net], stuck
@@ -604,8 +599,10 @@ def sequential_sim(netlist, patterns, faults, taps, width):
         keep, force = table.get(key, (full, 0))
         if f.kind == "SA1":
             force |= 2 << k
-        else:
+        elif f.kind == "SA0":
             keep &= ~(2 << k)
+        else:
+            raise SimulationError("sequential_sim handles stuck-at faults only")
         table[key] = (keep, force)
     ops = []
     for pos, (kind, out, ins) in enumerate(gates):

@@ -41,11 +41,11 @@ def seqmini_plan(count=20):
 
 
 @functools.cache
-def gen_inputs():
-    """The benchmark's input generator ``perfbench/gen_inputs.py``,
-    imported, not copied."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "gen_inputs.py"
-    spec = importlib.util.spec_from_file_location("gen_inputs", path)
+def perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py`` (the input generator
+    ``gen_inputs``, the span table ``trace_shim``), imported, not copied."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,6 +54,27 @@ def gen_inputs():
 def exhaustive_patterns(netlist):
     return [tuple(p) for p in
             itertools.product([0, 1], repeat=len(netlist.primary_inputs))]
+
+
+def to_bench(netlist):
+    """``netlist`` as .bench text that :func:`circuit.parse_netlist` reads
+    back to the same netlist, block and init pragmas included."""
+    lines = [f"# {netlist.name}"]
+    for b in netlist.blocks:
+        lines.append(f"#@block {b.name} in: {','.join(b.input_port)} "
+                     f"out: {','.join(b.output_port)}")
+    for f in netlist.flops:
+        if f.init:
+            lines.append(f"#@init {f.q} 1")
+    for n in netlist.primary_inputs:
+        lines.append(f"INPUT({n})")
+    for n in netlist.primary_outputs:
+        lines.append(f"OUTPUT({n})")
+    for f in netlist.flops:
+        lines.append(f"{f.q} = DFF({f.d})")
+    for g in netlist.gates:
+        lines.append(f"{g.output} = {g.kind}({', '.join(g.inputs)})")
+    return "\n".join(lines) + "\n"
 
 
 def random_combinational(rng, n_in=4, n_gates=10, name="rand"):
@@ -138,7 +159,7 @@ def random_plan(rng, base, count, n_blocks):
         len(base.nets), 3 * p.degree + 1))) for p in polys]
     pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
                for k, (i, o) in enumerate(zip(in_ports, out_ports))]
-    bench = [line for line in base.to_bench().splitlines()
+    bench = [line for line in to_bench(base).splitlines()
              if not line.startswith("#@block")]
     netlist = circuit.parse_netlist("\n".join(pragmas + bench),
                                     name=base.name)

@@ -6,6 +6,7 @@ faults by brute-force forcing, signatures by stage-by-stage list shifting.
 """
 
 import itertools
+from collections import namedtuple
 
 GATE_FN = {
     "AND": lambda vs: int(all(vs)),
@@ -168,6 +169,22 @@ def pairwise_classes(matrix):
         else:
             classes.append([i])
     return [tuple(c) for c in classes], tuple(undetected)
+
+
+class Syndrome(namedtuple("Syndrome", "fault observations granularity")):
+    """A fault's observations at one granularity."""
+
+    __slots__ = ()
+
+    def canonical(self):
+        """Platform-independent bytes used as the classification key."""
+        if self.granularity == "pattern":
+            bits = 0
+            for i, b in enumerate(self.observations):
+                bits |= int(bool(b)) << i
+            n = (len(self.observations) + 7) // 8
+            return bits.to_bytes(n, "little")
+        return b"".join(v.to_bytes(8, "little") for v in self.observations)
 
 
 def misr_stepwise(taps, degree, words):

@@ -6,7 +6,7 @@ from corebist import bist, circuit, compactor, faultsim, fixture_path, tpg
 from corebist.errors import PlanError, SimulationError
 
 import oracle
-from conftest import gen_inputs, random_plan_case, seqmini_plan
+from conftest import perfbench, random_plan_case, seqmini_plan
 from test_equivalence import cells
 
 
@@ -207,6 +207,16 @@ def test_misr_detection_rate_mini(mini10, mini_plan):
         bist.misr_detection_rate(mini10, mini_plan, tdf)
 
 
+def test_signature_path_refuses_transition_faults(mini10, mini_plan, seqmini):
+    # folding a slow-to-rise fault as its stuck-at-0 stem would report the
+    # SA0 signature for it
+    for netlist, plan in ((mini10, mini_plan), (seqmini, seqmini_plan())):
+        fault = faultsim.FaultDescriptor(netlist.primary_outputs[0], "STR")
+        with pytest.raises(SimulationError, match="stuck-at faults only"):
+            bist.selftest_results(netlist, plan, (fault,),
+                                  bist.plan_stimulus(netlist, plan))
+
+
 def test_case_study_golden_signatures_stable(core, core_plan):
     fresh = bist.compute_golden(core, core_plan._replace(golden=None))
     assert [s.value for s in fresh.golden] == \
@@ -307,7 +317,7 @@ def test_sequential_signatures_transpose_only_the_folded_bits(monkeypatch):
     # bits: the signature pass transposes the fault-free planes, the
     # detection planes and one plane set per folded bit, not one per
     # observation net
-    g = gen_inputs()
+    g = perfbench("gen_inputs")
     s = g.SEQ_SHAPE
     rng = random.Random("folded-bits")
     netlist = circuit.parse_netlist(g.seq_bench(

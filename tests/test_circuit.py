@@ -6,7 +6,8 @@ from corebist import circuit, fixture_path
 from corebist.errors import NetlistError, SimulationError
 
 import oracle
-from conftest import exhaustive_patterns, random_combinational, random_patterns
+from conftest import (exhaustive_patterns, random_combinational, random_patterns,
+                      to_bench)
 
 
 def test_smallest_legal_circuit():
@@ -163,13 +164,13 @@ def test_sequential_matches_oracle(seqmini):
 
 def test_roundtrip_parse_serialize_parse(mini10, seqmini):
     for n in (mini10, seqmini):
-        n2 = circuit.parse_netlist(n.to_bench(), name=n.name)
+        n2 = circuit.parse_netlist(to_bench(n), name=n.name)
         assert n2.primary_inputs == n.primary_inputs
         assert n2.primary_outputs == n.primary_outputs
         assert n2.gates == n.gates
         assert n2.flops == n.flops
         assert n2.blocks == n.blocks
-        assert n2.to_bench() == n.to_bench()
+        assert to_bench(n2) == to_bench(n)
 
 
 # -- toggle activity ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import random
@@ -11,7 +13,7 @@ from corebist import (access, bist, circuit, cli, compactor, faultsim,
                       fixture_path, tpg)
 from corebist.errors import PlanError
 
-from conftest import random_sequential, seqmini_plan
+from conftest import perfbench, random_sequential, seqmini_plan, to_bench
 
 
 MINI = str(fixture_path("mini10.bench"))
@@ -171,7 +173,7 @@ def _sequential_core(tmp_path):
     netlist = random_sequential(random.Random(0x5EC), n_in=4, n_flops=4,
                                 n_gates=30, name="seqcli")
     bench = tmp_path / "seqcli.bench"
-    bench.write_text(netlist.to_bench())
+    bench.write_text(to_bench(netlist))
     (block,) = netlist.blocks
     plan = bist.BistPlan(
         tpg.Polynomial.parse("x^4+x+1"), 0x9,
@@ -487,6 +489,19 @@ def test_commands_never_run_the_oracle(tmp_path, monkeypatch):
                         granularity, *out]) == 0
     assert run(["tap", TRACE, CORE, "--plan", CORE_PLAN, "--expect", TRACE,
                 *out]) == 0
+
+
+def test_every_benchmark_span_names_a_corebist_function():
+    # the traced benchmark run wraps each SPANS entry by name, so deleting
+    # or renaming one of these functions breaks that run
+    for short, names in perfbench("trace_shim").SPANS.items():
+        module = importlib.import_module(f"corebist.{short}")
+        for name in names:
+            fn = module
+            for part in name.split("."):      # "Class.method" names a method
+                fn = getattr(fn, part, None)
+            assert inspect.isfunction(fn), f"{short}.{name}"
+            assert fn.__module__ == module.__name__, f"{short}.{name}"
 
 
 def test_sequential_bist_and_tdf_run_one_pass(tmp_path, monkeypatch):

@@ -105,10 +105,10 @@ def test_collapsed_equivalents_share_syndrome(mini10):
 def test_refine_with_same_patterns_never_splits(mini10):
     pats = _alfsr_patterns(mini10, 16, degree=4, seed=0x9)
     u = faultsim.enumerate_faults(mini10)
-    m = diagnosis.build_matrix(mini10, u, pats)
-    before, after, _ = diagnosis.refine(m, mini10, u, pats)
-    assert len(after.classes) == len(before.classes)
-    assert sorted(before.classes) == sorted(after.classes)
+    before, after = (diagnosis.classify(diagnosis.build_matrix(mini10, u, p))
+                     for p in (pats, pats + pats))
+    assert after.classes == before.classes
+    assert after.undetected == before.undetected
 
 
 def test_refine_splits_with_distinguishing_pattern(and2):
@@ -116,10 +116,10 @@ def test_refine_splits_with_distinguishing_pattern(and2):
     # detects y SA1 only and splits the pair
     u = faultsim.FaultUniverse((faultsim.FaultDescriptor("a", "SA1"),
                                 faultsim.FaultDescriptor("y", "SA1")))
-    m = diagnosis.build_matrix(and2, u, [(0, 1)])
-    before, after, _ = diagnosis.refine(m, and2, u, [(0, 0)])
-    assert len(before.classes) == 1
-    assert len(after.classes) == 2
+    before, after = (diagnosis.classify(diagnosis.build_matrix(and2, u, p))
+                     for p in ([(0, 1)], [(0, 1), (0, 0)]))
+    assert before.classes == ((0, 1),)
+    assert after.classes == ((0,), (1,))
 
 
 def test_doubling_patterns_never_increases_mean_size(seventeen):
@@ -132,11 +132,10 @@ def test_doubling_patterns_never_increases_mean_size(seventeen):
         if prev_mean is not None and report.classes:
             assert report.mean_size <= prev_mean + 1e-9
         prev_mean = report.mean_size
-    # refinement monotonicity, stated directly: classes only split
-    m8 = diagnosis.build_matrix(seventeen, u, pats[:8])
-    _, after, _ = diagnosis.refine(m8, seventeen, u, pats[8:64])
-    for c in after.classes:
-        base = diagnosis.classify(m8)
+    # refinement monotonicity, stated directly: each class over all 64
+    # patterns lies inside one class over the first 8, or their undetected
+    base = diagnosis.classify(diagnosis.build_matrix(seventeen, u, pats[:8]))
+    for c in report.classes:
         assert any(set(c) <= set(b) for b in
                    list(base.classes) + [base.undetected])
 
@@ -239,18 +238,3 @@ def test_per_block_partition(seventeen):
     blk = table["MAIN"]
     in_block = sum(1 for b in report.fault_blocks if b == "MAIN")
     assert blk.fault_count == in_block
-
-
-def test_export_matrix_roundtrip(tmp_path, and2):
-    u = faultsim.enumerate_faults(and2)
-    m = diagnosis.build_matrix(and2, u, exhaustive_patterns(and2))
-    path = tmp_path / "matrix.bin"
-    diagnosis.export_matrix(m, path)
-    raw = path.read_bytes()
-    n = int.from_bytes(raw[:4], "little")
-    header = json.loads(raw[4:4 + n])
-    assert header["faults"] == [f.key for f in m.faults]
-    body = raw[4 + n:]
-    rb = header["row_bytes"]
-    rows = tuple(body[i * rb:(i + 1) * rb] for i in range(len(m.faults)))
-    assert rows == m.rows

@@ -27,7 +27,7 @@ from corebist import (access, bist, circuit, compactor, diagnosis, faultsim,
 from corebist.errors import SimulationError
 
 import oracle
-from conftest import (gen_inputs, random_combinational, random_patterns,
+from conftest import (perfbench, random_combinational, random_patterns,
                       random_plan, random_sequential, seqmini_plan, tap_script)
 
 # core -> the blocks the plan builder cuts it into (None: its own plan)
@@ -55,8 +55,8 @@ def matrix_core(name):
     elif name == "rseq":
         base = random_sequential(rng, n_in=4, n_flops=4, n_gates=20, name=name)
     else:   # from the benchmark's generator
-        base = circuit.parse_netlist(gen_inputs().seq_bench(rng, 6, 6, 30, 4),
-                                     name=name)
+        bench = perfbench("gen_inputs").seq_bench(rng, 6, 6, 30, 4)
+        base = circuit.parse_netlist(bench, name=name)
     return random_plan(rng, base, 64, CORE_BLOCKS[name])
 
 
@@ -347,7 +347,7 @@ def matrix_pattern(core, count):
     detect = replay(core, count)[2]
     for f, got, det in zip(m.faults, m.rows, m.detected):
         vec = tuple(bool(detect[f] >> t & 1) for t in range(count))
-        assert got == diagnosis.Syndrome(f, vec, "pattern").canonical(), f.key
+        assert got == oracle.Syndrome(f, vec, "pattern").canonical(), f.key
         assert det == any(vec), f.key
 
 
