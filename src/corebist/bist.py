@@ -471,7 +471,7 @@ def compute_golden(netlist, plan):
 
 def run_selftest(netlist, plan, injected=None, require_golden=True):
     """Execute the full self-test; optional stuck-at injection for
-    MISR-level detection studies."""
+    MISR-level detection studies (a transition fault is refused)."""
     if require_golden and plan.golden is None:
         raise PlanError("plan has no golden signatures (run compute_golden)")
     session = BistSession(netlist, plan)
@@ -604,8 +604,8 @@ def selftest_results(netlist, plan, faults, kernel):
 
 def misr_detection_rate(netlist, plan, universe):
     """Compaction loss: put every pre-MISR-detected fault through the
-    signature path, which refuses transition faults, and list the ones the
-    MISRs alias away."""
+    signature path and list the ones the MISRs alias away. A transition
+    fault has no stuck value, so the signature path refuses it."""
     if plan.golden is None:
         raise PlanError("plan has no golden signatures")
     stimulus = plan_stimulus(netlist, plan)

@@ -175,7 +175,8 @@ def evaluate(netlist, state, inputs, fault=None):
     flop Q nets at the value the logic read (a stuck Q net at its stuck
     value), and ``state`` is the flop state the edge leaves, Q net -> the
     settled D value. ``fault`` optionally injects a stuck-at fault (see
-    faultsim); this single scalar path is shared by golden and faulty runs.
+    faultsim; a transition fault is refused); this single scalar path is
+    shared by golden and faulty runs.
     """
     pis = netlist.primary_inputs
     if len(inputs) != len(pis):
@@ -190,7 +191,7 @@ def evaluate(netlist, state, inputs, fault=None):
     # the faulted gate (stem driver or branch reader), decoded once
     faulted = pin = None
     if fault is not None:
-        stuck = 1 if fault.kind == "SA1" else 0
+        stuck = fault.stuck(1)
         if fault.pin is None:
             if fault.net in vals:
                 vals[fault.net] = stuck

@@ -8,11 +8,11 @@ Stuck-at simulation paths are kept deliberately separate:
   never calls either kernel.
 * :func:`kernel` builds the kernel that fits the netlist from one input
   plane per primary input (bit t = pattern t), as the BIST plan builds
-  them; :func:`stimulus` transposes a pattern list once. Both kernels have
-  ``len()``, ``index``, the fault-free planes ``good``, ``planes(faults)``
-  (one detection plane per stuck-at or transition fault),
-  ``folded(faults, taps, width)`` (per stuck-at fault, its error planes
-  XOR-folded into MISR word bits; a transition fault is refused) and
+  them; :func:`stimulus` transposes a pattern list once. Each kernel has
+  one fault primitive, ``_errors``; on it both build ``len()``, ``index``,
+  the fault-free planes ``good``, ``planes(faults)`` (one detection plane
+  per stuck-at or transition fault), ``folded(faults, taps, width)`` (per
+  stuck-at fault, its error planes XOR-folded into MISR word bits) and
   ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
   the whole pattern set, and each fault re-evaluates only the gates of its
@@ -34,7 +34,9 @@ oracle's, and that equivalence is the main regression property.
 Fault model: stuck-at faults live on net stems and, where a net fans out to
 more than one gate pin, on the individual branch pins; transition-delay
 faults (slow-to-rise STR, slow-to-fall STF) live on net stems only and are
-detected launch-on-capture over consecutive pattern pairs.
+detected launch-on-capture over consecutive pattern pairs. A transition
+fault has no stuck value, so every path that would simulate it as stuck-at
+refuses it; :meth:`_Kernel.planes` reads its stem stuck-at fault instead.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class FaultDescriptor(record("FaultDescriptor", "net kind gate pin",
     @property
     def key(self):
         return f"{self.site}:{self.kind}"
+
+    def stuck(self, one):
+        """The value the fault forces: ``one`` (a bit, plane or word of
+        ones) for SA1, 0 for SA0; a transition fault has none."""
+        if self.kind == "SA1":
+            return one
+        if self.kind == "SA0":
+            return 0
+        raise SimulationError(f"{self.key}: a transition fault has no stuck "
+                              "value; this path simulates stuck-at faults only")
 
 
 class FaultUniverse:
@@ -295,14 +307,11 @@ def _serial_detect(netlist, patterns, obs, golden, fault):
 
 def serial_fault_sim(netlist, universe, patterns):
     """Oracle stuck-at fault simulation: one fault, one pattern at a time,
-    in this process."""
+    in this process; :func:`circuit.evaluate` refuses a transition fault."""
     patterns = [tuple(p) for p in patterns]
     if not patterns:
         raise SimulationError("no patterns")
     faults = universe.faults
-    for f in faults:
-        if f.kind not in SA_KINDS:
-            raise SimulationError("serial_fault_sim handles stuck-at faults only")
     obs = observation_nets(netlist)
     golden = [tuple(st[n] for n in obs)
               for st in circuit.run_patterns(netlist, patterns)]
@@ -392,13 +401,15 @@ def _op_table(netlist):
 class _Kernel:
     """What both kernels share: ``n`` patterns given as one input plane per
     primary input, the op table of :func:`_op_table` (``index`` is its net
-    index), the fault-free planes (:attr:`good`, kept once computed) and
-    the detection planes. ``len(kernel)`` is the pattern count. A subclass
-    sets ``_good``, simulates faults in ``_simulate`` and has
-    ``folded(faults, taps, width)``: ``taps`` maps a net index to the word
-    bits 0..width-1 it feeds (a net listed twice on one bit cancels), and
-    per fault it gives ``width`` planes, each the XOR of ``faulty ^
-    fault-free`` over the nets that feed that bit."""
+    index), and, on top of each kernel's one fault primitive, the
+    fault-free planes (:attr:`good`, kept once computed), the detection
+    planes and the folded error planes. ``len(kernel)`` is the pattern
+    count. A subclass sets ``_good`` and has the primitive
+    ``_errors(faults, taps, width)``: per stuck-at fault (a transition
+    fault has no stuck value, so it is refused), its detection plane and
+    ``width`` planes, each the XOR of ``faulty ^ fault-free`` over the nets
+    that feed that word bit (``taps``: net index -> the bits 0..width-1 it
+    feeds; a net listed twice on one bit cancels)."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -420,7 +431,7 @@ class _Kernel:
     def good(self):
         """Every net's fault-free plane, in ``netlist.nets`` order."""
         if self._good is None:
-            self._simulate(())
+            self._errors((), {}, 0)
         return self._good
 
     def planes(self, faults):
@@ -438,7 +449,8 @@ class _Kernel:
             raise SimulationError(
                 "transition fault simulation needs >= 2 patterns")
         run = list(dict.fromkeys(stems.get(f, f) for f in faults))
-        diffs = dict(zip(run, self._simulate(run)))
+        diffs = {f: plane for f, (plane, _) in
+                 zip(run, self._errors(run, {}, 0))}
         good, full = self.good, self.mask & ~1
         out = []
         for f in faults:
@@ -449,6 +461,11 @@ class _Kernel:
                 plane &= edge & full
             out.append(plane)
         return out
+
+    def folded(self, faults, taps, width):
+        """Per stuck-at fault, its ``width`` folded error planes over
+        ``taps`` (:class:`_Kernel`); as lazy as ``_errors``."""
+        return (words for _, words in self._errors(faults, taps, width))
 
     def toggle_activity(self):
         """:func:`circuit.toggle_activity` over the kernel's patterns, read
@@ -509,9 +526,7 @@ class FaultKernel(_Kernel):
         nets whose plane differs from the fault-free one."""
         good = self._good
         mask = self.mask
-        if fault.kind not in SA_KINDS:
-            raise SimulationError("FaultKernel.faulty handles stuck-at faults only")
-        stuck = mask if fault.kind == "SA1" else 0
+        stuck = fault.stuck(mask)
         if fault.pin is None:
             site, value = self.index[fault.net], stuck
         else:
@@ -535,27 +550,20 @@ class FaultKernel(_Kernel):
                 faulty[out] = value
         return faulty
 
-    def folded(self, faults, taps, width):
+    def _errors(self, faults, taps, width):
         """Lazily, one cone walk per fault (the contract: :class:`_Kernel`);
-        only the nets the fault changes are looked up in ``taps``."""
-        good = self._good
-        for fault in faults:
-            words = [0] * width
-            for net, value in self.faulty(fault).items():
-                for bit in taps.get(net, ()):
-                    words[bit] ^= value ^ good[net]
-            yield words
-
-    def _simulate(self, faults):
+        only the nets the fault changes are looked up in the observation
+        nets and in ``taps``."""
         good, obs = self._good, self._obs
-        diffs = []
         for fault in faults:
-            diff = 0
+            diff, words = 0, [0] * width
             for net, value in self.faulty(fault).items():
+                error = value ^ good[net]
                 if net in obs:
-                    diff |= value ^ good[net]
-            diffs.append(diff)
-        return diffs
+                    diff |= error
+                for bit in taps.get(net, ()):
+                    words[bit] ^= error
+            yield diff, words
 
 
 # -- fault-parallel sequential kernel -----------------------------------------
@@ -597,13 +605,7 @@ def sequential_sim(netlist, patterns, faults, taps, width):
         else:
             table, key = pins, (driver[index[f.gate]], f.pin)
         keep, force = table.get(key, (full, 0))
-        if f.kind == "SA1":
-            force |= 2 << k
-        elif f.kind == "SA0":
-            keep &= ~(2 << k)
-        else:
-            raise SimulationError("sequential_sim handles stuck-at faults only")
-        table[key] = (keep, force)
+        table[key] = (keep & ~(2 << k), force | f.stuck(2 << k))
     ops = []
     for pos, (kind, out, ins) in enumerate(gates):
         forced = tuple(pins.get((pos, pin)) for pin in range(len(ins)))
@@ -661,16 +663,11 @@ class SequentialStimulus(_Kernel):
     over its faults.
     """
 
-    def _simulate(self, faults):
-        self._good, diffs, _ = sequential_sim(
-            self.netlist, pattern_rows(self.inputs, self.n), faults, {}, 0)
-        return diffs
-
-    def folded(self, faults, taps, width):
-        self._good, _, folded = sequential_sim(
+    def _errors(self, faults, taps, width):
+        self._good, diffs, folded = sequential_sim(
             self.netlist, pattern_rows(self.inputs, self.n), faults, taps,
             width)
-        return folded
+        return zip(diffs, folded or [()] * len(diffs))
 
 
 def kernel(netlist, inputs, n):

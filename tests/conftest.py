@@ -2,7 +2,6 @@ import functools
 import importlib.util
 import itertools
 import pathlib
-import random
 
 import pytest
 

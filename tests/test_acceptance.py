@@ -3,13 +3,10 @@ pass/fail line. Criterion 8 freezes its measured reports as regression
 baselines under tests/baselines/ on first run and compares bytes afterwards.
 """
 
-import json
 import os
 import random
 import shutil
 import time
-
-import pytest
 
 from corebist import (access, bist, circuit, cli, compactor, diagnosis,
                       faultsim, fixture_path, tpg)

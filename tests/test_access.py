@@ -1,6 +1,6 @@
 import pytest
 
-from corebist import access, bist, circuit, compactor, fixture_path
+from corebist import access, bist, circuit, fixture_path
 from corebist.access import TapState as T
 from corebist.errors import ProtocolError
 

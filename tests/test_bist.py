@@ -208,13 +208,28 @@ def test_misr_detection_rate_mini(mini10, mini_plan):
 
 
 def test_signature_path_refuses_transition_faults(mini10, mini_plan, seqmini):
-    # folding a slow-to-rise fault as its stuck-at-0 stem would report the
-    # SA0 signature for it
+    # a transition fault has no stuck value: simulating a slow-to-rise fault
+    # as its stuck-at-0 stem would report the SA0 signature for it, on the
+    # kernels' signature path and on every scalar entry point alike
     for netlist, plan in ((mini10, mini_plan), (seqmini, seqmini_plan())):
         fault = faultsim.FaultDescriptor(netlist.primary_outputs[0], "STR")
         with pytest.raises(SimulationError, match="stuck-at faults only"):
             bist.selftest_results(netlist, plan, (fault,),
                                   bist.plan_stimulus(netlist, plan))
+    pattern = (1,) * len(mini10.primary_inputs)
+    tdf = faultsim.enumerate_faults(mini10, faultsim.TDF_KINDS)
+    scalar = (
+        lambda f: circuit.evaluate(mini10, circuit.initial_state(mini10),
+                                   pattern, fault=f),
+        lambda f: list(circuit.run_patterns(mini10, [pattern], f)),
+        lambda f: bist.run_selftest(mini10, mini_plan, injected=f),
+        lambda f: faultsim.serial_fault_sim(mini10, tdf, [pattern]),
+    )
+    for kind in faultsim.TDF_KINDS:
+        fault = faultsim.FaultDescriptor(mini10.primary_outputs[0], kind)
+        for entry in scalar:
+            with pytest.raises(SimulationError, match="stuck-at faults only"):
+                entry(fault)
 
 
 def test_case_study_golden_signatures_stable(core, core_plan):

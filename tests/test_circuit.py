@@ -6,8 +6,7 @@ from corebist import circuit, fixture_path
 from corebist.errors import NetlistError, SimulationError
 
 import oracle
-from conftest import (exhaustive_patterns, random_combinational, random_patterns,
-                      to_bench)
+from conftest import random_combinational, random_patterns, to_bench
 
 
 def test_smallest_legal_circuit():

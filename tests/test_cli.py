@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -919,6 +921,25 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command, loads,
     assert loads in loaded
     unwanted = (skips | _UNWANTED) & loaded
     assert not unwanted, unwanted
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    # the project has no linter; the package's __init__ imports names to
+    # re-export them
+    root = pathlib.Path(SRC).parent
+    unused = []
+    for path in sorted({*root.glob("src/corebist/*.py"),
+                        *root.glob("tests/*.py"), *root.glob("tools/*.py")}
+                       - {root / "src/corebist/__init__.py"}):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                names = (a.asname or a.name.split(".")[0] for a in node.names)
+                unused += [f"{path.relative_to(root)}:{node.lineno}: {name}"
+                           for name in names if name not in read]
+    assert not unused, unused
 
 
 def test_package_attributes_load_submodules_on_first_use():

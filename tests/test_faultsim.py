@@ -189,18 +189,10 @@ def test_sequential_fault_sim_matches_oracle(seqmini):
 # The equivalence matrix (test_equivalence.py) holds the kernel-vs-oracle
 # cases; a test that calls `cells` runs the cells that took over its own.
 
-def test_parallel_equals_serial_on_fixture():
-    cells("planes", ["seventeen"], [64])
-
-
 def test_parallel_rejects_empty_patterns(seventeen):
     u = faultsim.enumerate_faults(seventeen)
     with pytest.raises(SimulationError, match="no patterns"):
         faultsim.parallel_fault_sim(seventeen, u, [])
-
-
-def test_parallel_handles_word_tail():
-    cells("planes", ["mini10"], [65, 97])
 
 
 def test_parallel_equals_serial_on_random_netlists():
@@ -213,14 +205,6 @@ def test_sequential_falls_back_to_serial():
 
 
 # -- compiled kernel against the oracle ------------------------------------------
-
-def test_kernel_matches_serial_and_brute_force():
-    cells("planes", ["rcomb"])
-
-
-def test_kernel_faulty_planes_match_brute_force():
-    cells("faulty", ["mini10", "seventeen", "rcomb"])
-
 
 def test_kernel_toggle_activity_matches_scalar():
     # the case-study core; the matrix's toggle row holds the small cores
@@ -278,10 +262,6 @@ def test_kernel_rejects_sequential_and_empty(seqmini, mini10):
         faultsim.stimulus(mini10, [(0, 1)])
     with pytest.raises(SimulationError, match="2 input planes for 4"):
         faultsim.FaultKernel(mini10, [0, 1], 1)
-
-
-def test_detection_planes_sequential_match_brute_force():
-    cells("planes", ["seqmini"])
 
 
 # -- fault-parallel sequential kernel against the oracle ----------------------------
@@ -375,10 +355,6 @@ def test_tdf_needs_two_patterns(and2):
         faultsim.tdf_sim(and2, u, [(1, 1)])
 
 
-def test_tdf_matches_pairwise_brute_force():
-    cells("tdf", ["mini10"], [64])
-
-
 def test_tdf_detection_implies_sa_observable(mini10):
     rng = random.Random(4)
     pats = random_patterns(rng, mini10, 32)
@@ -391,14 +367,6 @@ def test_tdf_detection_implies_sa_observable(mini10):
         [plane] = faultsim.stimulus(mini10, pats).planes(
             [faultsim.FaultDescriptor(f.net, sa)])
         assert (plane >> first) & 1
-
-
-def test_tdf_kernel_matches_pairwise_brute_force():
-    cells("tdf", ["rcomb"])
-
-
-def test_sequential_tdf_matches_brute_force():
-    cells("tdf", ["seqmini"])
 
 
 # -- coverage ---------------------------------------------------------------------
