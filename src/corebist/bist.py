@@ -259,15 +259,12 @@ class ControlUnitState:
 
 
 class BistResult(record("BistResult", "signatures passed patterns_applied")):
-    """A self-test's signatures; ``passed`` holds one bool per block, or
-    None when no golden signatures were available."""
+    """A self-test's signatures; ``passed`` holds one bool per block."""
 
     __slots__ = ()
 
     @property
     def all_pass(self):
-        if self.passed is None:
-            raise PlanError("pass/fail requested without golden signatures")
         return all(self.passed)
 
 
@@ -299,11 +296,6 @@ def check_plan(netlist, plan):
             raise PlanError(f"primary input {n!r} driven by no binding")
 
 
-def _check_count(plan, n):
-    if not 1 <= n <= (1 << plan.counter_width):
-        raise PlanError(f"pattern count {n} outside counter range")
-
-
 class BistSession:
     """One self-test execution context: control unit + generators + MISRs."""
 
@@ -324,7 +316,8 @@ class BistSession:
         self.control = ControlUnitState()
 
     def set_count(self, n):
-        _check_count(self.plan, n)
+        if not 1 <= n <= (1 << self.plan.counter_width):
+            raise PlanError(f"pattern count {n} outside counter range")
         self._pattern_count = n
         self.control.phase = "loading"
 
@@ -411,10 +404,10 @@ def _cg_planes(program, n):
     return planes
 
 
-def plan_planes(netlist, plan, count=None):
+def plan_planes(netlist, plan):
     """The plan's stimulus as one integer plane per primary input, in
     ``netlist.primary_inputs`` order: bit t is the value driven in cycle t,
-    for the first ``count`` cycles (default: the plan's pattern count).
+    for the plan's pattern count of cycles.
 
     At every shift stage 0 of the Fibonacci ALFSR takes the feedback bit and
     stage i takes what stage i-1 held (:func:`tpg.lfsr_next`). So stage i in
@@ -428,8 +421,7 @@ def plan_planes(netlist, plan, count=None):
     cycle-by-cycle oracle of this function.
     """
     check_plan(netlist, plan)
-    n = plan.pattern_count if count is None else count
-    _check_count(plan, n)
+    n = plan.pattern_count
     poly = plan.alfsr_poly
     top = poly.degree - 1
     register = tpg.seed_int(poly, plan.alfsr_seed).register
@@ -457,9 +449,12 @@ def plan_planes(netlist, plan, count=None):
 
 def plan_patterns(netlist, plan, count=None):
     """Primary-input pattern list the plan would apply: the transpose of
-    :func:`plan_planes`, one tuple per cycle."""
-    n = plan.pattern_count if count is None else count
-    return faultsim.pattern_rows(plan_planes(netlist, plan, count), n)
+    :func:`plan_planes`, one tuple per cycle, for the first ``count``
+    cycles (default: the plan's pattern count, which a count replaces)."""
+    if count is not None:
+        plan = plan._replace(pattern_count=count)
+    return faultsim.pattern_rows(plan_planes(netlist, plan),
+                                 plan.pattern_count)
 
 
 def compute_golden(netlist, plan):
@@ -469,28 +464,26 @@ def compute_golden(netlist, plan):
     return plan._replace(golden=session.signatures())
 
 
-def run_selftest(netlist, plan, injected=None, require_golden=True):
-    """Execute the full self-test; optional stuck-at injection for
-    MISR-level detection studies (a transition fault is refused)."""
-    if require_golden and plan.golden is None:
+def run_selftest(netlist, plan, injected=None):
+    """Execute the full self-test against the plan's golden signatures;
+    optional stuck-at injection for MISR-level detection studies (a
+    transition fault is refused)."""
+    if plan.golden is None:
         raise PlanError("plan has no golden signatures (run compute_golden)")
     session = BistSession(netlist, plan)
     session.run(inject=injected)
     sigs = session.signatures()
-    passed = None
-    if plan.golden is not None:
-        ref = {s.block: s.value for s in plan.golden}
-        passed = tuple(s.value == ref[s.block] for s in sigs)
-    return BistResult(sigs, passed, session.control.pattern_counter)
+    ref = {s.block: s.value for s in plan.golden}
+    return BistResult(sigs, tuple(s.value == ref[s.block] for s in sigs),
+                      session.control.pattern_counter)
 
 
-def plan_stimulus(netlist, plan, count=None):
-    """The plan's first ``count`` patterns (default: its pattern count) as
-    the fault simulators take them: :func:`faultsim.kernel` over
-    :func:`plan_planes`, built once and shared by every simulation over
-    those patterns."""
-    n = plan.pattern_count if count is None else count
-    return faultsim.kernel(netlist, plan_planes(netlist, plan, n), n)
+def plan_stimulus(netlist, plan):
+    """The plan's patterns as the fault simulators take them:
+    :func:`faultsim.kernel` over :func:`plan_planes`, built once and shared
+    by every simulation over those patterns."""
+    return faultsim.kernel(netlist, plan_planes(netlist, plan),
+                           plan.pattern_count)
 
 
 def signature_values(netlist, plan, kernel, faults):

@@ -111,7 +111,8 @@ def _resolve_patterns(args, netlist, plan, stream=None):
         return stream, "alfsr"
     count = _pattern_count(spec)
     if count is not None:
-        return bist.plan_stimulus(netlist, plan, count), "alfsr"
+        return (bist.plan_stimulus(netlist, plan._replace(pattern_count=count)),
+                "alfsr")
     return (faultsim.stimulus(netlist, parse_pattern_file(spec, netlist, plan)),
             os.path.basename(spec))
 

@@ -18,9 +18,10 @@ Stuck-at simulation paths are kept deliberately separate:
   the whole pattern set, and each fault re-evaluates only the gates of its
   fanout cone whose inputs differ from the fault-free planes
   (parallel-pattern single-fault propagation).
-* :class:`SequentialStimulus` (flops) runs :func:`sequential_sim`
-  fault-parallel: one word per net per cycle, bit 0 the fault-free machine
-  and bit k+1 fault k, one pass from reset for the whole fault set.
+* :class:`SequentialStimulus` (flops): its ``_errors`` is the PROOFS pass
+  itself, fault-parallel: one word per net per cycle, bit 0 the fault-free
+  machine and bit k+1 fault k, one pass from reset for the whole fault set,
+  on the op table the kernel built once.
 
 :func:`parallel_fault_sim` (any fault kinds) and :func:`tdf_sim` run on
 either kernel. Given a pattern list they build their own kernel; given a
@@ -349,16 +350,6 @@ def pattern_rows(planes, n):
     return list(zip(*(columns[p] for p in planes))) if planes else [()] * n
 
 
-def _pattern_list(netlist, patterns):
-    patterns = [tuple(p) for p in patterns]
-    if not patterns:
-        raise SimulationError("no patterns")
-    width = len(netlist.primary_inputs)
-    if any(len(p) != width for p in patterns):
-        raise SimulationError("input vector width mismatch")
-    return patterns
-
-
 def _lowest(plane):
     """Index of the lowest set bit, or None for 0."""
     return (plane & -plane).bit_length() - 1 if plane else None
@@ -400,16 +391,17 @@ def _op_table(netlist):
 
 class _Kernel:
     """What both kernels share: ``n`` patterns given as one input plane per
-    primary input, the op table of :func:`_op_table` (``index`` is its net
-    index), and, on top of each kernel's one fault primitive, the
+    primary input, the op table of :func:`_op_table` (built once; ``index``
+    is its net index), and, on top of each kernel's one fault primitive, the
     fault-free planes (:attr:`good`, kept once computed), the detection
     planes and the folded error planes. ``len(kernel)`` is the pattern
-    count. A subclass sets ``_good`` and has the primitive
-    ``_errors(faults, taps, width)``: per stuck-at fault (a transition
-    fault has no stuck value, so it is refused), its detection plane and
-    ``width`` planes, each the XOR of ``faulty ^ fault-free`` over the nets
-    that feed that word bit (``taps``: net index -> the bits 0..width-1 it
-    feeds; a net listed twice on one bit cancels)."""
+    count. A subclass sets ``_good`` and has the primitive ``_errors(faults,
+    taps, width)`` (a cone walk per fault, or the PROOFS pass on flops): per
+    stuck-at fault (a transition fault has no stuck value, so it is
+    refused), its detection plane and a list of ``width`` planes, each the
+    XOR of ``faulty ^ fault-free`` over the nets that feed that word bit
+    (``taps``: net index -> the bits 0..width-1 it feeds; a net listed twice
+    on one bit cancels)."""
 
     def __init__(self, netlist, inputs, n):
         if n < 1:
@@ -568,106 +560,89 @@ class FaultKernel(_Kernel):
 
 # -- fault-parallel sequential kernel -----------------------------------------
 
-def sequential_sim(netlist, patterns, faults, taps, width):
-    """Fault-parallel simulation of a netlist with flops from reset, in the
-    style of PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992): the
-    fault-free machine and every stuck-at fault of ``faults`` in one pass
-    over the pattern sequence.
-
-    Every net holds one integer word per cycle: bit 0 is the fault-free
-    machine and bit k+1 the machine with fault k. A stuck-at fault is forced
-    by AND/OR masks, on the net's word for a stem fault and on the (gate,
-    pin) input for a branch fault. Flop Q nets take their D words at the
-    edge, and a Q net's stem masks apply again every cycle, so a stuck Q net
-    stays stuck before the edge.
-
-    Returns ``(good, diffs, folded)``: ``good[i]`` is net i's fault-free
-    plane (bit t = its value in cycle t, flop Q nets pre-edge),
-    ``diffs[k]`` is fault k's detection plane, bit t set iff cycle t's
-    observed outputs differ from the fault-free ones (the contract of
-    :meth:`planes`), and ``folded[k]`` is fault k's ``width`` folded error
-    planes over ``taps`` (the contract of :meth:`_Kernel.folded`; with
-    ``width`` 0, ``folded`` is empty). Each cycle XORs the words of the
-    nets that feed a bit into one word ``x``, whose bit 0 is the
-    fault-free XOR, so its error is ``x ^ full`` if ``x & 1`` else ``x``;
-    the pass keeps ``width`` words per cycle.
-    """
-    patterns = _pattern_list(netlist, patterns)
-    index, gates, driver, obs = _op_table(netlist)
-    pis = [index[n] for n in netlist.primary_inputs]
-    flops = [(index[f.q], index[f.d]) for f in netlist.flops]
-
-    full = (2 << len(faults)) - 1
-    stems, pins = {}, {}
-    for k, f in enumerate(faults):
-        if f.pin is None:
-            table, key = stems, index[f.net]
-        else:
-            table, key = pins, (driver[index[f.gate]], f.pin)
-        keep, force = table.get(key, (full, 0))
-        table[key] = (keep & ~(2 << k), force | f.stuck(2 << k))
-    ops = []
-    for pos, (kind, out, ins) in enumerate(gates):
-        forced = tuple(pins.get((pos, pin)) for pin in range(len(ins)))
-        ops.append((kind, out, ins, forced if any(forced) else None,
-                    stems.pop(out, None)))
-    sources = list(stems.items())   # stem masks on inputs and Q nets
-    taps = list(taps.items())
-
-    v = [0] * len(index)
-    state = [full if f.init else 0 for f in netlist.flops]
-    words, rows, kept = [], [], []
-    for p in patterns:
-        for i, b in zip(pis, p):
-            v[i] = full if b else 0
-        for (q, _), w in zip(flops, state):
-            v[q] = w
-        for i, (keep, force) in sources:
-            v[i] = v[i] & keep | force
-        for kind, out, ins, forced, stuck in ops:
-            if forced is None:
-                w = _eval_gate(kind, [v[i] for i in ins], full)
-            else:
-                w = _eval_gate(kind, [v[i] if m is None else
-                                      v[i] & m[0] | m[1]
-                                      for i, m in zip(ins, forced)], full)
-            v[out] = w if stuck is None else w & stuck[0] | stuck[1]
-        diff = 0
-        for i in obs:
-            w = v[i]
-            diff |= w ^ full if w & 1 else w
-        words.append(diff)
-        xor = [0] * width
-        for i, bits in taps:
-            for bit in bits:
-                xor[bit] ^= v[i]
-        kept.append([x ^ full if x & 1 else x for x in xor])
-        rows.append(bytes(w & 1 for w in v))
-        state = [v[d] for _, d in flops]
-
-    def machines(cycles):     # per-cycle words -> one plane per fault
-        return _columns(format(w, f"0{len(faults) + 1}b")[::-1].encode()
-                        for w in cycles)[1:]
-    bits = [machines(column) for column in zip(*kept)]
-    return _columns(rows), machines(words), [list(p) for p in zip(*bits)]
-
-
 class SequentialStimulus(_Kernel):
-    """The kernel of a netlist with flops, as :func:`kernel` builds it: its
-    fault-free, detection and folded error planes come from
-    :func:`sequential_sim` passes over the patterns, the fault-free ones
-    from the first pass.
-
-    A :meth:`planes` call runs one pass over its stuck-at faults and the
-    stems its transition faults read, and a :meth:`folded` call one pass
+    """The kernel of a netlist with flops, as :func:`kernel` builds it. Its
+    primitive :meth:`_errors` is the pass of PROOFS (Niermann, Cheng &
+    Patel, IEEE TCAD 1992): the fault-free machine and every stuck-at fault
+    of a fault list in one pass from reset, which also gives the fault-free
+    planes. A :meth:`planes` call runs one pass over its stuck-at faults and
+    the stems its transition faults read, a :meth:`folded` call one pass
     over its faults.
     """
 
     def _errors(self, faults, taps, width):
-        self._good, diffs, folded = sequential_sim(
-            self.netlist, pattern_rows(self.inputs, self.n), faults, taps,
-            width)
-        return zip(diffs, folded or [()] * len(diffs))
+        """One pass (the contract: :class:`_Kernel`), run when called.
+
+        Every net holds one integer word per cycle: bit 0 is the fault-free
+        machine and bit k+1 the machine with fault k. A stuck-at fault is
+        forced by AND/OR masks, on the net's word for a stem fault and on the
+        (gate, pin) input for a branch fault. Flop Q nets take their D words
+        at the edge, and a Q net's stem masks apply again every cycle, so a
+        stuck Q net stays stuck before the edge. Each cycle keeps the
+        observed error word (bit k+1 set iff fault k's observed outputs
+        differ) and, per word bit, the XOR ``x`` of the words of the nets
+        that feed it, whose bit 0 is the fault-free XOR, so its error is
+        ``x ^ full`` if ``x & 1`` else ``x``. Each kept column is then
+        transposed into one plane per fault. The fault-free planes
+        (:attr:`good`, flop Q nets pre-edge) come from bit 0 of every net.
+        """
+        index, driver = self.index, self._driver
+        pis = [index[n] for n in self.netlist.primary_inputs]
+        flops = [(index[f.q], index[f.d]) for f in self.netlist.flops]
+
+        full = (2 << len(faults)) - 1
+        stems, pins = {}, {}
+        for k, f in enumerate(faults):
+            if f.pin is None:
+                table, key = stems, index[f.net]
+            else:
+                table, key = pins, (driver[index[f.gate]], f.pin)
+            keep, force = table.get(key, (full, 0))
+            table[key] = (keep & ~(2 << k), force | f.stuck(2 << k))
+        ops = []
+        for pos, (kind, out, ins) in enumerate(self._ops):
+            forced = tuple(pins.get((pos, pin)) for pin in range(len(ins)))
+            ops.append((kind, out, ins, forced if any(forced) else None,
+                        stems.pop(out, None)))
+        sources = list(stems.items())   # stem masks on inputs and Q nets
+        taps = list(taps.items())
+
+        v = [0] * len(index)
+        state = [full if f.init else 0 for f in self.netlist.flops]
+        rows, kept = [], []
+        for p in pattern_rows(self.inputs, self.n):
+            for i, b in zip(pis, p):
+                v[i] = full if b else 0
+            for (q, _), w in zip(flops, state):
+                v[q] = w
+            for i, (keep, force) in sources:
+                v[i] = v[i] & keep | force
+            for kind, out, ins, forced, stuck in ops:
+                if forced is None:
+                    w = _eval_gate(kind, [v[i] for i in ins], full)
+                else:
+                    w = _eval_gate(kind, [v[i] if m is None else
+                                          v[i] & m[0] | m[1]
+                                          for i, m in zip(ins, forced)], full)
+                v[out] = w if stuck is None else w & stuck[0] | stuck[1]
+            diff = 0
+            for i in self._obs:
+                w = v[i]
+                diff |= w ^ full if w & 1 else w
+            xor = [0] * width
+            for i, bits in taps:
+                for bit in bits:
+                    xor[bit] ^= v[i]
+            kept.append([diff] + [x ^ full if x & 1 else x for x in xor])
+            rows.append(bytes(w & 1 for w in v))
+            state = [v[d] for _, d in flops]
+        self._good = _columns(rows)
+
+        def machines(cycles):     # per-cycle words -> one plane per fault
+            return _columns(format(w, f"0{len(faults) + 1}b")[::-1].encode()
+                            for w in cycles)[1:]
+        return [(diff, words) for diff, *words in
+                zip(*map(machines, zip(*kept)))]
 
 
 def kernel(netlist, inputs, n):
@@ -686,7 +661,9 @@ def stimulus(netlist, patterns):
     planes; ``patterns`` itself when it already is a kernel."""
     if isinstance(patterns, _Kernel):
         return patterns
-    patterns = _pattern_list(netlist, patterns)
+    patterns = [tuple(p) for p in patterns]
+    if any(len(p) != len(netlist.primary_inputs) for p in patterns):
+        raise SimulationError("input vector width mismatch")
     return kernel(netlist, _columns(patterns), len(patterns))
 
 

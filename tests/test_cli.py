@@ -205,12 +205,12 @@ def test_sequential_saf_and_tdf_share_one_pass(tmp_path, monkeypatch):
     bench, plan = _sequential_core(tmp_path)
     args = ["faultsim", bench, "--plan", plan, "--kinds", "saf,tdf"]
     passes = []
-    real = faultsim.sequential_sim
+    real = faultsim.SequentialStimulus._errors
 
-    def counting(netlist, patterns, faults, *fold):
+    def counting(kernel, faults, *fold):
         passes.append(len(faults))
-        return real(netlist, patterns, faults, *fold)
-    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+        return real(kernel, faults, *fold)
+    monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", counting)
     reports = []
     for workers in ("1", "2"):
         passes.clear()
@@ -383,6 +383,22 @@ def test_superscript_pattern_count_is_a_file_name(tmp_path, capsys,
         payload = json.loads((tmp_path / report).read_text())
         assert payload["pattern_source"] == "²"
 
+
+@pytest.mark.parametrize("count", ["0", "5000"])
+def test_bad_pattern_count_gets_one_message(tmp_path, capsys, count):
+    # mini10's plan has a 12-bit counter; every command checks --patterns N
+    # as the plan's pattern count, at either granularity
+    errors = []
+    for command in (["bist"], ["faultsim"],
+                    ["diagnose", "--granularity", "pattern"],
+                    ["diagnose", "--granularity", "signature"]):
+        assert run([command[0], MINI, "--plan", MINI_PLAN, *command[1:],
+                    "--patterns", count, "--out", str(tmp_path)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: pattern_count {count} outside 1..2^12\n"] * 4
+    assert not list(tmp_path.iterdir())
+
+
 # -- tap ----------------------------------------------------------------------------
 
 def test_tap_replay_matches_golden(tmp_path, capsys):
@@ -511,12 +527,12 @@ def test_sequential_bist_and_tdf_run_one_pass(tmp_path, monkeypatch):
     # for its stem planes before the fault-free ones
     _, plan_path = _seqmini_plan(tmp_path)
     passes = []
-    real = faultsim.sequential_sim
+    real = faultsim.SequentialStimulus._errors
 
     def counting(*args, **kwargs):
-        passes.append(len(args[2]))
+        passes.append(len(args[1]))
         return real(*args, **kwargs)
-    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+    monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", counting)
     for argv in (["bist"], ["faultsim", "--kinds", "tdf"],
                  ["faultsim", "--kinds", "saf,tdf"]):
         passes.clear()
@@ -530,12 +546,12 @@ def test_sequential_diagnose_runs_one_pass(tmp_path, monkeypatch):
     # and the detection planes off the pass that gives the fault-free ones
     cores = [(SEQMINI, _seqmini_plan(tmp_path)[1]), _sequential_core(tmp_path)]
     passes = []
-    real = faultsim.sequential_sim
+    real = faultsim.SequentialStimulus._errors
 
     def counting(*args, **kwargs):
-        passes.append(len(args[2]))
+        passes.append(len(args[1]))
         return real(*args, **kwargs)
-    monkeypatch.setattr(faultsim, "sequential_sim", counting)
+    monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", counting)
     for bench, plan_path in cores:
         for granularity in ("pattern", "signature"):
             passes.clear()

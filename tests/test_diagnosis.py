@@ -43,21 +43,6 @@ def test_and_equivalent_sa0_rows_identical(and2):
     assert m.rows[0] == m.rows[1] == m.rows[2]
 
 
-# The equivalence matrix (test_equivalence.py) holds the matrix-vs-oracle
-# cases; a test that calls `cells` runs the cells that took over its own.
-
-def test_matrix_rows_match_replay_oracle():
-    cells("matrix_pattern", ["seventeen"], [64])
-
-
-def test_matrix_rows_match_oracle_on_random_netlists():
-    cells("matrix_pattern", ["rcomb"])
-
-
-def test_matrix_sequential_circuit():
-    cells("matrix_pattern", ["seqmini"])
-
-
 def test_unknown_granularity(and2):
     u = faultsim.enumerate_faults(and2)
     with pytest.raises(SimulationError):
@@ -184,8 +169,9 @@ def test_signature_rows_match_session_control_unit():
                                granularity="signature", plan=plan)
     golden = bist.compute_golden(cu, plan).golden
     for f, row, det in zip(u.faults, m.rows, m.detected):
-        sigs = bist.run_selftest(cu, plan, injected=f,
-                                 require_golden=False).signatures
+        session = bist.BistSession(cu, plan)
+        session.run(inject=f)
+        sigs = session.signatures()
         assert row == b"".join(s.value.to_bytes(8, "little") for s in sigs)
         assert det == (sigs != golden), f.key
     assert 0 < sum(m.detected) < len(m.detected)
@@ -213,7 +199,8 @@ def test_signature_rows_on_a_pattern_count_plan_match_session(mini10, seqmini):
                           (seqmini, seqmini_plan())):
         u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
         with pytest.raises(SimulationError, match="patterns for a plan"):
-            diagnosis.build_matrix(netlist, u, bist.plan_stimulus(netlist, plan, 9),
+            diagnosis.build_matrix(netlist, u, bist.plan_stimulus(
+                                       netlist, plan._replace(pattern_count=9)),
                                    granularity="signature",
                                    plan=plan._replace(pattern_count=16))
 

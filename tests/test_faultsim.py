@@ -275,7 +275,7 @@ def test_serial_oracle_never_calls_the_sequential_kernel(seqmini, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("the serial oracle used the sequential kernel")
-    monkeypatch.setattr(faultsim, "sequential_sim", refuse)
+    monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", refuse)
     for (net, pats), planes in zip(cases, want):
         u = faultsim.enumerate_faults(net)
         r = faultsim.serial_fault_sim(net, u, pats)
@@ -290,21 +290,22 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
     cases = [(core, count) for core in ("seqmini", "rseq", "seqbench")
              for count in COUNTS]
     passes = []
-    real = faultsim.sequential_sim
+    real = faultsim.SequentialStimulus._errors
 
-    def counting(netlist, patterns, faults, *fold):
+    def counting(kernel, faults, *fold):
         passes.append(set(faults))
-        return real(netlist, patterns, faults, *fold)
+        return real(kernel, faults, *fold)
     for core, count in cases:
         n, _, pats = matrix_case(core, count)
         saf = faultsim.collapse(faultsim.enumerate_faults(n), n)
         tdf = faultsim.enumerate_faults(n, ("STR", "STF"))
         # separate passes: each call builds its own stimulus
-        monkeypatch.setattr(faultsim, "sequential_sim", real)
+        monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", real)
         r_saf = faultsim.parallel_fault_sim(n, saf, pats)
         planes = faultsim.stimulus(n, pats).planes(saf.faults)
         r_tdf = faultsim.tdf_sim(n, tdf, pats) if len(pats) > 1 else None
-        assert planes == real(n, pats, saf.faults, {}, 0)[1]
+        assert planes == [diff for diff, _ in real(
+            faultsim.stimulus(n, pats), saf.faults, {}, 0)]
         assert r_saf.first_detect == \
             faultsim.serial_fault_sim(n, saf, pats).first_detect
         if r_tdf is not None:
@@ -312,7 +313,7 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
                 (n.name, len(pats))
         # one shared stimulus: SAF and TDF off a single pass over the
         # stuck-at faults and the stems TDF reads
-        monkeypatch.setattr(faultsim, "sequential_sim", counting)
+        monkeypatch.setattr(faultsim.SequentialStimulus, "_errors", counting)
         tdf_kinds = faultsim.TDF_KINDS if r_tdf is not None else ()
         mixed = faultsim.collapse(
             faultsim.enumerate_faults(n, faultsim.SA_KINDS + tdf_kinds), n)
@@ -328,9 +329,32 @@ def test_shared_sequential_stimulus_matches_separate_passes(monkeypatch):
 
 def test_sequential_kernel_rejects_empty_and_width(seqmini):
     with pytest.raises(SimulationError, match="no patterns"):
-        faultsim.sequential_sim(seqmini, [], [], {}, 0)
+        faultsim.stimulus(seqmini, [])
     with pytest.raises(SimulationError, match="width"):
-        faultsim.sequential_sim(seqmini, [(0, 1, 1)], [], {}, 0)
+        faultsim.stimulus(seqmini, [(0, 1, 1)])
+
+
+def test_kernel_builds_its_op_table_once(seqmini, mini10, monkeypatch):
+    # every pass reads the op table the kernel built; at width 0 each fault
+    # gets an empty list of folded planes, as it gets width planes otherwise
+    calls = []
+    real = faultsim._op_table
+
+    def counting(netlist):
+        calls.append(netlist.name)
+        return real(netlist)
+    monkeypatch.setattr(faultsim, "_op_table", counting)
+    rng = random.Random(23)
+    for netlist in (seqmini, mini10):
+        calls.clear()
+        k = faultsim.stimulus(netlist, random_patterns(rng, netlist, 20))
+        faults = faultsim.enumerate_faults(netlist).faults
+        taps = {k.index[netlist.primary_outputs[0]]: [0]}
+        k.planes(faults)
+        assert all(len(words) == 1 for words in k.folded(faults, taps, 1))
+        assert len(k.good) == len(netlist.nets)
+        assert calls == [netlist.name], netlist.name
+        assert list(k.folded(faults, {}, 0)) == [[]] * len(faults)
 
 
 # -- transition-delay faults ----------------------------------------------------------
