@@ -94,6 +94,13 @@ WIR_WDR_SEL = 0b011
 WCDR_WIDTH = 16
 WDR_WIDTH = 18
 
+# PROTOCOL.md's WIR table: WIR code -> the data register it selects; any
+# other code selects WBY
+WIR_SELECT = {WIR_BYPASS: "WBY", WIR_WBR_SEL: "WBR", WIR_WCDR_SEL: "WCDR",
+              WIR_WDR_SEL: "WDR"}
+# the registers whose update stage Update-IR/Update-DR loads
+UPDATED = ("WIR", "WBR", "WCDR")
+
 CMD_RESET = 0x1
 CMD_SET_COUNT = 0x2
 CMD_START = 0x3
@@ -108,70 +115,54 @@ STATUS_ERROR = 3
 _PHASE_STATUS = {"idle": STATUS_IDLE, "loading": STATUS_IDLE,
                  "running": STATUS_RUNNING, "done": STATUS_DONE}
 
+_IR_SCAN = (_T.CAPTURE_IR, _T.SHIFT_IR, _T.UPDATE_IR)
+_CAPTURE = (_T.CAPTURE_IR, _T.CAPTURE_DR)
+_SHIFT = (_T.SHIFT_IR, _T.SHIFT_DR)
+_UPDATE = (_T.UPDATE_IR, _T.UPDATE_DR)
+
 
 class WrapperState:
-    """Shift/update stages of the wrapper registers.
+    """The wrapper registers, keyed by name: each one's width, shift stage
+    and update stage.
 
-    Exactly one data register sits between TDI and TDO, chosen by the WIR
-    update stage; unknown WIR codes select bypass. Update-stage values change
-    only in Update-IR/Update-DR.
+    The WIR sits between TDI and TDO in an IR scan; in a DR scan the data
+    register its update stage selects does. Capture loads a shift stage
+    from its update stage, and Update loads the update stages in
+    ``UPDATED`` back from their shift stages. WBY's update stage stays 0,
+    and WDR's holds what READ_STATUS latched.
     """
 
     def __init__(self, wbr_width=0):
-        self.wbr_width = wbr_width
-        self.wir = WIR_BYPASS           # update stage
-        self.wir_shift = 0
-        self.wby_shift = 0
-        self.wbr = 0                    # update stage
-        self.wbr_shift = 0
-        self.wcdr = 0                   # update stage
-        self.wcdr_shift = 0
-        self.wdr = 0                    # capture source, loaded by READ_STATUS
-        self.wdr_shift = 0
+        self.width = {"WIR": WIR_WIDTH, "WBY": 1, "WBR": wbr_width,
+                      "WCDR": WCDR_WIDTH, "WDR": WDR_WIDTH}
+        self.shift = dict.fromkeys(self.width, 0)
+        self.update = dict.fromkeys(self.width, 0)     # the WIR at WIR_BYPASS
         self.status = STATUS_IDLE
 
     def selected(self):
-        if self.wir == WIR_WBR_SEL and self.wbr_width:
-            return "WBR"
-        if self.wir == WIR_WCDR_SEL:
-            return "WCDR"
-        if self.wir == WIR_WDR_SEL:
-            return "WDR"
-        return "WBY"
+        """The data register of a DR scan; WBY stands in for an empty WBR."""
+        reg = WIR_SELECT.get(self.update["WIR"], "WBY")
+        return reg if self.width[reg] else "WBY"
 
-
-def _shift_reg(value, width, tdi):
-    """LSB-first shift: TDO is bit 0, TDI enters at bit width-1."""
-    tdo = value & 1
-    value = (value >> 1) | ((tdi & 1) << (width - 1))
-    return value, tdo
+    def scanned(self, tap):
+        """The register between TDI and TDO in TAP state ``tap``."""
+        return "WIR" if tap in _IR_SCAN else self.selected()
 
 
 def shift(wrapper, tap, tdi):
-    """One shift clock through the WIR or the selected data register."""
-    if tap == TapState.SHIFT_IR:
-        wrapper.wir_shift, tdo = _shift_reg(wrapper.wir_shift, WIR_WIDTH, tdi)
-        return tdo
-    if tap == TapState.SHIFT_DR:
-        reg = wrapper.selected()
-        if reg == "WBY":
-            wrapper.wby_shift, tdo = _shift_reg(wrapper.wby_shift, 1, tdi)
-        elif reg == "WBR":
-            wrapper.wbr_shift, tdo = _shift_reg(wrapper.wbr_shift,
-                                                wrapper.wbr_width, tdi)
-        elif reg == "WCDR":
-            wrapper.wcdr_shift, tdo = _shift_reg(wrapper.wcdr_shift,
-                                                 WCDR_WIDTH, tdi)
-        else:
-            wrapper.wdr_shift, tdo = _shift_reg(wrapper.wdr_shift,
-                                                WDR_WIDTH, tdi)
-        return tdo
-    raise ProtocolError(f"shift called in state {tap.value}")
+    """One shift clock through the WIR or the selected data register:
+    TDO is bit 0, TDI enters at the MSB end."""
+    if tap not in _SHIFT:
+        raise ProtocolError(f"shift called in state {tap.value}")
+    reg = wrapper.scanned(tap)
+    value = wrapper.shift[reg]
+    wrapper.shift[reg] = (value >> 1) | ((tdi & 1) << (wrapper.width[reg] - 1))
+    return value & 1
 
 
 def execute_command(wrapper, session):
     """Dispatch the WCDR update-stage command against a BIST session."""
-    word = wrapper.wcdr
+    word = wrapper.update["WCDR"]
     command = (word >> 12) & 0xF
     operand = word & 0xFFF
     if command == CMD_RESET:
@@ -190,13 +181,15 @@ def execute_command(wrapper, session):
     elif command == CMD_READ_STATUS:
         sig = session.selected_signature()
         slice16 = sig.value & 0xFFFF
-        wrapper.wdr = (wrapper.status << 16) | slice16
+        wrapper.update["WDR"] = (wrapper.status << 16) | slice16
     else:
         wrapper.status = STATUS_ERROR
 
 
 class TapSession:
-    """A wrapper + TAP pair bound to one BIST session; clocked bit by bit."""
+    """A wrapper + TAP pair bound to one BIST session; clocked bit by bit.
+
+    ``edges`` keeps every clocked edge as ``(tms, tdi, tdo)``."""
 
     def __init__(self, bist_session):
         self.bist = bist_session
@@ -204,39 +197,34 @@ class TapSession:
         wbr_width = (len(bist_session.netlist.primary_inputs)
                      + len(bist_session.netlist.primary_outputs))
         self.wrapper = WrapperState(wbr_width=wbr_width)
+        self.edges = []
 
     def clock(self, tms, tdi):
         """One TCK rising edge; returns TDO (None outside shift states)."""
-        tdo = None
-        state = self.tap
-        if state in (TapState.SHIFT_IR, TapState.SHIFT_DR):
-            tdo = shift(self.wrapper, state, tdi)
+        w, state = self.wrapper, self.tap
+        tdo = shift(w, state, tdi) if state in _SHIFT else None
         nxt = tap_step(state, tms)
-        if nxt == TapState.TEST_LOGIC_RESET:
-            self.wrapper.wir = WIR_BYPASS
-        elif nxt == TapState.CAPTURE_IR:
-            self.wrapper.wir_shift = self.wrapper.wir
-        elif nxt == TapState.UPDATE_IR:
-            self.wrapper.wir = self.wrapper.wir_shift & ((1 << WIR_WIDTH) - 1)
-        elif nxt == TapState.CAPTURE_DR:
-            reg = self.wrapper.selected()
-            if reg == "WDR":
-                self.wrapper.wdr_shift = self.wrapper.wdr
-            elif reg == "WCDR":
-                self.wrapper.wcdr_shift = self.wrapper.wcdr
-            elif reg == "WBR":
-                self.wrapper.wbr_shift = self.wrapper.wbr
-            else:
-                self.wrapper.wby_shift = 0
-        elif nxt == TapState.UPDATE_DR:
-            reg = self.wrapper.selected()
+        if nxt is TapState.TEST_LOGIC_RESET:
+            w.update["WIR"] = WIR_BYPASS
+        elif nxt in _CAPTURE:
+            reg = w.scanned(nxt)
+            w.shift[reg] = w.update[reg]
+        elif nxt in _UPDATE:
+            reg = w.scanned(nxt)
+            if reg in UPDATED:
+                w.update[reg] = w.shift[reg]
             if reg == "WCDR":
-                self.wrapper.wcdr = self.wrapper.wcdr_shift
-                execute_command(self.wrapper, self.bist)
-            elif reg == "WBR":
-                self.wrapper.wbr = self.wrapper.wbr_shift
+                execute_command(w, self.bist)
         self.tap = nxt
+        self.edges.append((tms, tdi, tdo))
         return tdo
+
+    def trace(self, start=0):
+        """The edges from edge ``start`` on: their stimulus as a
+        SerialTrace and their TDO tuple."""
+        edges = self.edges[start:]
+        return (SerialTrace(tuple(e[:2] for e in edges)),
+                tuple(e[2] for e in edges))
 
     # -- scripted scans (the host-side driver) -------------------------------
 
@@ -295,12 +283,9 @@ class SerialTrace(record("SerialTrace", "samples tdo", defaults=(None,))):
             if len(fields) not in (3, 4):
                 raise ProtocolError(f"trace line {lineno}: expected "
                                     f"'TCK TMS TDI [TDO]', got {raw.strip()!r}")
-            try:
-                vals = [int(f) for f in fields]
-            except ValueError:
-                raise ProtocolError(f"trace line {lineno}: non-binary field") from None
-            if any(v not in (0, 1) for v in vals):
+            if any(f not in ("0", "1") for f in fields):
                 raise ProtocolError(f"trace line {lineno}: fields must be 0/1")
+            vals = [int(f) for f in fields]
             if vals[0] != 1:
                 raise ProtocolError(f"trace line {lineno}: one rising edge "
                                     f"per line (TCK must be 1)")
@@ -337,27 +322,3 @@ def drive_trace(session, trace):
     (None where the controller was not shifting)."""
     return [session.clock(tms, tdi) for tms, tdi in trace.samples]
 
-
-class TraceRecorder:
-    """Wraps a TapSession and records every edge for golden-trace capture."""
-
-    def __init__(self, session):
-        self.session = session
-        self.samples = []
-        self.tdo = []
-
-    def clock(self, tms, tdi):
-        out = self.session.clock(tms, tdi)
-        self.samples.append((tms, tdi))
-        self.tdo.append(out)
-        return out
-
-    def __getattr__(self, name):
-        # delegate scripted scans; they call back into our clock()
-        attr = getattr(type(self.session), name, None)
-        if callable(attr):
-            return lambda *a, **k: attr(self, *a, **k)
-        return getattr(self.session, name)
-
-    def trace(self):
-        return SerialTrace(tuple(self.samples)), tuple(self.tdo)

@@ -12,6 +12,11 @@ The textual format is ISCAS-89 flavored:
 Identifiers are case-sensitive ``[A-Za-z_][A-Za-z0-9_]*``. Block pragmas list
 ports LSB-first. DFFs initialize to 0 unless the pragma ``#@init q 1`` is
 given.
+
+Pragma errors, each a NetlistError naming the line: a ``#@block`` or
+``#@init`` line that does not parse (``#@block B in: a`` with no ``out:``,
+``#@init q 2``), an ``#@init`` on a net no DFF drives, and a second
+``#@init`` for one flop. Two blocks with one name are refused as well.
 """
 
 from __future__ import annotations
@@ -106,7 +111,11 @@ class Netlist:
         for n in self.primary_outputs:
             if n not in declared:
                 raise NetlistError(f"undriven net {n!r} (primary output)")
+        names = set()
         for b in self.blocks:
+            if b.name in names:
+                raise NetlistError(f"duplicate block {b.name!r}")
+            names.add(b.name)
             for port in (b.input_port, b.output_port):
                 if len(set(port)) != len(port):
                     raise NetlistError(f"duplicate net in port of block {b.name!r}")
@@ -273,6 +282,7 @@ def toggle_activity(netlist, patterns):
 
 _BLOCK_RE = re.compile(r"#@block\s+(\w+)\s+in:\s*([\w,\s]*?)\s*out:\s*([\w,\s]*?)\s*$")
 _INIT_RE = re.compile(r"#@init\s+(\w+)\s+([01])\s*$")
+_PRAGMA_RE = re.compile(r"#@(block|init)\b")
 _PORT_RE = re.compile(r"(INPUT|OUTPUT)\s*\(\s*(\S+?)\s*\)\s*$")
 _ASSIGN_RE = re.compile(r"(\S+)\s*=\s*(\w+)\s*\(\s*(.*?)\s*\)\s*$")
 
@@ -302,7 +312,12 @@ def parse_netlist(text, name="netlist"):
                 continue
             m = _INIT_RE.match(line)
             if m:
-                inits[m.group(1)] = int(m.group(2))
+                q = m.group(1)
+                if q in inits:
+                    raise NetlistError(f"second #@init for {q!r}", line=lineno)
+                inits[q] = (int(m.group(2)), lineno)
+            elif _PRAGMA_RE.match(line):
+                raise NetlistError(f"malformed pragma {line!r}", line=lineno)
             continue
         m = _PORT_RE.match(line)
         if m:
@@ -331,8 +346,13 @@ def parse_netlist(text, name="netlist"):
             continue
         raise NetlistError(f"syntax error: {raw.strip()!r}", line=lineno,
                            column=len(raw) - len(raw.lstrip()) + 1)
-    if inits:
-        flops = [Flop(f.d, f.q, inits.get(f.q, 0)) for f in flops]
+    qs = {f.q for f in flops}
+    for q, (_, lineno) in inits.items():
+        if q not in qs:
+            raise NetlistError(f"#@init on {q!r}, which no DFF drives",
+                               line=lineno)
+    flops = [Flop(f.d, f.q, inits[f.q][0]) if f.q in inits else f
+             for f in flops]
     return Netlist(name, inputs, outputs, gates, flops, blocks)
 
 

@@ -86,23 +86,23 @@ def test_wir_scan_selects_register(tap):
 def test_wcdr_circularity():
     # loop TDO back to TDI for exactly width clocks: register restored
     w = access.WrapperState()
-    w.wir = access.WIR_WCDR_SEL
-    w.wcdr_shift = 0xA5C3
+    w.update["WIR"] = access.WIR_WCDR_SEL
+    w.shift["WCDR"] = 0xA5C3
     for _ in range(access.WCDR_WIDTH):
-        tdi = w.wcdr_shift & 1   # the bit about to appear on TDO
+        tdi = w.shift["WCDR"] & 1   # the bit about to appear on TDO
         assert access.shift(w, T.SHIFT_DR, tdi) == tdi
-    assert w.wcdr_shift == 0xA5C3
+    assert w.shift["WCDR"] == 0xA5C3
 
 
 def test_wdr_is_18_bits():
     w = access.WrapperState()
-    w.wir = access.WIR_WDR_SEL
-    w.wdr_shift = (1 << 17) | 1
+    w.update["WIR"] = access.WIR_WDR_SEL
+    w.shift["WDR"] = (1 << 17) | 1
     outs = []
     for _ in range(access.WDR_WIDTH):
         outs.append(access.shift(w, T.SHIFT_DR, 0))
     assert outs == [1] + [0] * 16 + [1]   # LSB first, MSB last
-    assert w.wdr_shift == 0
+    assert w.shift["WDR"] == 0
 
 
 def test_shift_outside_shift_state_raises():
@@ -114,18 +114,18 @@ def test_shift_outside_shift_state_raises():
 def test_update_stage_stable_while_shifting(tap):
     tap.tap_reset()
     tap.scan_ir(access.WIR_WCDR_SEL)
-    tap.wrapper.wcdr = 0x1234
+    tap.wrapper.update["WCDR"] = 0x1234
     tap.drive([(1, 0), (0, 0), (0, 0)])   # to Shift-DR
     for b in (1, 1, 0, 1):
         tap.clock(0, b)
-    assert tap.wrapper.wcdr == 0x1234     # update stage untouched mid-shift
+    assert tap.wrapper.update["WCDR"] == 0x1234     # update stage untouched mid-shift
 
 
 def test_reset_state_forces_bypass(tap):
     tap.tap_reset()
     tap.scan_ir(access.WIR_WDR_SEL)
     tap.drive([(1, 0)] * 5)               # back to Test-Logic-Reset
-    assert tap.wrapper.wir == access.WIR_BYPASS
+    assert tap.wrapper.update["WIR"] == access.WIR_BYPASS
 
 
 # -- command dispatch ---------------------------------------------------------------
@@ -194,9 +194,12 @@ def test_trace_parse_rejects_bad_field_count():
         access.SerialTrace.parse("1 1\n")
 
 
-@pytest.mark.parametrize("line", ["1 1 0 7", "1 1 0 -1", "1 1 2 0"])
+@pytest.mark.parametrize("line", ["1 1 0 7", "1 1 0 -1", "1 1 2 0",
+                                  "1 1 0 +1", "1 1 0_1 0", "1 -0 0 0",
+                                  "\u0661 1 0 0"])
 def test_trace_parse_rejects_non_binary_values(line):
-    # the TDO column included: a bad one must not read as 0
+    # the TDO column included: a bad one must not read as 0, and a field
+    # is exactly 0 or 1, not anything int() reads as one
     with pytest.raises(ProtocolError, match="trace line 2: fields must be 0/1"):
         access.SerialTrace.parse("1 1 0 0\n" + line + "\n")
 
@@ -232,10 +235,10 @@ def test_golden_trace_replays_bit_exact(tap):
 
 
 def test_recorder_roundtrip(core_session):
-    rec = access.TraceRecorder(access.TapSession(core_session))
-    rec.tap_reset()
-    rec.write_wcdr(access.CMD_RESET)
-    trace, tdo = rec.trace()
+    tap = access.TapSession(core_session)
+    tap.tap_reset()
+    tap.write_wcdr(access.CMD_RESET)
+    trace, tdo = tap.trace()
     # replay on a fresh pair reproduces the recorded TDO stream
     netlist = core_session.netlist
     fresh = access.TapSession(bist.BistSession(netlist, core_session.plan))

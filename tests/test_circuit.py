@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -57,6 +58,26 @@ def test_gate_copy_is_checked_like_a_new_gate():
 def test_syntax_error_has_line_number():
     with pytest.raises(NetlistError, match="line 2"):
         circuit.parse_netlist("INPUT(a)\n???\n")
+
+
+_PRAGMA_CORE = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+                "y = AND(a, b)\nz = XOR(b, q)\nq = DFF(c)\n")
+
+
+@pytest.mark.parametrize("pragmas, message", [
+    ("#@block B in: a,b out: y\n#@block B in: b,c out: z",
+     "duplicate block 'B'"),
+    ("#@block B in: a", "line 1: malformed pragma"),
+    ("#@init q 2", "line 1: malformed pragma"),
+    ("#@init y 1", "line 1: #@init on 'y', which no DFF drives"),
+    ("#@init nowhere 1", "line 1: #@init on 'nowhere', which no DFF drives"),
+    ("#@init q 1\n#@init q 0", "line 2: second #@init for 'q'"),
+], ids=["duplicate-block", "block-without-out", "init-not-a-bit",
+        "init-on-a-gate", "init-on-no-net", "second-init"])
+def test_bad_pragmas_are_refused(pragmas, message):
+    # each was read as a comment, ignored or overridden without an error
+    with pytest.raises(NetlistError, match=re.escape(message)):
+        circuit.parse_netlist(pragmas + "\n" + _PRAGMA_CORE)
 
 
 def test_bn_fixture_matches_case_study_widths():

@@ -447,17 +447,17 @@ def test_sequential_commands_take_the_engine(tmp_path, capsys, monkeypatch):
     # scalar session, which none of them runs
     netlist = circuit.load_netlist(SEQMINI)
     plan, plan_path = _seqmini_plan(tmp_path)
-    rec = access.TraceRecorder(access.TapSession(bist.BistSession(netlist, plan)))
-    rec.tap_reset()
-    rec.write_wcdr(access.CMD_RESET)
-    rec.write_wcdr(access.CMD_SET_COUNT, 13)
-    rec.write_wcdr(access.CMD_START)
-    rec.write_wcdr(access.CMD_SET_COUNT, 20)
-    rec.write_wcdr(access.CMD_START)
-    rec.write_wcdr(access.CMD_READ_STATUS)
-    status, _ = rec.read_wdr()
+    tap = access.TapSession(bist.BistSession(netlist, plan))
+    tap.tap_reset()
+    tap.write_wcdr(access.CMD_RESET)
+    tap.write_wcdr(access.CMD_SET_COUNT, 13)
+    tap.write_wcdr(access.CMD_START)
+    tap.write_wcdr(access.CMD_SET_COUNT, 20)
+    tap.write_wcdr(access.CMD_START)
+    tap.write_wcdr(access.CMD_READ_STATUS)
+    status, _ = tap.read_wdr()
     assert status == access.STATUS_DONE
-    trace, tdo = rec.trace()
+    trace, tdo = tap.trace()
     (tmp_path / "seq.trace").write_text(trace.render(tdo=tdo))
     golden = bist.compute_golden(netlist, plan).golden
     u = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)

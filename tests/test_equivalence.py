@@ -148,7 +148,8 @@ def _tap_state(tap):
     session, control = tap.bist, tap.bist.control
     return (session.signatures(), session.alfsr.register,
             control.pattern_counter, control.phase, control.test_enable,
-            control.output_select, tap.wrapper.status, tap.wrapper.wdr)
+            control.output_select, tap.wrapper.status,
+            tap.wrapper.update["WDR"])
 
 
 @functools.cache
@@ -162,11 +163,11 @@ def scalar_tap(core, count):
         tap = access.TapSession(bist.BistSession(netlist, plan))
         tap.tap_reset()
         for command, operand in script:
-            rec = access.TraceRecorder(tap)
-            rec.write_wcdr(command, operand)
+            start = len(tap.edges)
+            tap.write_wcdr(command, operand)
             if command == access.CMD_READ_STATUS:
-                rec.read_wdr()
-            yield (command, operand), rec.trace(), _tap_state(tap)
+                tap.read_wdr()
+            yield (command, operand), tap.trace(start), _tap_state(tap)
     return scalar(lambda: list(steps()))
 
 

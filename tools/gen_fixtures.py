@@ -177,18 +177,17 @@ def make_golden_trace():
     """Scripted serial session against the core fixture, frozen as golden."""
     netlist = circuit.load_netlist(os.path.join(FIXDIR, "ldpc_like_core.bench"))
     plan = bist.BistPlan.load(os.path.join(FIXDIR, "ldpc_like_core.plan.json"))
-    rec = access.TraceRecorder(access.TapSession(bist.BistSession(netlist, plan)))
-    rec.tap_reset()
-    rec.write_wcdr(access.CMD_RESET)
-    rec.write_wcdr(access.CMD_SET_COUNT, 4096 & 0xFFF)
-    rec.write_wcdr(access.CMD_START)
+    tap = access.TapSession(bist.BistSession(netlist, plan))
+    tap.tap_reset()
+    tap.write_wcdr(access.CMD_RESET)
+    tap.write_wcdr(access.CMD_SET_COUNT, 4096 & 0xFFF)
+    tap.write_wcdr(access.CMD_START)
     for sel in range(3):
-        rec.write_wcdr(access.CMD_SELECT, sel)
-        rec.write_wcdr(access.CMD_READ_STATUS)
-        rec.read_wdr()
-    trace, tdo = rec.trace()
-    rendered = trace.render(tdo=[0 if b is None else b for b in tdo])
-    write("golden_session.trace", rendered)
+        tap.write_wcdr(access.CMD_SELECT, sel)
+        tap.write_wcdr(access.CMD_READ_STATUS)
+        tap.read_wdr()
+    trace, tdo = tap.trace()
+    write("golden_session.trace", trace.render(tdo=tdo))
 
 
 if __name__ == "__main__":
