@@ -16,7 +16,11 @@ given.
 Pragma errors, each a NetlistError naming the line: a ``#@block`` or
 ``#@init`` line that does not parse (``#@block B in: a`` with no ``out:``,
 ``#@init q 2``), an ``#@init`` on a net no DFF drives, and a second
-``#@init`` for one flop. Two blocks with one name are refused as well.
+``#@init`` for one flop. The structural errors name the line of the item
+they are about as well: a second ``INPUT`` or ``OUTPUT`` of one net, a
+second driver of a net, a gate, DFF, ``OUTPUT`` or ``#@block`` that reads a
+net nothing drives, a gate on a combinational loop, and a second block of
+one name.
 """
 
 from __future__ import annotations
@@ -86,42 +90,51 @@ class Netlist:
 
     def _validate(self):
         drivers = {}
-        for n in self.primary_inputs:
+        for k, n in enumerate(self.primary_inputs):
             if n in drivers:
-                raise NetlistError(f"duplicate primary input {n!r}")
+                raise _invalid(f"duplicate primary input {n!r}",
+                               "primary_inputs", k)
             drivers[n] = "input"
-        if len(set(self.primary_outputs)) != len(self.primary_outputs):
-            raise NetlistError("duplicate primary output")
-        for f in self.flops:
+        seen = set()
+        for k, n in enumerate(self.primary_outputs):
+            if n in seen:
+                raise _invalid(f"duplicate primary output {n!r}",
+                               "primary_outputs", k)
+            seen.add(n)
+        for k, f in enumerate(self.flops):
             if f.q in drivers:
-                raise NetlistError(f"multiply-driven net {f.q!r}")
+                raise _invalid(f"multiply-driven net {f.q!r}", "flops", k)
             drivers[f.q] = "flop"
-        for g in self.gates:
+        for k, g in enumerate(self.gates):
             if g.output in drivers:
-                raise NetlistError(f"multiply-driven net {g.output!r}")
+                raise _invalid(f"multiply-driven net {g.output!r}", "gates", k)
             drivers[g.output] = "gate"
         declared = set(drivers)
-        for g in self.gates:
+        for k, g in enumerate(self.gates):
             for i in g.inputs:
                 if i not in declared:
-                    raise NetlistError(f"undriven net {i!r}")
-        for f in self.flops:
+                    raise _invalid(f"undriven net {i!r}", "gates", k)
+        for k, f in enumerate(self.flops):
             if f.d not in declared:
-                raise NetlistError(f"undriven net {f.d!r} (flop {f.q!r})")
-        for n in self.primary_outputs:
+                raise _invalid(f"undriven net {f.d!r} (flop {f.q!r})",
+                               "flops", k)
+        for k, n in enumerate(self.primary_outputs):
             if n not in declared:
-                raise NetlistError(f"undriven net {n!r} (primary output)")
+                raise _invalid(f"undriven net {n!r} (primary output)",
+                               "primary_outputs", k)
         names = set()
-        for b in self.blocks:
+        for k, b in enumerate(self.blocks):
             if b.name in names:
-                raise NetlistError(f"duplicate block {b.name!r}")
+                raise _invalid(f"duplicate block {b.name!r}", "blocks", k)
             names.add(b.name)
             for port in (b.input_port, b.output_port):
                 if len(set(port)) != len(port):
-                    raise NetlistError(f"duplicate net in port of block {b.name!r}")
+                    raise _invalid(f"duplicate net in port of block {b.name!r}",
+                                   "blocks", k)
                 for n in port:
                     if n not in declared:
-                        raise NetlistError(f"block {b.name!r} references unknown net {n!r}")
+                        raise _invalid(f"block {b.name!r} references unknown "
+                                       f"net {n!r}", "blocks", k)
 
     def _toposort(self):
         # flop Q nets break cycles: they are sources like primary inputs
@@ -143,7 +156,9 @@ class Netlist:
                         continue
                     st = state.get(dep.output)
                     if st == 0:
-                        raise NetlistError(f"combinational loop through net {dep.output!r}")
+                        raise _invalid("combinational loop through net "
+                                       f"{dep.output!r}", "gates",
+                                       self.gates.index(dep))
                     if st is None:
                         state[dep.output] = 0
                         stack.append((dep, iter(dep.inputs)))
@@ -154,6 +169,15 @@ class Netlist:
                     order.append(gate)
                     stack.pop()
         return tuple(order)
+
+
+def _invalid(message, field, k):
+    """A structural error in item ``k`` of the netlist's ``field``
+    (``"gates"``, ``"primary_inputs"``, ...); :func:`parse_netlist` adds
+    the line that item came from."""
+    error = NetlistError(message)
+    error.item = field, k
+    return error
 
 
 def initial_state(netlist):
@@ -293,9 +317,12 @@ def _check_ident(name, lineno):
 
 
 def parse_netlist(text, name="netlist"):
-    """Parse bench-format text into a validated Netlist."""
+    """Parse bench-format text into a validated Netlist; a structural error
+    names the line of the item it is about."""
     inputs, outputs, gates, flops, blocks = [], [], [], [], []
     inits = {}
+    lines = {"primary_inputs": [], "primary_outputs": [], "gates": [],
+             "flops": [], "blocks": []}   # field -> line of each item
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -309,6 +336,7 @@ def parse_netlist(text, name="netlist"):
                     tuple(s.strip() for s in ins.split(",") if s.strip()),
                     tuple(s.strip() for s in outs.split(",") if s.strip()),
                 ))
+                lines["blocks"].append(lineno)
                 continue
             m = _INIT_RE.match(line)
             if m:
@@ -324,6 +352,8 @@ def parse_netlist(text, name="netlist"):
             kind, net = m.groups()
             _check_ident(net, lineno)
             (inputs if kind == "INPUT" else outputs).append(net)
+            lines["primary_inputs" if kind == "INPUT" else
+                  "primary_outputs"].append(lineno)
             continue
         m = _ASSIGN_RE.match(line)
         if m:
@@ -336,6 +366,7 @@ def parse_netlist(text, name="netlist"):
                 if len(fanin) != 1:
                     raise NetlistError("DFF takes exactly 1 input", line=lineno)
                 flops.append(Flop(fanin[0], out))
+                lines["flops"].append(lineno)
                 continue
             if kind not in GATE_KINDS:
                 raise NetlistError(f"unknown gate kind {kind!r}", line=lineno)
@@ -343,6 +374,7 @@ def parse_netlist(text, name="netlist"):
                 gates.append(Gate(kind, fanin, out))
             except NetlistError as e:
                 raise NetlistError(str(e), line=lineno) from None
+            lines["gates"].append(lineno)
             continue
         raise NetlistError(f"syntax error: {raw.strip()!r}", line=lineno,
                            column=len(raw) - len(raw.lstrip()) + 1)
@@ -353,7 +385,11 @@ def parse_netlist(text, name="netlist"):
                                line=lineno)
     flops = [Flop(f.d, f.q, inits[f.q][0]) if f.q in inits else f
              for f in flops]
-    return Netlist(name, inputs, outputs, gates, flops, blocks)
+    try:
+        return Netlist(name, inputs, outputs, gates, flops, blocks)
+    except NetlistError as e:
+        field, k = e.item
+        raise NetlistError(str(e), line=lines[field][k]) from None
 
 
 def load_netlist(path):

@@ -15,9 +15,11 @@ Stuck-at simulation paths are kept deliberately separate:
   stuck-at fault, its error planes XOR-folded into MISR word bits) and
   ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
-  the whole pattern set, and each fault re-evaluates only the gates of its
-  fanout cone whose inputs differ from the fault-free planes
-  (parallel-pattern single-fault propagation).
+  the whole pattern set, and faults are simulated by stem-region tracing:
+  a fault's effect plane is carried gate by gate through its fanout-free
+  region to the region's stem, and each stem costs one walk of its fanout
+  cone per call, re-evaluating only the gates whose inputs differ from the
+  fault-free planes (critical path tracing over parallel patterns).
 * :class:`SequentialStimulus` (flops): its ``_errors`` is the PROOFS pass
   itself, fault-parallel: one word per net per cycle, bit 0 the fault-free
   machine and bit k+1 fault k, one pass from reset for the whole fault set,
@@ -41,6 +43,8 @@ refuses it; :meth:`_Kernel.planes` reads its stem stuck-at fault instead.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from . import circuit
 from .errors import SimulationError
@@ -101,6 +105,14 @@ def _fanout(netlist):
         for pin, net in enumerate(g.inputs):
             fan[net].append((g.output, pin))
     return fan
+
+
+def _is_stem(readers, seen):
+    """Whether a net is a stem, the root of a fanout-free region: it is
+    ``seen`` (observed, or tapped into a word bit) or its ``readers``, the
+    (gate, pin) pairs that read it, are not exactly one gate pin. A net no
+    gate reads is a stem, and so is a net one gate reads on two pins."""
+    return seen or len(readers) != 1
 
 
 def enumerate_faults(netlist, kinds=("SA0", "SA1")):
@@ -396,7 +408,7 @@ class _Kernel:
     fault-free planes (:attr:`good`, kept once computed), the detection
     planes and the folded error planes. ``len(kernel)`` is the pattern
     count. A subclass sets ``_good`` and has the primitive ``_errors(faults,
-    taps, width)`` (a cone walk per fault, or the PROOFS pass on flops): per
+    taps, width)`` (stem-region tracing, or the PROOFS pass on flops): per
     stuck-at fault (a transition fault has no stuck value, so it is
     refused), its detection plane and a list of ``width`` planes, each the
     XOR of ``faulty ^ fault-free`` over the nets that feed that word bit
@@ -475,23 +487,29 @@ class FaultKernel(_Kernel):
     """The kernel of a combinational netlist, as :func:`kernel` builds it.
 
     Every net holds one integer plane over the whole pattern set; the
-    fault-free planes are computed once, here. A stuck-at fault is then
-    simulated by parallel-pattern single-fault propagation: only the gates
-    of the fault site's fanout cone whose inputs differ from the fault-free
-    planes are re-evaluated, and every other net reads its fault-free plane.
-    Each fault costs one cone walk, so there is no pass to share.
+    fault-free planes are computed once, here. Faults are simulated by
+    stem-region tracing (critical path tracing inside fanout-free regions:
+    Abramovici, Menon & Miller, IEEE D&T 1984; Antreich & Schulz, IEEE TCAD
+    1987), exact for single stuck-at faults. A fault's effect plane is
+    walked gate by gate along the single-reader chain from its site to its
+    stem (:func:`_is_stem`). Each stem reached costs one cone walk with the
+    stem complemented, which gives the patterns at which flipping it shows
+    at the observation nets and at each word bit; a fault's planes are its
+    effect plane ANDed with its stem's. :meth:`faulty` and the stem walk
+    share one cone walk (:meth:`_walk`), which re-evaluates only the cone's
+    gates whose inputs differ from the fault-free planes.
     """
 
     def __init__(self, netlist, inputs, n):
         if netlist.flops:
             raise SimulationError("the fault kernel needs a combinational netlist")
         super().__init__(netlist, inputs, n)
-        # gates in topological order, so a cone sorted by position is too
-        self._readers = [[] for _ in netlist.nets]
+        # the (gate position, pin) pairs reading each net; positions follow
+        # the topological order
+        self._pins = [[] for _ in netlist.nets]
         for pos, (_, _, ins) in enumerate(self._ops):
-            for i in set(ins):
-                self._readers[i].append(pos)
-        self._cones = {}
+            for pin, i in enumerate(ins):
+                self._pins[i].append((pos, pin))
         good = [0] * len(netlist.nets)
         for net, plane in zip(netlist.primary_inputs, self.inputs):
             good[self.index[net]] = plane
@@ -499,63 +517,81 @@ class FaultKernel(_Kernel):
             good[out] = _eval_gate(kind, [good[i] for i in ins], self.mask)
         self._good = good
 
-    def _cone(self, net):
-        """Positions of the gates fed by ``net``, in topological order."""
-        cone = self._cones.get(net)
-        if cone is None:
-            seen = set()
-            stack = [net]
-            while stack:
-                for pos in self._readers[stack.pop()]:
-                    if pos not in seen:
-                        seen.add(pos)
-                        stack.append(self._ops[pos][1])
-            cone = self._cones[net] = sorted(seen)
-        return cone
+    def _walk(self, site, value):
+        """Net index -> faulty plane when net ``site`` carries ``value`` (not
+        its fault-free plane), for the nets whose plane differs. A gate is
+        queued when one of its inputs changes and evaluated in position
+        order, so after every gate that drives it; no other gate is."""
+        good, ops, pins, mask = self._good, self._ops, self._pins, self.mask
+        faulty = {site: value}
+        queue = sorted({pos for pos, _ in pins[site]})
+        while queue:
+            kind, out, ins = ops[queue.pop(0)]
+            value = _eval_gate(kind, [faulty.get(i, good[i]) for i in ins], mask)
+            if value != good[out]:
+                faulty[out] = value
+                for pos, _ in pins[out]:
+                    if pos not in queue:
+                        bisect.insort(queue, pos)
+        return faulty
+
+    def _site(self, fault):
+        """The net a stuck-at fault changes first and its plane there: the
+        net itself for a stem fault, the reading gate's output for a branch
+        fault."""
+        stuck = fault.stuck(self.mask)
+        if fault.pin is None:
+            return self.index[fault.net], stuck
+        return self._force(self._driver[self.index[fault.gate]], fault.pin,
+                           stuck)
+
+    def _force(self, pos, pin, value):
+        """Output net and plane of the gate at ``pos`` with ``pin`` reading
+        ``value`` and every other pin its fault-free plane."""
+        kind, out, ins = self._ops[pos]
+        planes = [self._good[i] for i in ins]
+        planes[pin] = value
+        return out, _eval_gate(kind, planes, self.mask)
 
     def faulty(self, fault):
         """Net index -> faulty plane under the stuck-at ``fault``, for the
         nets whose plane differs from the fault-free one."""
-        good = self._good
-        mask = self.mask
-        stuck = fault.stuck(mask)
-        if fault.pin is None:
-            site, value = self.index[fault.net], stuck
-        else:
-            kind, site, ins = self._ops[self._driver[self.index[fault.gate]]]
-            planes = [good[i] for i in ins]
-            planes[fault.pin] = stuck
-            value = _eval_gate(kind, planes, mask)
-        if value == good[site]:
-            return {}
-        faulty = {site: value}
-        ops = self._ops
-        for pos in self._cone(site):
-            kind, out, ins = ops[pos]
-            for i in ins:
-                if i in faulty:
-                    break
-            else:
-                continue
-            value = _eval_gate(kind, [faulty.get(i, good[i]) for i in ins], mask)
-            if value != good[out]:
-                faulty[out] = value
-        return faulty
+        site, value = self._site(fault)
+        return {} if value == self._good[site] else self._walk(site, value)
 
     def _errors(self, faults, taps, width):
-        """Lazily, one cone walk per fault (the contract: :class:`_Kernel`);
-        only the nets the fault changes are looked up in the observation
-        nets and in ``taps``."""
-        good, obs = self._good, self._obs
+        """Lazily, by stem-region tracing (the contract: :class:`_Kernel`).
+        Each fault's effect plane ``e`` (faulty ^ fault-free) is carried
+        from its site along the single-reader chain to its stem, or until
+        it is 0; its detection plane is then ``e & D`` and its folded
+        planes ``e & F`` for the stem's ``D`` (the OR of the observed errors
+        when the stem is complemented) and ``F`` (the tapped errors folded
+        per word bit). The stems of this call, taps included, get one cone
+        walk each on first use."""
+        good, obs, pins = self._good, self._obs, self._pins
+        regions = {}
         for fault in faults:
-            diff, words = 0, [0] * width
-            for net, value in self.faulty(fault).items():
-                error = value ^ good[net]
-                if net in obs:
-                    diff |= error
-                for bit in taps.get(net, ()):
-                    words[bit] ^= error
-            yield diff, words
+            net, value = self._site(fault)
+            e = value ^ good[net]
+            while e and not _is_stem(pins[net], net in obs or net in taps):
+                (pos, pin), = pins[net]
+                net, value = self._force(pos, pin, good[net] ^ e)
+                e = value ^ good[net]
+            if not e:
+                yield 0, [0] * width
+                continue
+            region = regions.get(net)
+            if region is None:
+                diff, words = 0, [0] * width
+                for i, value in self._walk(net, good[net] ^ self.mask).items():
+                    error = value ^ good[i]
+                    if i in obs:
+                        diff |= error
+                    for bit in taps.get(i, ()):
+                        words[bit] ^= error
+                region = regions[net] = diff, words
+            diff, words = region
+            yield e & diff, [e & w for w in words]
 
 
 # -- fault-parallel sequential kernel -----------------------------------------

@@ -35,6 +35,33 @@ def test_combinational_loop_rejected():
             "INPUT(a)\nOUTPUT(y)\nx = AND(a, y)\ny = BUF(x)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("INPUT(a)\nINPUT(b)\nINPUT(a)\nOUTPUT(y)\ny = AND(a, b)",
+     "line 3: duplicate primary input 'a'"),
+    ("INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = BUF(a)",
+     "line 3: duplicate primary output 'y'"),
+    ("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n\ny = NOT(a)",
+     "line 5: multiply-driven net 'y'"),
+    ("INPUT(a)\nOUTPUT(a)\na = DFF(a)", "line 3: multiply-driven net 'a'"),
+    ("INPUT(a)\nOUTPUT(y)\n# a comment\ny = AND(a, c)",
+     "line 4: undriven net 'c'"),
+    ("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\nq = DFF(d)",
+     "line 4: undriven net 'd' (flop 'q')"),
+    ("INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\ny = BUF(a)",
+     "line 3: undriven net 'z' (primary output)"),
+    ("INPUT(a)\nOUTPUT(y)\nx = AND(a, y)\ny = BUF(x)",
+     "line 3: combinational loop through net 'x'"),
+    ("#@block B in: a out: w\nINPUT(a)\nOUTPUT(y)\ny = BUF(a)",
+     "line 1: block 'B' references unknown net 'w'"),
+], ids=["second-input", "second-output", "second-gate-driver", "flop-on-input",
+        "gate-reads-undriven", "flop-reads-undriven", "output-undriven", "loop",
+        "block-reads-undriven"])
+def test_structural_errors_name_their_line(text, message):
+    # each was raised with no line, though the parser knew it
+    with pytest.raises(NetlistError, match=re.escape(message)):
+        circuit.parse_netlist(text)
+
+
 def test_loop_through_flop_is_legal():
     n = circuit.parse_netlist(
         "INPUT(a)\nOUTPUT(y)\ny = XOR(a, q)\nq = DFF(y)")

@@ -5,8 +5,9 @@ A cell is one (row, core, count), with the pytest id ``row-core-count``:
 
 * a row is a fast path and its oracle, one function marked ``@row``;
 * a core is one of ``CORES``: mini10, seventeen, seqmini, a seeded random
-  combinational core, a seeded random sequential core with hidden state
-  and a small core of the benchmark's generator, each with a plan;
+  combinational core, a seeded random sequential core with hidden state,
+  a small core of the benchmark's generator and a hand-written core of
+  the stem rule's cases (``STEMS``), each with a plan;
 * a count is one of ``COUNTS``: the cell runs that many seeded random
   patterns, or the core's plan cut to that many.
 
@@ -23,7 +24,7 @@ import random
 import pytest
 
 from corebist import (access, bist, circuit, compactor, diagnosis, faultsim,
-                      fixture_path)
+                      fixture_path, tpg)
 from corebist.errors import SimulationError
 
 import oracle
@@ -32,11 +33,43 @@ from conftest import (perfbench, random_combinational, random_patterns,
 
 # core -> the blocks the plan builder cuts it into (None: its own plan)
 CORE_BLOCKS = {"mini10": None, "seventeen": 4, "seqmini": None, "rcomb": 3,
-               "rseq": 2, "seqbench": 3}
+               "rseq": 2, "seqbench": 3, "stems": None}
 CORES = tuple(CORE_BLOCKS)
 # one pattern, one launch/capture pair, around the 64-bit machine word, and
 # an odd count near 100
 COUNTS = (1, 2, 63, 64, 65, 97)
+
+# the stem rule's cases: n1 fans out and reconverges at n4; b, d, n2, n4
+# and n5 each feed one gate pin, so b -> n1 and d -> n3 are one-gate
+# regions and n2 -> n4 -> n5 -> n6 -> w a longer one; w is observed and
+# read by z and v; AND reads d2 on both pins (its only reader) and XNOR
+# reads n3 on two pins beside n4; input h and gate u are read by nothing
+STEMS = """\
+#@block MAIN in: a,b,c,d,e,f,h out: w,z,v
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+INPUT(f)
+INPUT(h)
+OUTPUT(w)
+OUTPUT(z)
+OUTPUT(v)
+n1 = NAND(a, b)
+n2 = OR(n1, c)
+n3 = AND(n1, d)
+n4 = XOR(n2, n3)
+n5 = NOT(n4)
+n6 = NOR(n5, e)
+w = BUF(n6)
+d2 = XOR(c, f)
+n7 = AND(d2, d2)
+k = XNOR(n3, n3, e)
+z = OR(w, n7)
+v = NAND(n7, w, k)
+u = OR(a, f)
+"""
 
 
 @functools.cache
@@ -47,6 +80,13 @@ def matrix_core(name):
                 bist.BistPlan.load(fixture_path("mini10.plan.json")))
     if name == "seqmini":
         return circuit.load_netlist(fixture_path("seqmini.bench")), seqmini_plan()
+    if name == "stems":
+        return circuit.parse_netlist(STEMS, name=name), bist.BistPlan(
+            tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8]), 0x5B,
+            (tpg.modular_binding("MAIN", 7, 8),),
+            (bist.MisrAssignment("MAIN", tpg.Polynomial.parse("x^3+x+1"),
+                                 compactor.XorCascade(3, 3)),),
+            pattern_count=64)
     rng = random.Random(f"core:{name}")
     if name == "seventeen":
         base = circuit.load_netlist(fixture_path("seventeen.bench"))
@@ -225,18 +265,25 @@ def errors(core, count):
     """The error planes ``folded`` gives -> the replay's faulty ^ fault-free
     planes XOR-folded over ``taps``: one bit per observation net, whose OR
     is the fault's ``planes`` entry, the first net also on a second bit, a
-    net listed twice on one bit (it cancels) and a bit no net feeds."""
+    net listed twice on one bit (it cancels), a bit no net feeds and a bit
+    fed by the first net that is not observed and feeds one gate pin, so
+    it lies inside a fanout-free region unless its tap makes it a stem."""
     netlist, _, patterns = matrix_case(core, count)
     faults = faultsim.enumerate_faults(netlist).faults
     planes = faultsim.stimulus(netlist, patterns).planes(faults)
     good, want, _ = replay(core, count)
     kernel = faultsim.stimulus(netlist, patterns)
-    obs = [kernel.index[n] for n in faultsim.observation_nets(netlist)]
+    observed = faultsim.observation_nets(netlist)
+    obs = [kernel.index[n] for n in observed]
     m = len(obs)
     taps = {i: [bit] for bit, i in enumerate(obs)}
     taps[obs[0]].append(m)
     taps.setdefault(len(netlist.nets) - 1, []).extend([m + 1, m + 1])
-    width = m + 3
+    pins = [i for g in netlist.gates for i in g.inputs]
+    inner = next(n for n in netlist.nets
+                 if n not in observed and pins.count(n) == 1)
+    taps.setdefault(kernel.index[inner], []).append(m + 3)
+    width = m + 4
     for f, got, plane in zip(faults, kernel.folded(faults, taps, width),
                              planes, strict=True):
         expect = [0] * width
@@ -416,8 +463,12 @@ def test_matrix_cores_cover_every_site_and_plan_feature(flops):
     # among the combinational cores and among the flop cores: stuck-at sites
     # of every kind, and plans with CG bits, cascades with in % out != 0 and
     # several MISR counts, up to 4; among the flop cores also a flop whose
-    # D net is not observed (hidden state) and a Q net on an output port
+    # D net is not observed (hidden state) and a Q net on an output port;
+    # among the combinational cores every case of the stem rule: a gate
+    # reading one net on two pins, an observed net that gates read and a
+    # net that is neither observed nor read
     sites, misrs, uneven, cg, q_ports, hidden = set(), set(), 0, 0, 0, 0
+    two_pins, observed_read, unread = 0, 0, 0
     for core in CORES:
         netlist, plan = matrix_core(core)
         if bool(netlist.flops) != flops:
@@ -432,9 +483,14 @@ def test_matrix_cores_cover_every_site_and_plan_feature(flops):
         cg += sum(b.cg is not None for b in plan.bindings)
         qs = {f.q for f in netlist.flops}
         q_ports += sum(bool(qs & set(b.output_port)) for b in netlist.blocks)
+        read = {i for g in netlist.gates for i in g.inputs}
+        two_pins += sum(len(set(g.inputs)) < len(g.inputs) for g in netlist.gates)
+        observed_read += len(obs & read)
+        unread += sum(n not in obs and n not in read for n in netlist.nets)
     assert {"branch", "input", "gate"} | ({"Q", "D"} if flops else set()) <= sites
     assert uneven and cg and len(misrs) > 2
     assert flops or 4 in misrs
+    assert flops or (two_pins and observed_read and unread)
     assert not flops or (hidden and q_ports)
 
 
