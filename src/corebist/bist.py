@@ -99,7 +99,10 @@ class BistPlan(record("BistPlan", "alfsr_poly alfsr_seed bindings misrs "
     order and ``misrs`` one :class:`MisrAssignment` per block in the same
     order; ``golden`` is the tuple of :class:`compactor.Signature` once
     computed. Copies with changed fields (``plan._replace(...)``) are
-    checked like a new plan.
+    checked like a new plan. This is the one check of the ALFSR seed: a
+    plan file and ``--seed`` both pass through it, so every
+    :class:`tpg.AlfsrState` built from ``alfsr_seed`` is nonzero and fits
+    the register.
     """
 
     __slots__ = ()
@@ -308,7 +311,7 @@ class BistSession:
 
     def reset(self):
         """Core reset: ALFSR to seed, MISRs to zero, counter cleared."""
-        self.alfsr = tpg.seed_int(self.plan.alfsr_poly, self.plan.alfsr_seed)
+        self.alfsr = tpg.AlfsrState(self.plan.alfsr_poly, self.plan.alfsr_seed)
         self.misrs = {m.block: compactor.MisrState(m.polynomial)
                       for m in self.plan.misrs}
         self.dut_state = circuit_mod.initial_state(self.netlist)
@@ -375,7 +378,7 @@ class BistSession:
     def pattern_stream(self):
         """The primary-input vectors this plan applies, for fault simulation."""
         saved = self.alfsr
-        self.alfsr = tpg.seed_int(self.plan.alfsr_poly, self.plan.alfsr_seed)
+        self.alfsr = tpg.AlfsrState(self.plan.alfsr_poly, self.plan.alfsr_seed)
         patterns = []
         for cycle in range(self._pattern_count):
             patterns.append(self.assemble_inputs(cycle))
@@ -424,7 +427,7 @@ def plan_planes(netlist, plan):
     n = plan.pattern_count
     poly = plan.alfsr_poly
     top = poly.degree - 1
-    register = tpg.seed_int(poly, plan.alfsr_seed).register
+    register = plan.alfsr_seed
     # bit k of `sequence` is stage 0 in cycle k - top: bits 0..top-1 are
     # the seed's stages top down to 1, then one bit per register step
     head = sum((register >> (top - k) & 1) << k for k in range(top))

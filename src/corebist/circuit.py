@@ -318,7 +318,8 @@ def _check_ident(name, lineno):
 
 def parse_netlist(text, name="netlist"):
     """Parse bench-format text into a validated Netlist; a structural error
-    names the line of the item it is about."""
+    names the line of the item it is about, and a text that declares no net
+    is refused."""
     inputs, outputs, gates, flops, blocks = [], [], [], [], []
     inits = {}
     lines = {"primary_inputs": [], "primary_outputs": [], "gates": [],
@@ -386,10 +387,13 @@ def parse_netlist(text, name="netlist"):
     flops = [Flop(f.d, f.q, inits[f.q][0]) if f.q in inits else f
              for f in flops]
     try:
-        return Netlist(name, inputs, outputs, gates, flops, blocks)
+        netlist = Netlist(name, inputs, outputs, gates, flops, blocks)
     except NetlistError as e:
         field, k = e.item
         raise NetlistError(str(e), line=lines[field][k]) from None
+    if not netlist.nets:      # nothing to simulate, and no toggle fraction
+        raise NetlistError("netlist declares no nets (no INPUT, gate or DFF)")
+    return netlist
 
 
 def load_netlist(path):

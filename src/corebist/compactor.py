@@ -8,16 +8,20 @@ incoming word XORed into the register after the shift:
 so an all-zero register absorbing an all-zero stream stays zero, and the
 whole compactor is linear over GF(2).
 
-Signatures can be computed two ways. :func:`misr_absorb` steps the register
-one word at a time; the scalar self-test session in :mod:`corebist.bist`,
-the oracle, does this for every cycle. ``bist.signature_values`` knows
+The shift is :func:`tpg.lfsr_next`, the one copy of the Fibonacci step.
+Signatures can be computed three ways. :func:`misr_absorb` steps the
+register one word at a time; the scalar self-test session in
+:mod:`corebist.bist`, the oracle, does this for every cycle.
+:func:`signature_of_stream` does the same over integer words; it judges
+each trial of :func:`aliasing_estimate`. ``bist.signature_values`` knows
 the whole response up front as bit planes (one integer per folded output
 bit, bit t = cycle t), on a combinational and a sequential core alike, and
 :func:`signature_of_planes` reduces them in closed form over GF(2), with a
-few shift-XORs per tap instead of one register step per word. Being linear,
-it also gives a faulty signature as the fault-free one XOR the signature of
-the error planes, which the fault-sim kernel folds into the MISR's word
-bits first (Bardell, McAnney & Savir, 1987).
+few shift-XORs per tap instead of one register step per word, and is
+held to :func:`signature_of_stream`. Being linear, the closed form also
+gives a faulty signature as the fault-free one XOR the signature of the
+error planes, which the fault-sim kernel folds into the MISR's word bits
+first (Bardell, McAnney & Savir, 1987).
 """
 
 from __future__ import annotations
@@ -59,10 +63,6 @@ class MisrState(record("MisrState", "polynomial register", defaults=(0,))):
 
     __slots__ = ()
 
-    @property
-    def bits(self):
-        return tuple((self.register >> i) & 1 for i in range(self.polynomial.degree))
-
 
 def misr_absorb(state, word):
     """Absorb one parallel word (LSB-first bit tuple of the MISR width)."""
@@ -95,8 +95,10 @@ def select_output(signatures, sel):
 
 
 def signature_of_stream(poly, words):
-    """Signature of a word stream (ints) from the all-zero register;
-    linearity helper."""
+    """Signature of a word stream (ints) absorbed from the all-zero
+    register one word at a time: the reference of
+    :func:`signature_of_planes`, and the signature of an error stream in
+    :func:`aliasing_estimate`."""
     register = 0
     for w in words:
         register = lfsr_next(poly, register) ^ w
@@ -128,7 +130,8 @@ def signature_of_planes(poly, planes, n):
     over j come from one prefix XOR, so the cost is O(d + |taps| log n)
     operations on n-bit integers instead of n register steps (Bardell,
     McAnney & Savir, *Built-In Test for VLSI*, 1987, on MISRs as polynomial
-    division). :func:`signature_of_stream` is the word-by-word reference.
+    division). :func:`signature_of_stream` is the word-by-word reference,
+    which the tests hold this closed form to.
     """
     d = poly.degree
     if len(planes) != d:
@@ -164,14 +167,13 @@ def aliasing_estimate(width, trials, rng=None):
 
     Each trial corrupts a stream of 4 words with uniform random error words
     (all-zero error streams are redrawn); by linearity the trial aliases iff
-    the error stream's own signature is zero. Expected rate is about
-    2^-width.
+    the error stream's own signature (:func:`signature_of_stream`) is zero.
+    Expected rate is about 2^-width.
     """
     if trials < 10_000:
         raise SimulationError("aliasing estimate needs >= 10^4 trials")
     rng = rng or random.Random(0)
-    mask = Polynomial.parse(DEFAULT_POLYNOMIALS[width]).tap_mask
-    regmask = (1 << width) - 1
+    poly = Polynomial.parse(DEFAULT_POLYNOMIALS[width])
     top = 1 << width
     aliased = 0
     randrange = rng.randrange
@@ -180,10 +182,6 @@ def aliasing_estimate(width, trials, rng=None):
             words = [randrange(top) for _ in range(4)]
             if any(words):
                 break
-        s = 0
-        for w in words:
-            fb = (s & mask).bit_count() & 1
-            s = (((s << 1) | fb) & regmask) ^ w
-        if s == 0:
+        if signature_of_stream(poly, words) == 0:
             aliased += 1
     return aliased / trials

@@ -12,8 +12,9 @@ Stuck-at simulation paths are kept deliberately separate:
   one fault primitive, ``_errors``; on it both build ``len()``, ``index``,
   the fault-free planes ``good``, ``planes(faults)`` (one detection plane
   per stuck-at or transition fault), ``folded(faults, taps, width)`` (per
-  stuck-at fault, its error planes XOR-folded into MISR word bits) and
-  ``toggle_activity()``.
+  stuck-at fault, its error planes XOR-folded into word bits: the MISR
+  bits for the self-test signatures, or one bit per net for every net's
+  error plane) and ``toggle_activity()``.
 * :class:`FaultKernel` (combinational): each net is one integer plane over
   the whole pattern set, and faults are simulated by stem-region tracing:
   a fault's effect plane is carried gate by gate through its fanout-free
@@ -495,9 +496,11 @@ class FaultKernel(_Kernel):
     stem (:func:`_is_stem`). Each stem reached costs one cone walk with the
     stem complemented, which gives the patterns at which flipping it shows
     at the observation nets and at each word bit; a fault's planes are its
-    effect plane ANDed with its stem's. :meth:`faulty` and the stem walk
-    share one cone walk (:meth:`_walk`), which re-evaluates only the cone's
-    gates whose inputs differ from the fault-free planes.
+    effect plane ANDed with its stem's. The cone walk (:meth:`_walk`)
+    re-evaluates only the cone's gates whose inputs differ from the
+    fault-free planes. Every net's error plane under a fault is
+    :meth:`folded` with each net tapped into a word bit of its own, which
+    makes every net a stem.
     """
 
     def __init__(self, netlist, inputs, n):
@@ -552,12 +555,6 @@ class FaultKernel(_Kernel):
         planes = [self._good[i] for i in ins]
         planes[pin] = value
         return out, _eval_gate(kind, planes, self.mask)
-
-    def faulty(self, fault):
-        """Net index -> faulty plane under the stuck-at ``fault``, for the
-        nets whose plane differs from the fault-free one."""
-        site, value = self._site(fault)
-        return {} if value == self._good[site] else self._walk(site, value)
 
     def _errors(self, faults, taps, width):
         """Lazily, by stem-region tracing (the contract: :class:`_Kernel`).

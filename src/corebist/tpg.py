@@ -90,33 +90,13 @@ def lfsr_next(poly, register):
 
 
 class AlfsrState(record("AlfsrState", "polynomial register")):
-    """Autonomous LFSR state; the all-zero register is rejected at seed time."""
+    """Autonomous LFSR state; the plan refuses an all-zero seed
+    (:class:`bist.BistPlan`), the fixed point of the feedback."""
 
     __slots__ = ()
 
-    @property
-    def bits(self):
-        return tuple((self.register >> i) & 1 for i in range(self.polynomial.degree))
-
     def bit(self, i):
         return (self.register >> i) & 1
-
-
-def seed(polynomial, seed_bits):
-    """Build a validated ALFSR state from LSB-first seed bits."""
-    seed_bits = tuple(seed_bits)
-    if len(seed_bits) != polynomial.degree:
-        raise PlanError(f"seed length {len(seed_bits)} != degree {polynomial.degree}")
-    reg = 0
-    for i, b in enumerate(seed_bits):
-        reg |= (b & 1) << i
-    if reg == 0:
-        raise PlanError("all-zero ALFSR seed (fixed point of the feedback)")
-    return AlfsrState(polynomial, reg)
-
-
-def seed_int(polynomial, value):
-    return seed(polynomial, tuple((value >> i) & 1 for i in range(polynomial.degree)))
 
 
 def alfsr_step(state):
@@ -127,14 +107,10 @@ def alfsr_step(state):
 def alfsr_period(state):
     """Orbit length of ``state`` under repeated stepping (exhaustive, at most
     2^degree steps)."""
-    poly = state.polynomial
-    mask = poly.tap_mask
-    regmask = (1 << poly.degree) - 1
-    start = state.register
+    poly, start = state.polynomial, state.register
     r = start
     for n in range(1, (1 << poly.degree) + 1):
-        fb = (r & mask).bit_count() & 1
-        r = ((r << 1) | fb) & regmask
+        r = lfsr_next(poly, r)
         if r == start:
             return n
     raise SimulationError("orbit longer than 2^degree")

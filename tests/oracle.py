@@ -107,6 +107,11 @@ def plane(bits):
     return sum(1 << t for t, hit in enumerate(bits) if hit)
 
 
+def register_bits(register, width):
+    """An integer register -> its ``width`` bits, LSB first (stage 0 first)."""
+    return tuple(register >> i & 1 for i in range(width))
+
+
 def transpose(patterns, width):
     """Pattern tuples -> one plane per input position, bit t = pattern t."""
     return [sum(p[i] << t for t, p in enumerate(patterns)) for i in range(width)]

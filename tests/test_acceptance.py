@@ -33,7 +33,7 @@ def test_criterion_1_lfsr_periods():
     periods = {}
     for degree in (4, 8, 16, 20):
         poly = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[degree])
-        st = tpg.seed_int(poly, 1)
+        st = tpg.AlfsrState(poly, 1)
         d0 = time.monotonic()
         periods[degree] = tpg.alfsr_period(st)
         if degree == 20:
@@ -168,7 +168,7 @@ def test_criterion_7_diagnosis_refinement(capsys, tmp_path):
     netlist = _load("seventeen.bench")
     universe = faultsim.collapse(faultsim.enumerate_faults(netlist), netlist)
     poly = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[8])
-    st = tpg.seed_int(poly, 0x2F)
+    st = tpg.AlfsrState(poly, 0x2F)
     pats = []
     for _ in range(64):
         pats.append(tuple(st.bit(i % 8)

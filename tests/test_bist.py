@@ -7,7 +7,7 @@ from corebist.errors import PlanError, SimulationError
 
 import oracle
 from conftest import perfbench, random_plan_case, seqmini_plan
-from test_equivalence import cells
+from test_equivalence import net_errors
 
 
 @pytest.fixture
@@ -421,10 +421,11 @@ def test_kernel_from_plan_planes_matches_kernel_from_tuples(core, core_plan):
     b = faultsim.stimulus(core, [tuple(p >> t & 1 for p in planes)
                                  for t in range(len(a))])
     assert len(a) == len(b) and a.good == b.good
-    for f in faultsim.collapse(faultsim.enumerate_faults(core), core).faults:
-        assert a.faulty(f) == b.faulty(f), f.key
-        assert a.planes((f,))[0] == b.planes((f,))[0], f.key
-    cells("plan_planes", ["mini10", "seventeen"])
+    faults = faultsim.collapse(faultsim.enumerate_faults(core), core).faults
+    assert a.planes(faults) == b.planes(faults)
+    for f, x, y in zip(faults, net_errors(a, faults), net_errors(b, faults),
+                       strict=True):
+        assert x == y, f.key
 
 
 def test_tdf_on_a_shared_kernel_matches_tdf_from_patterns(mini10, mini_plan,

@@ -243,10 +243,10 @@ def test_toggle_requires_two_patterns(mini10):
 def test_toggle_matches_state_dump_diff_oracle(mini10):
     from corebist import tpg
     poly = tpg.Polynomial.parse("x^4+x+1")
-    state = tpg.seed_int(poly, 0x9)
+    state = tpg.AlfsrState(poly, 0x9)
     pats = []
     for _ in range(64):
-        pats.append(state.bits)
+        pats.append(oracle.register_bits(state.register, 4))
         state = tpg.alfsr_step(state)
     frac, counts = circuit.toggle_activity(mini10, pats)
     # oracle: diff successive full-state dumps

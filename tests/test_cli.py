@@ -47,6 +47,23 @@ def test_lint_missing_file(capsys):
     assert run(["lint", "/nonexistent.bench"]) == 1
 
 
+def test_netlist_without_nets_is_refused(tmp_path, capsys):
+    # a comments-only netlist and a plan that binds nothing: lint fails it,
+    # and bist --toggle, which divides by the net count, reports an error
+    bench = tmp_path / "empty.bench"
+    bench.write_text("# no INPUT, gate or DFF\n")
+    plan = tmp_path / "empty.plan.json"
+    plan.write_text(json.dumps({
+        "schema_version": 1, "alfsr": {"poly": "x^4+x+1", "seed": "0x9"},
+        "pattern_count": 16, "bindings": [], "misrs": []}))
+    assert run(["lint", str(bench)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: netlist declares no nets")
+    assert run(["bist", str(bench), "--plan", str(plan), "--toggle",
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: netlist declares no nets")
+    assert not (tmp_path / "bist_report.json").exists()
+
+
 def test_missing_plan_is_validation_error(tmp_path, capsys):
     assert run(["bist", MINI, "--out", str(tmp_path)]) == 1
     assert "--plan is required" in capsys.readouterr().err
@@ -956,6 +973,74 @@ def test_no_file_imports_a_name_it_never_reads():
                 unused += [f"{path.relative_to(root)}:{node.lineno}: {name}"
                            for name in names if name not in read]
     assert not unused, unused
+
+
+# what the library keeps that no command reaches, and why
+_UNREACHED = {
+    "corebist.bist.BistSession.pattern_stream": "oracle of plan_planes",
+    "corebist.tpg.alfsr_period": "acceptance criterion 1",
+    "corebist.compactor.aliasing_estimate": "acceptance criterion 3",
+    "corebist.fixture_path": "package API",
+    "corebist.bist.misr_detection_rate": "kept until ROADMAP item 3",
+}
+
+
+def _reads(path, perfbench):
+    """(line, name, is_attribute) per name ``path`` reads. In perfbench/
+    only a file that imports corebist counts its names, and every file
+    counts its string constants, whole and after the last dot
+    (``"Class.method"``, ``"module.name"``)."""
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    names = not perfbench or any(
+        isinstance(n, ast.ImportFrom) and (n.module or "").startswith("corebist")
+        or isinstance(n, ast.Import) and
+        any(a.name.startswith("corebist") for a in n.names) for n in nodes)
+    for node in nodes:
+        if names and isinstance(node, ast.Name):
+            yield node.lineno, node.id, False
+        elif names and isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr, True
+        elif perfbench and isinstance(node, ast.Constant) and \
+                isinstance(node.value, str):
+            yield node.lineno, node.value, True
+            yield node.lineno, node.value.rpartition(".")[2], True
+
+
+def test_src_defines_nothing_only_tests_reach():
+    # every top-level function, and every method and property of a
+    # top-level class, is read in src/ outside its own definition, in
+    # tools/ or in perfbench/ (whose SPANS name "Class.method" in strings,
+    # and whose reference modules import no corebist); a method counts
+    # only as an attribute, so no local variable of the same name hides it
+    root = pathlib.Path(SRC).parent
+    reads = [(path, line, name, attr)
+             for pattern, in_perfbench in (("src/corebist/*.py", False),
+                                           ("tools/*.py", False),
+                                           ("perfbench/*.py", True))
+             for path in sorted(root.glob(pattern))
+             for line, name, attr in _reads(path, in_perfbench)]
+    unreached = set()
+    for path in sorted(root.glob("src/corebist/*.py")):
+        module = "corebist" if path.stem == "__init__" else \
+            f"corebist.{path.stem}"
+        defs = []
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node, node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(item, f"{node.name}.{item.name}", True)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        for node, qualname, method in defs:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any((n == name or n == qualname) and (attr or not method)
+                       and not (p == path and line in inside)
+                       for p, line, n, attr in reads):
+                unreached.add(f"{module}.{qualname}")
+    assert unreached == set(_UNREACHED), sorted(unreached ^ set(_UNREACHED))
 
 
 def test_package_attributes_load_submodules_on_first_use():

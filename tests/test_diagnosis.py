@@ -8,7 +8,6 @@ from corebist.errors import SimulationError
 
 import oracle
 from conftest import exhaustive_patterns, seqmini_plan
-from test_equivalence import cells
 
 MINI = str(fixture_path("mini10.bench"))
 MINI_PLAN = str(fixture_path("mini10.plan.json"))
@@ -16,7 +15,7 @@ MINI_PLAN = str(fixture_path("mini10.plan.json"))
 
 def _alfsr_patterns(netlist, count, degree=8, seed=0x33):
     poly = tpg.Polynomial.parse(tpg.DEFAULT_POLYNOMIALS[degree])
-    st = tpg.seed_int(poly, seed)
+    st = tpg.AlfsrState(poly, seed)
     pats = []
     for _ in range(count):
         pats.append(tuple(st.bit(i % degree)
@@ -193,7 +192,6 @@ def test_signature_cli_honours_pattern_count(tmp_path, mini10):
 
 
 def test_signature_rows_on_a_pattern_count_plan_match_session(mini10, seqmini):
-    cells("matrix_signature", ["mini10", "seqmini"])
     # a kernel over another pattern count is refused
     for netlist, plan in ((mini10, bist.BistPlan.load(MINI_PLAN)),
                           (seqmini, seqmini_plan())):

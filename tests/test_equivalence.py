@@ -241,23 +241,29 @@ def planes(core, count):
         for f in u.faults)
 
 
+def net_errors(kernel, faults):
+    """Per stuck-at fault, every net's error plane (faulty ^ fault-free) in
+    ``netlist.nets`` order: ``folded`` with each net on a word bit of its
+    own, on either kernel."""
+    width = len(kernel.netlist.nets)
+    return kernel.folded(faults, {i: [i] for i in range(width)}, width)
+
+
 @row
 def faulty(core, count):
-    """``FaultKernel.faulty`` on every net -> the recursive evaluation."""
+    """Every net's error plane, ``net_errors`` on the netlist's kernel ->
+    the recursive evaluation; on a flop core, hidden-state nets included,
+    after the combinational kernel refuses the netlist."""
     netlist, _, patterns = matrix_case(core, count)
     if netlist.flops:
         with pytest.raises(SimulationError, match="combinational"):
             faultsim.FaultKernel(netlist, oracle.transpose(
                 patterns, len(netlist.primary_inputs)), count)
-        assert not hasattr(faultsim.stimulus(netlist, patterns), "faulty")
-        return
     kernel = faultsim.stimulus(netlist, patterns)
     good, want, _ = replay(core, count)
-    for f in want:
-        got = kernel.faulty(f)
+    for f, got in zip(want, net_errors(kernel, list(want)), strict=True):
         for i, net in enumerate(netlist.nets):
-            assert got.get(i, kernel.good[i]) == want[f][i], (f.key, net)
-            assert i not in got or got[i] != good[i], (f.key, net)
+            assert got[i] == want[f][i] ^ good[i], (f.key, net)
 
 
 @row
@@ -414,7 +420,8 @@ def matrix_signature(core, count):
 @row
 def plan_planes(core, count):
     """``plan_planes`` and ``plan_patterns`` -> ``BistSession.pattern_stream``;
-    the kernel of the plan's planes equals the kernel of the stream."""
+    the kernel of the plan's planes equals the kernel of the stream, down
+    to every net's error plane."""
     netlist, plan, _ = matrix_case(core, count)
     want = scalar(lambda: bist.BistSession(netlist, plan).pattern_stream())
     assert bist.plan_planes(netlist, plan) == \
@@ -425,9 +432,9 @@ def plan_planes(core, count):
     assert len(a) == len(b) and a.good == b.good
     faults = faultsim.enumerate_faults(netlist).faults
     assert a.planes(faults) == b.planes(faults)
-    if not netlist.flops:
-        for f in faults:
-            assert a.faulty(f) == b.faulty(f), f.key
+    for f, x, y in zip(faults, net_errors(a, faults), net_errors(b, faults),
+                       strict=True):
+        assert x == y, f.key
 
 
 @pytest.mark.parametrize("name, core, count", [

@@ -154,7 +154,7 @@ def test_and_y_sa0_undetected_without_11(and2):
 
 def test_seventeen_matches_brute_force_oracle(seventeen):
     poly = tpg.Polynomial.parse("x^8+x^4+x^3+x^2+1")
-    st = tpg.seed_int(poly, 0x41)
+    st = tpg.AlfsrState(poly, 0x41)
     pats = []
     for _ in range(256):
         pats.append(tuple(st.bit(i % 8) for i in range(6)))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corebist import tpg
+from corebist import bist, tpg
 from corebist.errors import PlanError
 
 import oracle
@@ -28,27 +28,35 @@ def test_polynomial_rejects(bad):
         tpg.Polynomial.parse(bad)
 
 
+# the seed range is checked in one place, BistPlan, which a plan file and
+# --seed both build
+
+def _plan(poly, seed):
+    return bist.BistPlan(poly, seed, (), ())
+
+
 def test_seed_rejects_all_zero():
     poly = tpg.Polynomial.parse("x^4+x+1")
-    with pytest.raises(PlanError, match="all-zero"):
-        tpg.seed(poly, (0, 0, 0, 0))
+    with pytest.raises(PlanError, match="seed 0x0 outside 1..2"):
+        _plan(poly, 0)
 
 
 def test_seed_accepts_nonzero():
     poly = tpg.Polynomial.parse("x^4+x+1")
-    st = tpg.seed(poly, (1, 0, 0, 1))
-    assert st.register == 0b1001
+    assert _plan(poly, 0b1001).alfsr_seed == 0b1001
 
 
 def test_seed_length_mismatch():
+    # a seed wider than the register
     poly = tpg.Polynomial.parse("x^20+x^3+1")
-    with pytest.raises(PlanError, match="length"):
-        tpg.seed(poly, (1,) * 19)
+    with pytest.raises(PlanError, match="outside 1..2\\^20-1"):
+        _plan(poly, 1 << 20)
+    assert _plan(poly, (1 << 20) - 1).alfsr_seed == 0xFFFFF
 
 
 def test_primitive_degree4_period_15():
     poly = tpg.Polynomial.parse("x^4+x+1")
-    st = tpg.seed(poly, (1, 0, 0, 0))
+    st = tpg.AlfsrState(poly, 0b0001)
     assert tpg.alfsr_period(st) == 15
     # independent list-based oracle
     assert oracle.lfsr_orbit(sorted(poly.taps), 4, [1, 0, 0, 0]) == 15
@@ -56,7 +64,7 @@ def test_primitive_degree4_period_15():
 
 def test_nonprimitive_degree4_short_period():
     poly = tpg.Polynomial.parse("x^4+x^2+1")
-    st = tpg.seed(poly, (1, 0, 0, 0))
+    st = tpg.AlfsrState(poly, 0b0001)
     period = tpg.alfsr_period(st)
     assert period < 15
     assert period == oracle.lfsr_orbit(sorted(poly.taps), 4, [1, 0, 0, 0])
@@ -64,15 +72,15 @@ def test_nonprimitive_degree4_short_period():
 
 def test_step_matches_oracle_sequence():
     poly = tpg.Polynomial.parse("x^8+x^4+x^3+x^2+1")
-    st = tpg.seed_int(poly, 0xA5)
-    reg = list(st.bits)
+    st = tpg.AlfsrState(poly, 0xA5)
+    reg = list(oracle.register_bits(st.register, 8))
     for _ in range(100):
         st = tpg.alfsr_step(st)
         fb = 0
         for t in poly.taps:
             fb ^= reg[t - 1]
         reg = [fb] + reg[:-1]
-        assert list(st.bits) == reg
+        assert list(oracle.register_bits(st.register, 8)) == reg
 
 
 def test_step_is_bijection_on_nonzero_states():
@@ -124,25 +132,27 @@ def test_case_study_cg_port_width_is_4():
 # -- port bindings ---------------------------------------------------------------
 
 def _alfsr4(value=0b1001):
-    return tpg.seed_int(tpg.Polynomial.parse("x^4+x+1"), value)
+    return tpg.AlfsrState(tpg.Polynomial.parse("x^4+x+1"), value)
 
 
 def test_situation_a_identity_slice():
     binding = tpg.modular_binding("A", 4, 4)
     st = _alfsr4(0b1011)
-    assert tpg.assemble_pattern(binding, st, 0) == st.bits
+    assert tpg.assemble_pattern(binding, st, 0) == \
+        oracle.register_bits(st.register, 4)
 
 
 def test_situation_b_full_replication():
     binding = tpg.modular_binding("B", 8, 4)
     st = _alfsr4(0b0110)
-    assert tpg.assemble_pattern(binding, st, 0) == st.bits + st.bits
+    assert tpg.assemble_pattern(binding, st, 0) == \
+        oracle.register_bits(st.register, 4) * 2
 
 
 def test_situation_d_cg_plus_replication():
     # 54-bit port: 4 CG bits + 50 replicated from a 20-bit register
     poly = tpg.Polynomial.parse("x^20+x^3+1")
-    st = tpg.seed_int(poly, 0xBEEF1)
+    st = tpg.AlfsrState(poly, 0xBEEF1)
     cg = tpg.ConstraintProgram(4, ((0b1100, 2), (0b0011, 1)), cyclic=True)
     binding = tpg.modular_binding("D", 54, 20, cg, (0, 1, 2, 3))
     for cycle in (0, 1, 2, 5):
@@ -197,7 +207,7 @@ def test_pattern_sequence_replayable():
     binding = tpg.modular_binding("R", 12, 8)
 
     def stream():
-        st = tpg.seed_int(poly, 0x5B)
+        st = tpg.AlfsrState(poly, 0x5B)
         out = []
         for c in range(100):
             out.append(tpg.assemble_pattern(binding, st, c))
