@@ -275,10 +275,9 @@ def check_plan(netlist, plan):
     """Raise :class:`PlanError` unless ``plan`` fits ``netlist``: every
     binding and MISR names a block of matching width, every ALFSR source is
     a stage, and every primary input is bound."""
-    blocks = {b.name: b for b in netlist.blocks}
     degree = plan.alfsr_poly.degree
     for binding, misr in zip(plan.bindings, plan.misrs):
-        blk = blocks.get(binding.block)
+        blk = netlist.block_by_name.get(binding.block)
         if blk is None:
             raise PlanError(f"plan binds unknown block {binding.block!r}")
         if binding.width != len(blk.input_port):
@@ -293,7 +292,7 @@ def check_plan(netlist, plan):
             raise PlanError(f"cascade/MISR width mismatch for {binding.block!r}")
     bound_inputs = set()
     for binding in plan.bindings:
-        bound_inputs.update(blocks[binding.block].input_port)
+        bound_inputs.update(netlist.block_by_name[binding.block].input_port)
     for n in netlist.primary_inputs:
         if n not in bound_inputs:
             raise PlanError(f"primary input {n!r} driven by no binding")
@@ -306,7 +305,6 @@ class BistSession:
         check_plan(netlist, plan)
         self.netlist = netlist
         self.plan = plan
-        self.blocks = {b.name: b for b in netlist.blocks}
         self.reset()
 
     def reset(self):
@@ -335,7 +333,7 @@ class BistSession:
         assignment = {}
         for binding in self.plan.bindings:
             word = tpg.assemble_pattern(binding, self.alfsr, cycle)
-            port = self.blocks[binding.block].input_port
+            port = self.netlist.block_by_name[binding.block].input_port
             for net, bit in zip(port, word):
                 assignment[net] = bit
         # via a list: tuple(genexpr) resizes, which fills CPython's tuple free list
@@ -348,7 +346,7 @@ class BistSession:
             self.netlist, self.dut_state, self.assemble_inputs(cycle),
             fault=inject)
         for binding, misr in zip(self.plan.bindings, self.plan.misrs):
-            port = self.blocks[binding.block].output_port
+            port = self.netlist.block_by_name[binding.block].output_port
             word = tuple(values[n] for n in port)
             folded = compactor.fold(misr.cascade, word)
             self.misrs[misr.block] = compactor.misr_absorb(
@@ -437,7 +435,6 @@ def plan_planes(netlist, plan):
         register = tpg.lfsr_next(poly, register)
     sequence = faultsim.plane(steps) << top | head
     mask = (1 << n) - 1
-    blocks = {b.name: b for b in netlist.blocks}
     planes = {}
     for binding in plan.bindings:
         word = [None] * binding.width
@@ -446,7 +443,8 @@ def plan_planes(netlist, plan):
         if binding.cg is not None:
             for bit, plane in zip(binding.cg_bits, _cg_planes(binding.cg, n)):
                 word[bit] = plane
-        planes.update(zip(blocks[binding.block].input_port, word))
+        planes.update(zip(netlist.block_by_name[binding.block].input_port,
+                          word))
     return [planes[net] for net in netlist.primary_inputs]
 
 
@@ -512,13 +510,12 @@ def signature_values(netlist, plan, kernel, faults):
     n = plan.pattern_count
     if len(kernel) != n:
         raise SimulationError(f"{len(kernel)} patterns for a plan of {n}")
-    blocks = {b.name: b for b in netlist.blocks}
     # net index -> the folded word bits it feeds, numbered across the MISRs
     # in plan order, and each MISR's polynomial and slice of those bits
     taps, spans, width = {}, [], 0
     for binding, misr in zip(plan.bindings, plan.misrs):
         out = misr.cascade.out_width
-        for i, net in enumerate(blocks[binding.block].output_port):
+        for i, net in enumerate(netlist.block_by_name[binding.block].output_port):
             taps.setdefault(kernel.index[net], []).append(width + i % out)
         spans.append((misr.polynomial, slice(width, width + out)))
         width += out

@@ -20,7 +20,7 @@ Pragma errors, each a NetlistError naming the line: a ``#@block`` or
 they are about as well: a second ``INPUT`` or ``OUTPUT`` of one net, a
 second driver of a net, a gate, DFF, ``OUTPUT`` or ``#@block`` that reads a
 net nothing drives, a gate on a combinational loop, and a second block of
-one name.
+one name. A netlist that declares no net at all is refused too.
 """
 
 from __future__ import annotations
@@ -62,9 +62,14 @@ class Block(record("Block", "name input_port output_port")):
 class Netlist:
     """Validated, immutable gate-level circuit.
 
-    Construction checks the structural invariants: every net has exactly one
-    driver, fan-ins reference declared nets, port lists are duplicate-free,
-    and the combinational part is acyclic.
+    Construction checks the structural invariants: at least one net,
+    every net has exactly one driver, fan-ins reference declared nets,
+    port lists are duplicate-free, and the combinational part is acyclic.
+    It then builds the connectivity every reader of the netlist shares:
+    ``nets`` (inputs, flop Q nets, gate outputs), ``driver`` (net -> the
+    :class:`Gate` driving it), ``readers`` (net -> the ``(gate output,
+    pin)`` pairs reading it, in gate order), ``block_by_name`` (name ->
+    :class:`Block`) and ``topo_gates``.
     """
 
     def __init__(self, name, primary_inputs, primary_outputs, gates,
@@ -77,9 +82,14 @@ class Netlist:
         self.blocks = tuple(blocks)
         self._validate()
         self.nets = self._collect_nets()
-        self.topo_gates = self._toposort()
-        # index of the driving gate per net, for fault injection
         self.driver = {g.output: g for g in self.gates}
+        self.topo_gates = self._toposort()
+        readers = {n: [] for n in self.nets}
+        for g in self.gates:
+            for pin, net in enumerate(g.inputs):
+                readers[net].append((g.output, pin))
+        self.readers = {n: tuple(r) for n, r in readers.items()}
+        self.block_by_name = {b.name: b for b in self.blocks}
 
     # -- structure ---------------------------------------------------------
 
@@ -135,12 +145,13 @@ class Netlist:
                     if n not in declared:
                         raise _invalid(f"block {b.name!r} references unknown "
                                        f"net {n!r}", "blocks", k)
+        if not declared:      # nothing to simulate, and no toggle fraction
+            raise NetlistError("netlist declares no nets (no INPUT, gate or DFF)")
 
     def _toposort(self):
         # flop Q nets break cycles: they are sources like primary inputs
         order = []
         state = {}  # net -> 0 visiting, 1 done
-        by_output = {g.output: g for g in self.gates}
 
         for root in self.gates:
             stack = [(root, iter(root.inputs))]
@@ -151,7 +162,7 @@ class Netlist:
                 gate, it = stack[-1]
                 advanced = False
                 for net in it:
-                    dep = by_output.get(net)
+                    dep = self.driver.get(net)
                     if dep is None:
                         continue
                     st = state.get(dep.output)
@@ -318,8 +329,7 @@ def _check_ident(name, lineno):
 
 def parse_netlist(text, name="netlist"):
     """Parse bench-format text into a validated Netlist; a structural error
-    names the line of the item it is about, and a text that declares no net
-    is refused."""
+    names the line of the item it is about."""
     inputs, outputs, gates, flops, blocks = [], [], [], [], []
     inits = {}
     lines = {"primary_inputs": [], "primary_outputs": [], "gates": [],
@@ -389,10 +399,10 @@ def parse_netlist(text, name="netlist"):
     try:
         netlist = Netlist(name, inputs, outputs, gates, flops, blocks)
     except NetlistError as e:
+        if not hasattr(e, "item"):      # about no one item: no line to add
+            raise
         field, k = e.item
         raise NetlistError(str(e), line=lines[field][k]) from None
-    if not netlist.nets:      # nothing to simulate, and no toggle fraction
-        raise NetlistError("netlist declares no nets (no INPUT, gate or DFF)")
     return netlist
 
 

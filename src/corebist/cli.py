@@ -52,8 +52,7 @@ def parse_pattern_file(path, netlist, plan):
     """External patterns: one vector per line, binary MSB-left, width =
     sum of block input widths in plan binding order; '#' comments."""
     bist.check_plan(netlist, plan)
-    blocks = {b.name: b for b in netlist.blocks}
-    ports = [blocks[b.block].input_port for b in plan.bindings]
+    ports = [netlist.block_by_name[b.block].input_port for b in plan.bindings]
     total = sum(len(p) for p in ports)
     patterns = []
     with open(path) as fh:

@@ -20,7 +20,9 @@ Stuck-at simulation paths are kept deliberately separate:
   a fault's effect plane is carried gate by gate through its fanout-free
   region to the region's stem, and each stem costs one walk of its fanout
   cone per call, re-evaluating only the gates whose inputs differ from the
-  fault-free planes (critical path tracing over parallel patterns).
+  fault-free planes (critical path tracing over parallel patterns). The
+  stem rule reads each net's readers from ``netlist.readers``, as the
+  fault list and :func:`collapse` do.
 * :class:`SequentialStimulus` (flops): its ``_errors`` is the PROOFS pass
   itself, fault-parallel: one word per net per cycle, bit 0 the fault-free
   machine and bit k+1 fault k, one pass from reset for the whole fault set,
@@ -99,20 +101,12 @@ class FaultUniverse:
         return len(self.faults)
 
 
-def _fanout(netlist):
-    """Net -> list of (gate output net, pin index) reading it."""
-    fan = {n: [] for n in netlist.nets}
-    for g in netlist.gates:
-        for pin, net in enumerate(g.inputs):
-            fan[net].append((g.output, pin))
-    return fan
-
-
 def _is_stem(readers, seen):
     """Whether a net is a stem, the root of a fanout-free region: it is
     ``seen`` (observed, or tapped into a word bit) or its ``readers``, the
-    (gate, pin) pairs that read it, are not exactly one gate pin. A net no
-    gate reads is a stem, and so is a net one gate reads on two pins."""
+    (gate, pin) pairs that read it (``netlist.readers``), are not exactly
+    one gate pin. A net no gate reads is a stem, and so is a net one gate
+    reads on two pins."""
     return seen or len(readers) != 1
 
 
@@ -127,7 +121,6 @@ def enumerate_faults(netlist, kinds=("SA0", "SA1")):
     for k in kinds:
         if k not in SA_KINDS + TDF_KINDS:
             raise SimulationError(f"unknown fault kind {k!r}")
-    fan = _fanout(netlist)
     faults = []
     sa = [k for k in kinds if k in SA_KINDS]
     tdf = [k for k in kinds if k in TDF_KINDS]
@@ -137,8 +130,8 @@ def enumerate_faults(netlist, kinds=("SA0", "SA1")):
         for k in tdf:
             faults.append(FaultDescriptor(net, k))
     for net in netlist.nets:
-        if len(fan[net]) > 1:
-            for gate, pin in fan[net]:
+        if len(netlist.readers[net]) > 1:
+            for gate, pin in netlist.readers[net]:
                 for k in sa:
                     faults.append(FaultDescriptor(net, k, gate, pin))
     return FaultUniverse(tuple(faults))
@@ -162,7 +155,6 @@ def collapse(universe, netlist):
     output SA0). Transition faults pass through uncollapsed. Returns a
     universe holding class representatives with the full map recorded.
     """
-    fan = _fanout(netlist)
     index = {f: i for i, f in enumerate(universe.faults)}
 
     parent = list(range(len(universe.faults)))
@@ -187,7 +179,7 @@ def collapse(universe, netlist):
             if out_f not in index:
                 continue
             for pin, net in enumerate(g.inputs):
-                if len(fan[net]) > 1:
+                if len(netlist.readers[net]) > 1:
                     in_f = FaultDescriptor(net, in_kind, g.output, pin)
                 else:
                     in_f = FaultDescriptor(net, in_kind)
@@ -493,26 +485,23 @@ class FaultKernel(_Kernel):
     Abramovici, Menon & Miller, IEEE D&T 1984; Antreich & Schulz, IEEE TCAD
     1987), exact for single stuck-at faults. A fault's effect plane is
     walked gate by gate along the single-reader chain from its site to its
-    stem (:func:`_is_stem`). Each stem reached costs one cone walk with the
-    stem complemented, which gives the patterns at which flipping it shows
-    at the observation nets and at each word bit; a fault's planes are its
-    effect plane ANDed with its stem's. The cone walk (:meth:`_walk`)
-    re-evaluates only the cone's gates whose inputs differ from the
-    fault-free planes. Every net's error plane under a fault is
-    :meth:`folded` with each net tapped into a word bit of its own, which
-    makes every net a stem.
+    stem (:func:`_is_stem`, on each net's ``netlist.readers``). Each stem
+    reached costs one cone walk with the stem complemented, which gives the
+    patterns at which flipping it shows at the observation nets and at each
+    word bit; a fault's planes are its effect plane ANDed with its stem's.
+    The cone walk (:meth:`_walk`) re-evaluates only the cone's gates whose
+    inputs differ from the fault-free planes. Every net's error plane under
+    a fault is :meth:`folded` with each net tapped into a word bit of its
+    own, which makes every net a stem.
     """
 
     def __init__(self, netlist, inputs, n):
         if netlist.flops:
             raise SimulationError("the fault kernel needs a combinational netlist")
         super().__init__(netlist, inputs, n)
-        # the (gate position, pin) pairs reading each net; positions follow
-        # the topological order
-        self._pins = [[] for _ in netlist.nets]
-        for pos, (_, _, ins) in enumerate(self._ops):
-            for pin, i in enumerate(ins):
-                self._pins[i].append((pos, pin))
+        # the (gate position, pin) pairs reading each net, by net index
+        self._pins = [[(self._driver[self.index[g]], pin) for g, pin in
+                       netlist.readers[net]] for net in netlist.nets]
         good = [0] * len(netlist.nets)
         for net, plane in zip(netlist.primary_inputs, self.inputs):
             good[self.index[net]] = plane

@@ -146,8 +146,10 @@ def random_plan(rng, base, count, n_blocks):
     """``base`` cut into ``n_blocks`` blocks, with a random plan over them:
     CG-driven input bits, cascades with in % out != 0, MISR widths 2-5.
     Each block reads a slice of the primary inputs and any nets as its
-    output port (on a flop core, Q nets too). Returns the re-blocked
-    netlist and the plan, its golden signatures from the scalar session."""
+    output port (on a flop core, Q nets too), at most two more than its
+    MISR's width, so that unobserved fanout-free chains remain. Returns the
+    re-blocked netlist and the plan, its golden signatures from the scalar
+    session."""
     pis = list(base.primary_inputs)
     n_in = len(pis)
     cuts = sorted(rng.sample(range(1, n_in), n_blocks - 1))
@@ -155,7 +157,7 @@ def random_plan(rng, base, count, n_blocks):
     polys = [tpg.Polynomial.parse(rng.choice(MISR_POLYS))
              for _ in range(n_blocks)]
     out_ports = [rng.sample(base.nets, rng.randint(p.degree, min(
-        len(base.nets), 3 * p.degree + 1))) for p in polys]
+        len(base.nets), p.degree + 2))) for p in polys]
     pragmas = [f"#@block B{k} in: {','.join(i)} out: {','.join(o)}"
                for k, (i, o) in enumerate(zip(in_ports, out_ports))]
     bench = [line for line in to_bench(base).splitlines()

@@ -16,6 +16,8 @@ def test_smallest_legal_circuit():
     assert len(n.gates) == 1
     assert n.primary_inputs == ("a", "b")
     assert n.primary_outputs == ("y",)
+    assert n.driver == {"y": n.gates[0]}
+    assert n.readers == {"a": (("y", 0),), "b": (("y", 1),), "y": ()}
 
 
 def test_undriven_net_rejected():
@@ -33,6 +35,13 @@ def test_combinational_loop_rejected():
     with pytest.raises(NetlistError, match="loop"):
         circuit.parse_netlist(
             "INPUT(a)\nOUTPUT(y)\nx = AND(a, y)\ny = BUF(x)")
+
+
+def test_netlist_without_nets_rejected():
+    # built in code too, not only parsed: toggle activity divides by the
+    # net count
+    with pytest.raises(NetlistError, match=r"declares no nets \(no INPUT"):
+        circuit.Netlist("n", [], [], [], [], [])
 
 
 @pytest.mark.parametrize("text, message", [

@@ -426,7 +426,7 @@ def test_tap_replay_matches_golden(tmp_path, capsys):
 
 
 def test_tap_mismatch_exits_1(tmp_path, capsys):
-    golden = open(TRACE).read()
+    golden = pathlib.Path(TRACE).read_text()
     lines = golden.splitlines()
     # flip the last recorded TDO bit
     for i in range(len(lines) - 1, -1, -1):
@@ -668,7 +668,7 @@ def test_plan_seed_outside_the_alfsr_range_is_an_error(tmp_path, capsys,
                                                        seed):
     # mini10's plan has a degree-8 ALFSR: seeds run 1..0xff; 'abc' is no
     # integer, which argparse reports as a usage error naming the option
-    plan = json.loads(open(MINI_PLAN).read())
+    plan = json.loads(pathlib.Path(MINI_PLAN).read_text())
     plan["alfsr"]["seed"] = seed
     bad = tmp_path / "bad.plan.json"
     bad.write_text(json.dumps(plan))
@@ -718,7 +718,7 @@ def test_malformed_plan_is_a_clean_error(tmp_path, capsys, text, message):
 
 
 def test_plan_field_of_wrong_type_is_named(tmp_path, capsys):
-    plan = json.loads(open(MINI_PLAN).read())
+    plan = json.loads(pathlib.Path(MINI_PLAN).read_text())
     plan["bindings"][0]["width"] = "4"
     path = tmp_path / "bad.plan.json"
     path.write_text(json.dumps(plan))
@@ -737,7 +737,7 @@ def test_plan_integer_literal_names_its_form(tmp_path, capsys, path, literal,
                                               form):
     # on the core's plan; an alfsr_slice key is itself the literal, so the
     # key "10" is renamed
-    plan = json.loads(open(CORE_PLAN).read())
+    plan = json.loads(pathlib.Path(CORE_PLAN).read_text())
     parent = plan
     for key in path[:-1]:
         parent = parent[key]
@@ -800,7 +800,7 @@ def _plan_mutations(rng, text, per_kind):
 
 
 def test_plan_loader_fuzz_never_escapes(tmp_path, capsys):
-    text = open(MINI_PLAN).read()
+    text = pathlib.Path(MINI_PLAN).read_text()
     rng = random.Random(0xF022)
     codes = {}
     for i, (kind, path, mutated, loads) in enumerate(_plan_mutations(rng, text, 40)):
@@ -820,7 +820,7 @@ def test_plan_loader_fuzz_never_escapes(tmp_path, capsys):
 
 def test_plan_loader_fuzz_with_constraint_programs(tmp_path):
     # the case-study plan has CG bindings; load it straight, no command run
-    text = open(CORE_PLAN).read()
+    text = pathlib.Path(CORE_PLAN).read_text()
     rng = random.Random(0xC6F)
     cg_paths = 0
     for i, (kind, path, mutated, loads) in enumerate(_plan_mutations(rng, text, 60)):
@@ -839,7 +839,7 @@ def test_plan_loader_fuzz_with_constraint_programs(tmp_path):
 
 
 def test_huge_binding_width_is_refused_quickly(tmp_path, capsys):
-    plan = json.loads(open(MINI_PLAN).read())
+    plan = json.loads(pathlib.Path(MINI_PLAN).read_text())
     plan["bindings"][0]["width"] = 2_000_000
     path = tmp_path / "wide.plan.json"
     path.write_text(json.dumps(plan))
@@ -885,7 +885,7 @@ def _assert_clean_exit(code, text, prefix, where):
 
 
 def test_bench_parser_fuzz_never_escapes(tmp_path, capsys):
-    data = open(MINI, "rb").read()
+    data = pathlib.Path(MINI).read_bytes()
     bench = tmp_path / "m.bench"
     codes = set()
     for i, (kind, mutated) in enumerate(_line_mutations(random.Random(0xBE4C),
@@ -900,7 +900,7 @@ def test_bench_parser_fuzz_never_escapes(tmp_path, capsys):
 
 
 def test_trace_parser_fuzz_never_escapes(tmp_path, capsys):
-    data = open(TRACE, "rb").read()
+    data = pathlib.Path(TRACE).read_bytes()
     trace = tmp_path / "m.trace"
     codes = set()
     for i, (kind, mutated) in enumerate(_line_mutations(random.Random(0x7ACE),

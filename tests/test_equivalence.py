@@ -473,9 +473,11 @@ def test_matrix_cores_cover_every_site_and_plan_feature(flops):
     # D net is not observed (hidden state) and a Q net on an output port;
     # among the combinational cores every case of the stem rule: a gate
     # reading one net on two pins, an observed net that gates read and a
-    # net that is neither observed nor read
+    # net that is neither observed nor read; and in every core random_plan
+    # re-blocks a chain, an unobserved single-reader net whose reader's
+    # output is one too, so the stem walk is not left to mini10 and stems
     sites, misrs, uneven, cg, q_ports, hidden = set(), set(), 0, 0, 0, 0
-    two_pins, observed_read, unread = 0, 0, 0
+    two_pins, observed_read, unread, chains = 0, 0, 0, []
     for core in CORES:
         netlist, plan = matrix_core(core)
         if bool(netlist.flops) != flops:
@@ -494,10 +496,16 @@ def test_matrix_cores_cover_every_site_and_plan_feature(flops):
         two_pins += sum(len(set(g.inputs)) < len(g.inputs) for g in netlist.gates)
         observed_read += len(obs & read)
         unread += sum(n not in obs and n not in read for n in netlist.nets)
+
+        def single(net):
+            return net not in obs and len(netlist.readers[net]) == 1
+        if CORE_BLOCKS[core]:
+            chains.append(sum(single(n) and single(netlist.readers[n][0][0])
+                              for n in netlist.nets))
     assert {"branch", "input", "gate"} | ({"Q", "D"} if flops else set()) <= sites
     assert uneven and cg and len(misrs) > 2
     assert flops or 4 in misrs
-    assert flops or (two_pins and observed_read and unread)
+    assert flops or (two_pins and observed_read and unread and all(chains))
     assert not flops or (hidden and q_ports)
 
 

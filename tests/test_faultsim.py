@@ -239,8 +239,9 @@ def test_also_on_fault_kernel_keeps_the_tdf_stems(monkeypatch):
     assert stems & set(saf.faults) and stems - set(saf.faults)
     want = faultsim.tdf_sim(core, tdf, pats)
     kernel = faultsim.stimulus(core, pats)
-    roots = {i for i, readers in enumerate(kernel._pins)
-             if faultsim._is_stem(readers, i in kernel._obs)}
+    obs = set(faultsim.observation_nets(core))
+    roots = {kernel.index[net] for net, readers in core.readers.items()
+             if faultsim._is_stem(readers, net in obs)}
     walked = []
     real = faultsim.FaultKernel._walk
 
