@@ -370,8 +370,11 @@ class BistSession:
             for m in self.plan.misrs)
 
     def selected_signature(self):
-        return compactor.select_output(self.signatures(),
-                                       self.control.output_select)
+        """The signature of the MISR that :meth:`select` chose (the first
+        one until a select); a plan without a MISR has none to read."""
+        if not self.plan.misrs:
+            raise PlanError("the plan has no MISR to read")
+        return self.signatures()[self.control.output_select]
 
     def pattern_stream(self):
         """The primary-input vectors this plan applies, for fault simulation."""

@@ -1,8 +1,9 @@
 """Command-line surface: lint, bist, faultsim, import, tap, diagnose, report.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime error. All randomness
-is seeded through the plan (ALFSR polynomial + seed) and echoed in every
-report header, so reruns with identical inputs are byte-identical.
+Exit codes: 0 success; 1 a failed check, or any corebist or file error,
+printed as ``error: ...``; 2 argparse refused the command line. All
+randomness is seeded through the plan (ALFSR polynomial + seed) and echoed
+in every report header, so reruns with identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -415,14 +416,7 @@ def main(argv=None):
             raise SimulationError(f"--workers must be at least 1, got "
                                   f"{args.workers}")
         return args.func(args)
-    except (NetlistError, PlanError, SimulationError, ProtocolError,
-            ReportError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except CoreBistError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CoreBistError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Response compaction: XOR-cascade width folding, MISRs, output selection.
+"""Response compaction: XOR-cascade width folding, MISRs, signatures.
 
 The MISR is the same Fibonacci LFSR as the pattern generator with the
 incoming word XORed into the register after the shift:
@@ -83,15 +83,6 @@ class Signature(record("Signature", "block polynomial value pattern_count")):
 
     def hex(self):
         return f"{self.value:0{(self.polynomial.degree + 3) // 4}x}"
-
-
-def select_output(signatures, sel):
-    """Pick the MISR addressed by the 2-bit output selector."""
-    if not 0 <= sel < len(signatures):
-        raise PlanError(f"selector {sel} out of range (have {len(signatures)} signatures)")
-    if sel > 3:
-        raise PlanError("selector is a 2-bit code")
-    return signatures[sel]
 
 
 def signature_of_stream(poly, words):

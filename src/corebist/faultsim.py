@@ -43,6 +43,8 @@ faults (slow-to-rise STR, slow-to-fall STF) live on net stems only and are
 detected launch-on-capture over consecutive pattern pairs. A transition
 fault has no stuck value, so every path that would simulate it as stuck-at
 refuses it; :meth:`_Kernel.planes` reads its stem stuck-at fault instead.
+:func:`collapse` merges stuck-at faults by gate-local equivalence; each
+class is a tree rooted at one gate-output fault.
 """
 
 from __future__ import annotations
@@ -152,48 +154,35 @@ def collapse(universe, netlist):
     """Structural equivalence collapsing of the stuck-at faults.
 
     Classic gate-local rules (e.g. any AND input SA0 is equivalent to the
-    output SA0). Transition faults pass through uncollapsed. Returns a
-    universe holding class representatives with the full map recorded.
+    output SA0; McCluskey & Clegg, IEEE Trans. Computers 1971). Each rule
+    links a gate-input fault (the branch fault where the net has more than
+    one reader, else the net's stem fault) to the gate's output fault, and
+    an input fault sits on one gate pin, so it links to at most one output
+    fault: every class is a tree rooted at one output fault. One sweep in
+    reverse topological order gives each input fault its output fault's
+    root, which the sweep has already set. Transition faults pass through
+    uncollapsed.
+    Returns a universe holding the class representatives, each class's
+    first fault in universe order, with the full map recorded.
     """
-    index = {f: i for i, f in enumerate(universe.faults)}
-
-    parent = list(range(len(universe.faults)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for g in netlist.gates:
-        rules = _EQUIV_IN_OUT.get(g.kind)
-        if not rules:
-            continue
-        for in_kind, out_kind in rules.items():
+    faults = set(universe.faults)
+    root = {}
+    for g in reversed(netlist.topo_gates):
+        for in_kind, out_kind in _EQUIV_IN_OUT.get(g.kind, {}).items():
             out_f = FaultDescriptor(g.output, out_kind)
-            if out_f not in index:
+            if out_f not in faults:
                 continue
             for pin, net in enumerate(g.inputs):
                 if len(netlist.readers[net]) > 1:
                     in_f = FaultDescriptor(net, in_kind, g.output, pin)
                 else:
                     in_f = FaultDescriptor(net, in_kind)
-                if in_f in index:
-                    union(index[in_f], index[out_f])
-
-    collapse_map = {}
-    reps = []
-    for i, f in enumerate(universe.faults):
-        r = universe.faults[find(i)]
-        collapse_map[f] = r
-        if r == f:
-            reps.append(f)
-    return FaultUniverse(tuple(reps), collapse_map)
+                if in_f in faults:
+                    root[in_f] = root.get(out_f, out_f)
+    first = {}
+    collapse_map = {f: first.setdefault(root.get(f, f), f)
+                    for f in universe.faults}
+    return FaultUniverse(tuple(first.values()), collapse_map)
 
 
 # -- observation and reporting ----------------------------------------------
@@ -202,27 +191,6 @@ def observation_nets(netlist):
     """Primary outputs plus every block output net, deduplicated in order."""
     ports = (n for b in netlist.blocks for n in b.output_port)
     return tuple(dict.fromkeys([*netlist.primary_outputs, *ports]))
-
-
-def _block_cones(netlist):
-    """Block name -> set of nets in the fanin cone of its output port."""
-    flop_d = {f.q: f.d for f in netlist.flops}
-    cones = {}
-    for b in netlist.blocks:
-        cone = set()
-        stack = list(b.output_port) + list(b.input_port)
-        while stack:
-            n = stack.pop()
-            if n in cone:
-                continue
-            cone.add(n)
-            g = netlist.driver.get(n)
-            if g is not None:
-                stack.extend(g.inputs)
-            elif n in flop_d:
-                stack.append(flop_d[n])
-        cones[b.name] = cone
-    return cones
 
 
 class CoverageReport(record("CoverageReport",
@@ -271,18 +239,27 @@ class CoverageReport(record("CoverageReport",
 
 
 def fault_blocks(netlist, faults):
-    """Block of each fault: the first block whose cone holds its net, or None."""
-    cones = _block_cones(netlist)
-    order = [b.name for b in netlist.blocks]
-    out = []
-    for f in faults:
-        name = None
-        for bname in order:
-            if f.net in cones[bname]:
-                name = bname
-                break
-        out.append(name)
-    return tuple(out)
+    """Block of each fault: the first block whose cone (the nets its output
+    and input ports reach back to through gates and flops) holds the
+    fault's net, or None. One walk per block fills a net -> block table,
+    and each fault reads its net's entry."""
+    flop_d = {f.q: f.d for f in netlist.flops}
+    owner = {}
+    for b in netlist.blocks:
+        cone = set()
+        stack = [*b.output_port, *b.input_port]
+        while stack:
+            n = stack.pop()
+            if n in cone:
+                continue
+            cone.add(n)
+            owner.setdefault(n, b.name)
+            g = netlist.driver.get(n)
+            if g is not None:
+                stack.extend(g.inputs)
+            elif n in flop_d:
+                stack.append(flop_d[n])
+    return tuple(owner.get(f.net) for f in faults)
 
 
 def coverage(report):

@@ -158,6 +158,51 @@ def sequential_tdf_brute(netlist, faults, patterns, observe):
     return tuple(firsts)
 
 
+# gate kind -> (controlling input value, output inverted); every value
+# controls a one-input gate
+_CONTROL = {"AND": (0, 0), "NAND": (0, 1), "OR": (1, 0), "NOR": (1, 1),
+            "BUF": (None, 0), "NOT": (None, 1)}
+
+
+def gate_equivalences(faults, netlist):
+    """Every (input fault, output fault) pair of ``faults`` that a gate
+    makes equivalent: an input stuck at its controlling value and the
+    output stuck at what that value forces. The input fault is the pin's
+    branch fault where ``faults`` holds one, else the net's stem fault."""
+    keys = {f.key: f for f in faults}
+    pairs = []
+    for g in netlist.gates:
+        if g.kind not in _CONTROL:
+            continue
+        control, inverted = _CONTROL[g.kind]
+        for value in (0, 1) if control is None else (control,):
+            out_f = keys.get(f"{g.output}:SA{value ^ inverted}")
+            for pin, net in enumerate(g.inputs):
+                in_f = keys.get(f"{net}->{g.output}.{pin}:SA{value}",
+                                keys.get(f"{net}:SA{value}"))
+                if out_f is not None and in_f is not None:
+                    pairs.append((in_f, out_f))
+    return pairs
+
+
+def collapse_closure(faults, netlist):
+    """fault -> class representative: union-find over
+    :func:`gate_equivalences`, each class represented by its first fault in
+    the order of ``faults``."""
+    parent = list(range(len(faults)))
+    index = {f: i for i, f in enumerate(faults)}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in gate_equivalences(faults, netlist):
+        ra, rb = find(index[a]), find(index[b])
+        parent[max(ra, rb)] = min(ra, rb)
+    return {f: faults[find(i)] for i, f in enumerate(faults)}
+
+
 def pairwise_classes(matrix):
     """O(n^2) partition of a diagnostic matrix by direct row comparison:
     the classes of detected faults and the undetected faults, by index."""

@@ -128,6 +128,19 @@ def test_case_study_plan_shape(core, core_plan):
         session.select(3)
 
 
+def test_a_plan_without_misrs_has_no_signature_to_read():
+    # a netlist with no primary input needs no binding, so its plan may
+    # hold no MISR; SELECT then refuses every code, and a read before any
+    # SELECT is refused too
+    netlist = circuit.parse_netlist("OUTPUT(q)\nq = DFF(d)\nd = NOT(q)\n")
+    plan = bist.BistPlan(tpg.Polynomial.parse("x^4+x+1"), 0x9, (), ())
+    session = bist.BistSession(netlist, plan)
+    with pytest.raises(PlanError):
+        session.select(0)
+    with pytest.raises(PlanError, match="no MISR"):
+        session.selected_signature()
+
+
 # -- sessions -----------------------------------------------------------------------
 
 def test_phase_progression(mini10, mini_plan):

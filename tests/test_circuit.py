@@ -116,14 +116,6 @@ def test_bad_pragmas_are_refused(pragmas, message):
         circuit.parse_netlist(pragmas + "\n" + _PRAGMA_CORE)
 
 
-def test_bn_fixture_matches_case_study_widths():
-    n = circuit.load_netlist(fixture_path("ldpc_like_bn.bench"))
-    (block,) = n.blocks
-    assert block.name == "BIT_NODE"
-    assert len(block.input_port) == 54
-    assert len(block.output_port) == 55
-
-
 def test_core_fixture_block_widths():
     n = circuit.load_netlist(fixture_path("ldpc_like_core.bench"))
     widths = {b.name: (len(b.input_port), len(b.output_port)) for b in n.blocks}

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from corebist import (access, bist, circuit, cli, compactor, faultsim,
+from corebist import (access, bist, circuit, cli, compactor, errors, faultsim,
                       fixture_path, tpg)
 from corebist.errors import PlanError
 
@@ -699,6 +699,20 @@ def test_workers_below_one_is_an_error(tmp_path, capsys, value):
     assert run(argv + ["--workers", value]) == 1
     assert capsys.readouterr().err.startswith("error: --workers")
     assert not (tmp_path / "coverage_report.json").exists()
+
+
+@pytest.mark.parametrize("error", [
+    errors.CoreBistError, errors.NetlistError, errors.SimulationError,
+    errors.PlanError, errors.ProtocolError, errors.ReportError])
+def test_every_corebist_error_exits_1(tmp_path, capsys, monkeypatch, error):
+    # exit 2 is left to argparse; any corebist error, the base class too,
+    # is one "error: ..." line and exit 1
+    def boom(path):
+        raise error("boom")
+    monkeypatch.setattr(circuit, "load_netlist", boom)
+    assert run(["faultsim", MINI, "--plan", MINI_PLAN,
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 # -- malformed plan files -----------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from corebist import compactor, tpg
-from corebist.errors import PlanError, SimulationError
+from corebist.errors import SimulationError
 
 import oracle
 
@@ -152,29 +152,6 @@ def test_replay_determinism():
     words = [rng.randrange(1 << 16) for _ in range(200)]
     assert compactor.signature_of_stream(poly, words) == \
         compactor.signature_of_stream(poly, words)
-
-
-# -- output selector --------------------------------------------------------------
-
-def _sigs(n):
-    poly = _poly("x^16+x^12+x^3+x+1")
-    names = ["BIT_NODE", "CHECK_NODE", "CONTROL_UNIT"]
-    return [compactor.Signature(names[i], poly, i + 1, 16) for i in range(n)]
-
-
-def test_select_first_is_bit_node():
-    sigs = _sigs(3)
-    assert compactor.select_output(sigs, 0).block == "BIT_NODE"
-
-
-def test_select_out_of_range():
-    with pytest.raises(PlanError):
-        compactor.select_output(_sigs(3), 3)
-
-
-def test_select_single_signature():
-    sigs = _sigs(1)
-    assert compactor.select_output(sigs, 0) is sigs[0]
 
 
 # -- aliasing ----------------------------------------------------------------------

@@ -443,14 +443,6 @@ def test_fast_path_equals_oracle(name, core, count):
     ROWS[name](core, count)
 
 
-def cells(name, cores=CORES, counts=COUNTS):
-    """Run row ``name``'s cells over ``cores`` x ``counts``: a test whose
-    cases the matrix took over runs them so under its old name."""
-    for core in cores:
-        for count in counts:
-            ROWS[name](core, count)
-
-
 # -- the matrix's cores ----------------------------------------------------------
 
 def _site(netlist, fault):

@@ -9,7 +9,7 @@ from corebist.errors import SimulationError
 import oracle
 from conftest import (exhaustive_patterns, random_patterns, random_sequential,
                       seqmini_plan)
-from test_equivalence import COUNTS, cells, matrix_case, tdf_firsts
+from test_equivalence import CORES, COUNTS, matrix_case, matrix_core, tdf_firsts
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -100,6 +100,23 @@ def test_collapsing_is_a_partition(seventeen):
         assert collapsed.collapse_map[rep] == rep
 
 
+@pytest.mark.parametrize("kinds", [faultsim.SA_KINDS,
+                                   faultsim.SA_KINDS + faultsim.TDF_KINDS],
+                         ids=["saf", "saf+tdf"])
+@pytest.mark.parametrize("core", CORES + ("ldpc_like_core", "ldpc_like_cu"))
+def test_collapse_equals_the_union_find_closure(core, kinds):
+    if core in CORES:
+        netlist = matrix_core(core)[0]
+    else:
+        netlist = circuit.load_netlist(fixture_path(f"{core}.bench"))
+    full = faultsim.enumerate_faults(netlist, kinds)
+    pairs = oracle.gate_equivalences(full.faults, netlist)
+    # each fault links up to at most one output fault, so classes are trees
+    assert max(Counter(a for a, _ in pairs).values()) == 1
+    assert faultsim.collapse(full, netlist).collapse_map == \
+        oracle.collapse_closure(full.faults, netlist)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "collapse merges an input-pin fault into the gate's output fault when "
     "the input net has one gate reader, even if that net is also observed; "
@@ -187,21 +204,12 @@ def test_sequential_fault_sim_matches_oracle(seqmini):
 # -- parallel simulation -----------------------------------------------------------
 
 # The equivalence matrix (test_equivalence.py) holds the kernel-vs-oracle
-# cases; a test that calls `cells` runs the cells that took over its own.
+# cases.
 
 def test_parallel_rejects_empty_patterns(seventeen):
     u = faultsim.enumerate_faults(seventeen)
     with pytest.raises(SimulationError, match="no patterns"):
         faultsim.parallel_fault_sim(seventeen, u, [])
-
-
-def test_parallel_equals_serial_on_random_netlists():
-    cells("planes", ["rcomb"], [63, 64, 65, 97])
-
-
-def test_sequential_falls_back_to_serial():
-    # sequential cores now run the kernel; it must still equal the serial oracle
-    cells("planes", ["seqmini"], [63, 64, 65, 97])
 
 
 # -- compiled kernel against the oracle ------------------------------------------

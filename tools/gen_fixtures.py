@@ -127,7 +127,8 @@ def make_ldpc():
     combined_body = []
     for seed_v, prefix, bname, n_in, n_out, n_gates in specs:
         text, ins, outs, lines = ldpc_like(seed_v, prefix, bname, n_in, n_out, n_gates)
-        write(f"ldpc_like_{prefix}.bench", "\n".join(text) + "\n")
+        if bname == "CONTROL_UNIT":    # the one block also shipped alone
+            write("ldpc_like_cu.bench", "\n".join(text) + "\n")
         combined.append(f"#@block {bname} in: {','.join(ins)} out: {','.join(outs)}")
         combined += [f"INPUT({n})" for n in ins]
         combined += [f"OUTPUT({n})" for n in outs]
@@ -173,21 +174,29 @@ def make_mini_plan():
     print("wrote mini10 plan:", [(s.block, s.hex()) for s in plan.golden])
 
 
-def make_golden_trace():
-    """Scripted serial session against the core fixture, frozen as golden."""
-    netlist = circuit.load_netlist(os.path.join(FIXDIR, "ldpc_like_core.bench"))
-    plan = bist.BistPlan.load(os.path.join(FIXDIR, "ldpc_like_core.plan.json"))
+def record_session(netlist, plan, count):
+    """A scripted serial session over the scalar self-test, the oracle:
+    RESET, SET_COUNT ``count`` (its 12-bit operand), START, then SELECT and
+    READ_STATUS for each MISR. Returns the rendered trace with its TDO
+    column, for ``corebist tap --expect`` to replay."""
     tap = access.TapSession(bist.BistSession(netlist, plan))
     tap.tap_reset()
     tap.write_wcdr(access.CMD_RESET)
-    tap.write_wcdr(access.CMD_SET_COUNT, 4096 & 0xFFF)
+    tap.write_wcdr(access.CMD_SET_COUNT, count & 0xFFF)
     tap.write_wcdr(access.CMD_START)
-    for sel in range(3):
+    for sel in range(len(plan.misrs)):
         tap.write_wcdr(access.CMD_SELECT, sel)
         tap.write_wcdr(access.CMD_READ_STATUS)
         tap.read_wdr()
     trace, tdo = tap.trace()
-    write("golden_session.trace", trace.render(tdo=tdo))
+    return trace.render(tdo=tdo)
+
+
+def make_golden_trace():
+    """Scripted serial session against the core fixture, frozen as golden."""
+    netlist = circuit.load_netlist(os.path.join(FIXDIR, "ldpc_like_core.bench"))
+    plan = bist.BistPlan.load(os.path.join(FIXDIR, "ldpc_like_core.plan.json"))
+    write("golden_session.trace", record_session(netlist, plan, 4096))
 
 
 if __name__ == "__main__":
